@@ -22,17 +22,20 @@ mirror locus where the two maxima have equal value is the Lambda_1 < -1/4
 half of the axis, which the quadrant-reduced atlas does not draw; the
 region classifier therefore tests well depths only.
 
-Root finding uses a uniform sign scan plus bisection (derivative-free,
-guaranteed brackets).  Double roots of Ubar' -- the hallmark of points on
-Gamma_1 -- produce no sign change, so the scan is augmented with the
-critical points of Ubar' (roots of Ubar''): any such point where |Ubar'|
-is negligibly small is a degenerate equilibrium.
+Root finding is algebraic.  With z = e^{i theta}, z^2 Ubar'(theta) is the
+quartic (L2 + i L1) z^4 - (i g l / 2) z^3 + (i g l / 2) z + (L2 - i L1),
+so the equilibria are its roots on the unit circle: eigenvalues of
+stacked 4x4 companion matrices, one batched call for many Lambda points
+(companion-matrix rootfinding for trigonometric polynomials; J. P. Boyd,
+SIAM J. Numer. Anal., 2002).  Simple roots are Newton-polished on
+Ubar'.  Rounding splits a multiple root -- the hallmark of points on
+Gamma_1 -- into a cluster just off the circle, so on-circle roots closer
+than a small radius merge into one degenerate equilibrium.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +61,26 @@ BOUNDARY = "boundary"
 #: Ubar'' band, relative to the problem magnitude, inside which an
 #: equilibrium counts as degenerate.
 DEGEN_TOL = 1e-9
-#: |Ubar'| acceptance band for double-root candidates found via Ubar''.
-_DOUBLE_ROOT_TOL = 1e-10
-#: Exclusion radius (rad) between a double-root candidate and simple roots.
-_DOUBLE_ROOT_RADIUS = 1e-4
 #: Equal-well-depth band for the region classifier.
 EQUAL_VALUE_TOL = 1e-9
+
+#: Lambda points per batched eigenvalue call.  It bounds the scan's
+#: temporaries (about 1 kB per point) whatever the size of the grid.
+_CHUNK = 512
+#: Quartic roots with ||z| - 1| below this lie on the unit circle.  It
+#: admits the ~1e-5 rounding split of the triple root at the cusps.
+_ON_CIRCLE_TOL = 1e-4
+#: On-circle roots closer than this (rad) are one degenerate equilibrium;
+#: a double root on Gamma_1 splits into a pair ~1e-8 off the circle.
+_MERGE_RADIUS = 1e-4
+#: Below |Lambda_1| + |Lambda_2| = _TINY_LAMBDA g l the quartic's end
+#: coefficients vanish to rounding; its roots are then seeded at 0 and pi.
+_TINY_LAMBDA = 1e-8
+#: Newton steps on Ubar' for each simple root.
+_NEWTON_STEPS = 3
+
+_KINDS = (STABLE, UNSTABLE, DEGENERATE)
+_REGIONS = (PI1, PI2, BOUNDARY)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -124,103 +141,104 @@ class LambdaTrace:
     lambda2: np.ndarray
 
 
-def _problem_scale(lam: LambdaPoint, params: PendulumParams) -> float:
-    return max(1.0, abs(lam.lambda1) + abs(lam.lambda2) + params.g * params.l)
+def _problem_scale(l1: np.ndarray, l2: np.ndarray, params: PendulumParams) -> np.ndarray:
+    return np.maximum(1.0, np.abs(l1) + np.abs(l2) + params.g * params.l)
 
 
-def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, tol: float, iters: int = 48) -> np.ndarray:
-    """Vectorized bisection on brackets with f(lo) f(hi) < 0."""
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        take_left = flo * fmid <= 0.0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        flo = np.where(take_left, flo, fmid)
-        if np.all(hi - lo < tol):
-            break
-    return 0.5 * (lo + hi)
+@dataclass(frozen=True)
+class _LambdaColumn:
+    """Lambda coefficients as (n, 1) columns, for the dynamics formulas."""
+
+    lambda1: np.ndarray
+    lambda2: np.ndarray
 
 
-def _periodic_roots(f, grid_n: int, tol: float) -> np.ndarray:
-    """All simple roots of a 2pi-periodic function on [0, 2pi)."""
-    theta = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
-    vals = f(theta)
-    vals_next = np.roll(vals, -1)
-    exact = theta[vals == 0.0]
-    change = (vals * vals_next < 0.0)
-    lo = theta[change]
-    hi = lo + _TWO_PI / grid_n
-    roots = _bisect_roots(f, lo, hi, tol) if len(lo) else np.empty(0)
-    return np.sort(np.concatenate([exact, roots]))
+def _equilibria(l1: np.ndarray, l2: np.ndarray, params: PendulumParams):
+    """Equilibria at the Lambda points (l1[k], l2[k]), one row per point.
+
+    Returns ``(theta, kind, potential, second_derivative)``, each of shape
+    (n, 4): angles in [0, 2pi) sorted per row, with kind an index into
+    ``_KINDS``; unused slots hold nan and kind -1.
+    """
+    gl = params.g * params.l
+    n = len(l1)
+    tiny = np.abs(l1) + np.abs(l2) < _TINY_LAMBDA * gl
+    lead = np.where(tiny, 1.0, l2 + 1j * l1)
+    comp = np.zeros((n, 4, 4), dtype=complex)
+    comp[:, 0, 0] = 0.5j * gl / lead
+    comp[:, 0, 2] = -0.5j * gl / lead
+    comp[:, 0, 3] = -np.conj(lead) / lead
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    z = np.linalg.eigvals(comp)
+    z[tiny] = (1.0, -1.0, 0.0, 0.0)
+
+    # an on-circle root within _MERGE_RADIUS of an earlier one joins it; the
+    # earliest stands for the cluster, at the cluster's mean angle
+    on = np.abs(np.abs(z) - 1.0) < _ON_CIRCLE_TOL
+    u = np.where(on, np.exp(1j * np.angle(z)), 0.0)
+    near = on[:, :, None] & on[:, None, :] \
+        & (np.abs(np.angle(u[:, :, None] * u[:, None, :].conj())) < _MERGE_RADIUS)
+    first = on & ~np.tril(near, -1).any(axis=2)
+    size = np.where(first, near.sum(axis=2), 0)
+    rep = np.where(first, np.angle((near * u[:, None, :]).sum(axis=2)), np.nan)
+
+    lam = _LambdaColumn(l1[:, None], l2[:, None])
+    simple = size == 1
+    for _ in range(_NEWTON_STEPS):
+        du = effective_potential_dtheta(rep, lam, params)
+        d2u = effective_potential_d2theta(rep, lam, params)
+        step = np.divide(du, d2u, out=np.zeros_like(du), where=simple & (d2u != 0.0))
+        rep = rep - step
+    rep = np.mod(rep, _TWO_PI)
+    rep = np.where(rep >= _TWO_PI, rep - _TWO_PI, rep)  # mod takes -1e-17 to 2pi
+
+    upp = effective_potential_d2theta(rep, lam, params)
+    band = DEGEN_TOL * _problem_scale(l1, l2, params)[:, None]
+    kind = np.select([size == 0, (size > 1) | (np.abs(upp) < band), upp > 0],
+                     [-1, 2, 0], 1)
+    order = np.argsort(rep, axis=1)
+    rep, kind, upp = (np.take_along_axis(a, order, axis=1) for a in (rep, kind, upp))
+    return rep, kind, effective_potential(rep, lam, params), upp
 
 
-def _dedupe_periodic(thetas: np.ndarray, radius: float) -> np.ndarray:
-    if len(thetas) == 0:
-        return thetas
-    thetas = np.sort(np.mod(thetas, _TWO_PI))
-    keep = [thetas[0]]
-    for t in thetas[1:]:
-        if t - keep[-1] > radius:
-            keep.append(t)
-    # wrap-around duplicate: first and last may be the same root mod 2pi
-    if len(keep) > 1 and (keep[0] + _TWO_PI) - keep[-1] <= radius:
-        keep.pop()
-    return np.asarray(keep)
+def _regions(l1: np.ndarray, l2: np.ndarray, params: PendulumParams,
+             equal_tol: float) -> np.ndarray:
+    """Region code (index into ``_REGIONS``) of each Lambda point.
+
+    Works through the points _CHUNK at a time, so the temporaries stay
+    bounded whatever the number of points.
+    """
+    codes = np.empty(len(l1), dtype=np.int8)
+    for lo in range(0, len(l1), _CHUNK):
+        a, b = l1[lo:lo + _CHUNK], l2[lo:lo + _CHUNK]
+        _, kind, pot, _ = _equilibria(a, b, params)
+        stable = kind == 0
+        depth_gap = np.where(stable, pot, -np.inf).max(axis=1) \
+            - np.where(stable, pot, np.inf).min(axis=1)
+        # a degenerate equilibrium makes the point BOUNDARY whatever the count
+        count = np.where((kind == 2).any(axis=1), 0, (kind >= 0).sum(axis=1))
+        pi2 = (count == 4) & (stable.sum(axis=1) == 2) \
+            & (depth_gap > equal_tol * _problem_scale(a, b, params))
+        codes[lo:lo + _CHUNK] = np.select([count == 2, pi2], [0, 1], 2)
+    return codes
 
 
-def find_equilibria(lam: LambdaPoint, params: PendulumParams,
-                    grid_n: int = 4096, tol: float = 1e-12) -> list[Equilibrium]:
+def find_equilibria(lam: LambdaPoint, params: PendulumParams) -> list[Equilibrium]:
     """All critical points of Ubar on [0, 2pi), classified by Ubar''.
 
-    Simple roots come from a sign scan of Ubar' refined by bisection;
-    degenerate (double) roots are recovered from the critical points of
-    Ubar' where |Ubar'| vanishes to rounding.  At least two equilibria
-    always exist; finding fewer raises.
+    At least two equilibria always exist; finding fewer raises.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be >= 64")
-
-    def du(theta):
-        return effective_potential_dtheta(theta, lam, params)
-
-    def d2u(theta):
-        return effective_potential_d2theta(theta, lam, params)
-
-    scale = _problem_scale(lam, params)
-    roots = _periodic_roots(du, grid_n, tol)
-    roots = _dedupe_periodic(roots, 10.0 * tol)
-
-    # double roots: critical points of Ubar' with negligible |Ubar'|
-    crit = _periodic_roots(d2u, grid_n, tol)
-    for c in crit:
-        if abs(du(c)) <= _DOUBLE_ROOT_TOL * scale:
-            if len(roots) == 0 or np.min(np.abs(np.mod(roots - c + np.pi, _TWO_PI) - np.pi)) > _DOUBLE_ROOT_RADIUS:
-                roots = np.sort(np.append(roots, np.mod(c, _TWO_PI)))
-
-    if len(roots) < 2:
+    theta, kind, pot, upp = (a[0] for a in _equilibria(
+        np.array([lam.lambda1]), np.array([lam.lambda2]), params))
+    eqs = [Equilibrium(float(t), _KINDS[k], float(u), float(d))
+           for t, k, u, d in zip(theta, kind, pot, upp) if k >= 0]
+    if len(eqs) < 2:
         raise RuntimeError(
-            f"found {len(roots)} equilibria at {lam}; at least 2 must exist")
-
-    degen_band = DEGEN_TOL * scale
-    out = []
-    for theta in roots:
-        upp = float(d2u(theta))
-        if abs(upp) < degen_band:
-            kind = DEGENERATE
-        elif upp > 0:
-            kind = STABLE
-        else:
-            kind = UNSTABLE
-        out.append(Equilibrium(theta=float(theta), kind=kind,
-                               potential=float(effective_potential(theta, lam, params)),
-                               second_derivative=upp))
-    return out
+            f"found {len(eqs)} equilibria at {lam}; at least 2 must exist")
+    return eqs
 
 
 def classify_region(lam: LambdaPoint, params: PendulumParams,
-                    grid_n: int = 4096, tol: float = 1e-12,
                     equal_tol: float = EQUAL_VALUE_TOL) -> str:
     """Label a parameter point PI1, PI2 or BOUNDARY.
 
@@ -228,19 +246,9 @@ def classify_region(lam: LambdaPoint, params: PendulumParams,
     two wells at distinct depths.  BOUNDARY: any degenerate equilibrium
     (on Gamma_1) or equal well depths (on Gamma_2), within tolerance.
     """
-    eqs = find_equilibria(lam, params, grid_n=grid_n, tol=tol)
-    if any(e.kind == DEGENERATE for e in eqs):
-        return BOUNDARY
-    if len(eqs) == 2:
-        return PI1
-    if len(eqs) == 4:
-        wells = sorted(e.potential for e in eqs if e.kind == STABLE)
-        if len(wells) != 2:
-            return BOUNDARY
-        if abs(wells[1] - wells[0]) <= equal_tol * _problem_scale(lam, params):
-            return BOUNDARY
-        return PI2
-    return BOUNDARY
+    code = _regions(np.array([lam.lambda1]), np.array([lam.lambda2]), params,
+                    equal_tol)[0]
+    return _REGIONS[code]
 
 
 def gamma1_curve(samples: int) -> np.ndarray:
@@ -267,14 +275,13 @@ def atlas_curves(samples: int = 512) -> AtlasCurves:
 
 def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
                              lambda2_range: tuple[float, float],
-                             step: float, params: PendulumParams,
-                             grid_n: int = 1024) -> ScanResult:
+                             step: float, params: PendulumParams) -> ScanResult:
     """Locate the bifurcation set by region labels alone.
 
-    Every corner of a uniform cell grid is labeled by
-    :func:`classify_region`; cells whose corners disagree (or touch a
-    BOUNDARY corner) approximate the bifurcation set without using the
-    analytic curve formulas.
+    Every corner of a uniform cell grid is labeled as by
+    :func:`classify_region`, in one batched pass; cells whose corners
+    disagree (or touch a BOUNDARY corner) approximate the bifurcation set
+    without using the analytic curve formulas.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -282,24 +289,14 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
     n2 = int(round((lambda2_range[1] - lambda2_range[0]) / step)) + 1
     l1 = lambda1_range[0] + step * np.arange(n1)
     l2 = lambda2_range[0] + step * np.arange(n2)
-    codes = np.empty((n1, n2), dtype=np.int8)
-    code_of = {PI1: 0, PI2: 1, BOUNDARY: 2}
-    for i, a in enumerate(l1):
-        for j, b in enumerate(l2):
-            codes[i, j] = code_of[classify_region(LambdaPoint(a, b), params,
-                                                  grid_n=grid_n)]
-    c00 = codes[:-1, :-1]
-    c10 = codes[1:, :-1]
-    c01 = codes[:-1, 1:]
-    c11 = codes[1:, 1:]
-    disagree = ~((c00 == c10) & (c00 == c01) & (c00 == c11))
-    touches_boundary = (c00 == 2) | (c10 == 2) | (c01 == 2) | (c11 == 2)
-    mask = disagree | touches_boundary
-    ii, jj = np.nonzero(mask)
+    codes = _regions(np.repeat(l1, n2), np.tile(l2, n1), params,
+                     EQUAL_VALUE_TOL).reshape(n1, n2)
+    # a cell is on the boundary if its corners disagree or one is BOUNDARY
+    quad = np.stack([codes[:-1, :-1], codes[1:, :-1], codes[:-1, 1:], codes[1:, 1:]])
+    hi = quad.max(axis=0)
+    ii, jj = np.nonzero((quad.min(axis=0) != hi) | (hi == 2))
     centers = np.column_stack([l1[ii] + 0.5 * step, l2[jj] + 0.5 * step])
-    labels = np.empty((n1, n2), dtype=object)
-    for name, code in code_of.items():
-        labels[codes == code] = name
+    labels = np.array(_REGIONS, dtype=object)[codes]
     return ScanResult(lambda1_corners=l1, lambda2_corners=l2, labels=labels,
                       boundary_cells=centers, step=step)
 

@@ -14,8 +14,7 @@ Every run writes ``manifest.json`` (the effective configuration with
 defaults applied, plus a SHA-256 per data file) and prints it to stdout.
 Outputs are a pure function of (config, seed): rerunning a command
 reproduces every byte.  ``--seed`` overrides the master seed from the
-config; ``--threads`` is accepted for symmetry but has no effect on
-output bytes (all reductions run in sorted-seed order).
+config.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure.  Partial
 outputs are removed when a run fails.
@@ -105,11 +104,17 @@ def _section(cfg: dict, name: str, defaults: dict, path: str) -> dict:
     return merged
 
 
+def _is_finite_number(v) -> bool:
+    # the comparison also rejects nan, and ints too large for a float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def _number(block: dict, key: str, path: str, lo=None, hi=None,
             strict_lo=False, integer=False):
     v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}{key} must be a number, got {v!r}")
+    if not _is_finite_number(v):
+        raise ConfigError(f"{path}{key} must be a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{path}{key} must be an integer, got {v!r}")
     if lo is not None and (v <= lo if strict_lo else v < lo):
@@ -118,6 +123,17 @@ def _number(block: dict, key: str, path: str, lo=None, hi=None,
     if hi is not None and v > hi:
         raise ConfigError(f"{path}{key} must be <= {hi}, got {v}")
     return int(v) if integer else float(v)
+
+
+def _numbers(value, path: str, length: int, integer=False) -> list:
+    """``value`` as a list of ``length`` finite numbers (ints if ``integer``)."""
+    if not (isinstance(value, (list, tuple)) and len(value) == length
+            and all(_is_finite_number(v) for v in value)):
+        raise ConfigError(f"{path} must be a list of {length} finite numbers, "
+                          f"got {value!r}")
+    if integer and any(int(v) != v for v in value):
+        raise ConfigError(f"{path} must hold integers, got {value!r}")
+    return [int(v) if integer else float(v) for v in value]
 
 
 _CHANNEL_DEFAULTS = {"alpha": 1.0, "beta": 0.6, "forcing_amp": 0.0,
@@ -222,12 +238,7 @@ class RunConfig:
         return self.channel1, self.channel2
 
     def initial_state(self, block: dict):
-        init = block["initial"]
-        if (not isinstance(init, (list, tuple)) or len(init) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in init)):
-            raise ConfigError("initial must be a [theta, p] pair of numbers")
-        return float(init[0]), float(init[1])
+        return tuple(_numbers(block["initial"], "initial", 2))
 
     def effective(self) -> dict:
         return {
@@ -339,18 +350,24 @@ def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
 
 
 def cmd_atlas(config: RunConfig, rundir: RunDir) -> dict:
+    """Analytic curves, and with ``scan`` the numeric scan of ``box``.
+
+    ``scan_grid_n`` is still accepted and validated, but has no effect:
+    equilibria are roots of a quartic, not of a sampled grid.
+    """
     block = config.atlas
     samples = _number(block, "samples", "atlas.", lo=16, integer=True)
-    atlas = atlas_curves(samples)
-    write_atlas_json(rundir.path("atlas.json"), atlas)
     if block["scan"]:
-        box = block["box"]
-        if not (isinstance(box, (list, tuple)) and len(box) == 4):
-            raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max]")
+        box = _numbers(block["box"], "atlas.box", 4)
+        if not (box[0] < box[1] and box[2] < box[3]):
+            raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
+                              f"with min < max on each axis, got {box}")
         step = _number(block, "step", "atlas.", lo=0.0, strict_lo=True)
-        grid_n = _number(block, "scan_grid_n", "atlas.", lo=64, integer=True)
+        _number(block, "scan_grid_n", "atlas.", lo=64, integer=True)
+    write_atlas_json(rundir.path("atlas.json"), atlas_curves(samples))
+    if block["scan"]:
         scan = numeric_bifurcation_scan((box[0], box[1]), (box[2], box[3]),
-                                        step, config.params, grid_n=grid_n)
+                                        step, config.params)
         write_scan_csv(rundir.path("scan.csv"), scan)
     return rundir.manifest("atlas", config)
 
@@ -359,9 +376,7 @@ def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
     block = config.portrait
     lam = LambdaPoint(_number(block, "lambda1", "portrait."),
                       _number(block, "lambda2", "portrait."))
-    grid = block["grid"]
-    if not (isinstance(grid, (list, tuple)) and len(grid) == 2):
-        raise ConfigError("portrait.grid must be [n_theta, n_p]")
+    n_theta, n_p = _numbers(block["grid"], "portrait.grid", 2, integer=True)
     try:
         portrait = phase_portrait(
             lam, config.params,
@@ -369,7 +384,7 @@ def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
                          _number(block, "theta_max", "portrait.")),
             p_range=(_number(block, "p_min", "portrait."),
                      _number(block, "p_max", "portrait.")),
-            grid=(int(grid[0]), int(grid[1])))
+            grid=(n_theta, n_p))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_portrait_csv(rundir.path("portrait.csv"), portrait)
@@ -383,11 +398,10 @@ def _sigma_levels(block: dict, path: str) -> list[tuple[float, float]]:
         raise ConfigError(f"{path}sigma_levels must be a non-empty list")
     out = []
     for lv in levels:
-        if not (isinstance(lv, (list, tuple)) and len(lv) == 2):
-            raise ConfigError(f"{path}sigma_levels entries must be [sigma1, sigma2]")
-        if lv[0] < 0 or lv[1] < 0:
+        s1, s2 = _numbers(lv, f"{path}sigma_levels entry", 2)
+        if s1 < 0 or s2 < 0:
             raise ConfigError(f"{path}sigma_levels must be >= 0")
-        out.append((float(lv[0]), float(lv[1])))
+        out.append((s1, s2))
     return out
 
 
@@ -457,6 +471,8 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     if not isinstance(runs, (list, tuple)) or not set(runs) <= known:
         raise ConfigError(f"poincare.run must be a subset of {sorted(known)}")
     levels = _sigma_levels(block, "poincare.")
+    if "fill" in runs:
+        fill_grid = _numbers(block["fill_grid"], "poincare.fill_grid", 2, integer=True)
     spp = config.steps_per_period
     pair_cfg = config.pair_config()
     stats = calibration_stats(pair_cfg, config.master_seed, steps_per_period=spp)
@@ -485,10 +501,7 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
             if "sections" in runs:
                 write_section_csv(rundir.path(f"section-{k:03d}.csv"), sec)
         if "fill" in runs:
-            fg = block["fill_grid"]
-            if not (isinstance(fg, (list, tuple)) and len(fg) == 2):
-                raise ConfigError("poincare.fill_grid must be [n_theta, n_p]")
-            report = plane_fill_density(sections, grid=(int(fg[0]), int(fg[1])),
+            report = plane_fill_density(sections, grid=tuple(fill_grid),
                                         lam=lam, params=config.params)
             write_histogram_csv(rundir.path("fill_histogram.csv"), report)
             write_json(rundir.path("fill.json"), report.as_dict())
@@ -524,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default runs/<command>)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for symmetry; no effect on output bytes")
     return parser
 
 

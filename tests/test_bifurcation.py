@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stochpend import (
     BOUNDARY,
@@ -7,6 +9,7 @@ from stochpend import (
     PI2,
     LambdaPoint,
     NoiseAmplitudes,
+    PendulumParams,
     classify_region,
     effective_potential,
     effective_potential_dtheta,
@@ -19,6 +22,7 @@ from stochpend import (
     phase_portrait,
     simulate_pair,
 )
+from stochpend import bifurcation
 from stochpend.rpsde import grid_for_periods
 from stochpend.presets import default_noise_pair
 from tests.test_dynamics import make_stats
@@ -122,6 +126,77 @@ def test_gamma1_points_have_degenerate_equilibrium(params):
         assert min(abs(e.second_derivative) for e in eqs) <= 1e-6
 
 
+def _oracle_equilibria(lam, params, n=2**16):
+    """Independent root finder: sign changes of Ubar' on a periodic grid.
+
+    Returns (theta, stable) pairs; a root is stable where Ubar' turns
+    from negative to positive.
+    """
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    f = effective_potential_dtheta(theta, lam, params)
+    after = np.roll(f, -1)
+    exact = np.nonzero(f == 0.0)[0]
+    flips = np.nonzero(f * after < 0.0)[0]
+    roots = [(theta[i], after[i] > 0.0) for i in exact]
+    roots += [(theta[i] + np.pi / n, after[i] > 0.0) for i in flips]
+    return roots
+
+
+def _circular_gap(a, b):
+    gap = abs(a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+def _assert_matches_oracle(lam, params):
+    eqs = find_equilibria(lam, params)
+    oracle = _oracle_equilibria(lam, params)
+    assert len(eqs) == len(oracle)
+    for theta, stable in oracle:
+        e = min(eqs, key=lambda e: _circular_gap(e.theta, theta))
+        assert _circular_gap(e.theta, theta) <= TWO_PI / 2**16
+        assert e.kind == ("stable" if stable else "unstable")
+        assert 0.0 <= e.theta < TWO_PI
+
+
+# Gamma_1 (closed curve) and Gamma_2 (ray) for l = g = 1, for the test only
+_T = np.linspace(0.0, TWO_PI, 100_000, endpoint=False)
+_GAMMA1 = np.column_stack([np.cos(_T)**3 / 2 - 3 * np.cos(_T) / 4,
+                           np.sin(_T)**3 / 2])
+
+
+def _distance_to_bifurcation_set(l1, l2):
+    d_gamma1 = np.hypot(_GAMMA1[:, 0] - l1, _GAMMA1[:, 1] - l2).min()
+    d_gamma2 = abs(l2) if l1 >= 0.25 else np.hypot(l1 - 0.25, l2)
+    return min(d_gamma1, d_gamma2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_equilibria_match_dense_scan_oracle_off_the_curves(l1, l2):
+    assume(_distance_to_bifurcation_set(l1, l2) >= 1e-3)
+    _assert_matches_oracle(LambdaPoint(l1, l2), PendulumParams())
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-300, 1e-16, 1e-8])
+def test_tiny_lambda_keeps_classical_equilibria(params, size):
+    for l1, l2 in [(size, 0.0), (0.0, size), (size, -size), (-size, size)]:
+        lam = LambdaPoint(l1, l2)
+        eqs = find_equilibria(lam, params)
+        by_kind = {e.kind: e.theta for e in eqs}
+        assert len(eqs) == 2 and set(by_kind) == {"stable", "unstable"}
+        # the roots move by about 2 |Lambda| / (g l)
+        assert _circular_gap(by_kind["stable"], 0.0) <= 3 * size + 1e-15
+        assert _circular_gap(by_kind["unstable"], np.pi) <= 3 * size + 1e-15
+        assert all(0.0 <= e.theta < TWO_PI for e in eqs)
+        assert classify_region(lam, params) == PI1
+
+
+@pytest.mark.parametrize("l, g", [(2.0, 0.5), (0.5, 3.0)])
+def test_non_unit_pendulum_against_dense_scan_oracle(l, g):
+    for l1, l2 in [(0.2, 0.1), (0.5, 1.0), (-0.6, 0.3), (0.05, 1.1), (1.2, -0.4)]:
+        _assert_matches_oracle(LambdaPoint(l1, l2), PendulumParams(l=l, g=g))
+
+
 # ---------------------------------------------------------------------------
 # region classification
 
@@ -188,8 +263,7 @@ def test_gamma2_membership():
 
 def test_scan_boundary_hugs_analytic_curves(params):
     # coarse version of the full-box acceptance check
-    scan = numeric_bifurcation_scan((0.0, 0.6), (0.0, 0.6), 0.02, params,
-                                    grid_n=512)
+    scan = numeric_bifurcation_scan((0.0, 0.6), (0.0, 0.6), 0.02, params)
     assert len(scan.boundary_cells) > 0
     t = np.linspace(0, np.pi, 4001)
     gamma1 = np.column_stack([np.cos(t)**3 / 2 - 3 * np.cos(t) / 4,
@@ -206,22 +280,29 @@ def test_scan_boundary_hugs_analytic_curves(params):
 
 
 def test_scan_inside_pi1_is_empty(params):
-    scan = numeric_bifurcation_scan((-0.05, 0.05), (0.0, 0.05), 0.01, params,
-                                    grid_n=512)
+    scan = numeric_bifurcation_scan((-0.05, 0.05), (0.0, 0.05), 0.01, params)
     assert len(scan.boundary_cells) == 0
     assert np.all(scan.labels == PI1)
 
 
 def test_scan_mirrors_under_lambda2_flip(params):
-    up = numeric_bifurcation_scan((0.25, 0.45), (0.05, 0.25), 0.02, params,
-                                  grid_n=512)
-    down = numeric_bifurcation_scan((0.25, 0.45), (-0.25, -0.05), 0.02, params,
-                                    grid_n=512)
+    up = numeric_bifurcation_scan((0.25, 0.45), (0.05, 0.25), 0.02, params)
+    down = numeric_bifurcation_scan((0.25, 0.45), (-0.25, -0.05), 0.02, params)
     mirrored = np.column_stack([down.boundary_cells[:, 0],
                                 -down.boundary_cells[:, 1]])
     a = set(map(tuple, np.round(up.boundary_cells, 9)))
     b = set(map(tuple, np.round(mirrored, 9)))
     assert a == b
+
+
+def test_scan_over_many_chunks_matches_per_point_labels(params):
+    scan = numeric_bifurcation_scan((-0.3, 0.7), (0.0, 0.6), 0.025, params)
+    assert scan.labels.size > 2 * bifurcation._CHUNK
+    assert scan.labels.size % bifurcation._CHUNK != 0
+    for i, a in enumerate(scan.lambda1_corners):
+        for j, b in enumerate(scan.lambda2_corners):
+            assert scan.labels[i, j] == classify_region(LambdaPoint(a, b), params)
+    assert {PI1, PI2, BOUNDARY} <= set(scan.labels.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,10 @@ def test_invalid_json_config(tmp_path, capsys):
     # one period at h = 0.01 has 101 grid nodes
     ("verify", '{"grid": {"h": 0.01}, "seeds": {"ensemble": 4}, '
                '"verify": {"run": ["exceedance", "moments"], "moment_times": 102}}'),
-], ids=["sigma-overflow", "length-overflow", "moment-times-past-grid"])
+    ("simulate", '{"noise": {"sigma1": NaN}}'),
+    ("simulate", '{"pendulum": {"l": 1' + '0' * 400 + '}}'),
+], ids=["sigma-overflow", "length-overflow", "moment-times-past-grid", "sigma-nan",
+        "length-huge-int"])
 def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)
@@ -238,6 +241,40 @@ def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("atlas", '{"atlas": {"scan": true, "box": ["a", 1, 0, 1], "step": 0.5}}',
+     "atlas.box"),
+    ("atlas", '{"atlas": {"scan": true, "box": null, "step": 0.5}}', "atlas.box"),
+    ("atlas", '{"atlas": {"scan": true, "box": [1, 0, 0, 1], "step": 0.5}}',
+     "min < max"),
+    ("verify", '{"verify": {"sigma_levels": [["a", 0.1]]}}', "verify.sigma_levels"),
+    ("verify", '{"verify": {"sigma_levels": [[Infinity, 0.1]]}}',
+     "verify.sigma_levels"),
+    ("portrait", '{"portrait": {"grid": ["a", 48]}}', "portrait.grid"),
+    ("poincare", '{"poincare": {"run": ["fill"], "fill_grid": [16, null]}}',
+     "poincare.fill_grid"),
+], ids=["box-string", "box-null", "box-reversed", "sigma-level-string",
+        "sigma-level-infinite", "portrait-grid-string", "fill-grid-null"])
+def test_malformed_list_fields_exit_config(tmp_path, capsys, command, text, field):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("{}")
+    with pytest.raises(SystemExit):
+        main(["atlas", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+              "--threads", "2"])
 
 
 def test_verify_moments_default_times_on_grid(tmp_path):

@@ -261,6 +261,17 @@ def test_moment_times_validated(params):
                       NoiseAmplitudes(0.1, 0.1))
 
 
+def test_moment_times_accept_every_node_of_their_grid():
+    # h = 0.9 / 7, and 7 h exceeds tau = 0.9 by one ulp
+    cfg = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=0.9, alpha=1.0),
+                             beta=0.5, z0=0.0)
+    times = grid_for_periods(0.9, 1, 7).times()
+    assert times[-1] > 0.9
+    rep = moment_growth((cfg, cfg), times, 4, NoiseAmplitudes(0.1, 0.1),
+                        steps_per_period=7)
+    assert len(rep.fourth1) == 8 and np.all(np.isfinite(rep.fourth1))
+
+
 # ---------------------------------------------------------------------------
 # potential deviation scaling
 
