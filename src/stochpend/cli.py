@@ -65,6 +65,7 @@ from .poincare import (
     separatrix_splitting_probe,
     stroboscope,
 )
+from .presets import default_noise_pair
 from .rng import ensemble_seeds
 from .rpsde import (
     NoiseChannelConfig,
@@ -136,12 +137,15 @@ def _numbers(value, path: str, length: int, integer=False) -> list:
     return [int(v) if integer else float(v) for v in value]
 
 
-_CHANNEL_DEFAULTS = {"alpha": 1.0, "beta": 0.6, "forcing_amp": 0.0,
-                     "forcing_phase": 0.0, "z0": 0.0}
+def _channel_fields(ch: NoiseChannelConfig) -> dict:
+    return {"alpha": ch.drift.alpha, "beta": ch.beta,
+            "forcing_amp": ch.drift.forcing_amp,
+            "forcing_phase": ch.drift.forcing_phase, "z0": ch.z0}
 
 
-def _channel(noise: dict, name: str, tau: float, driver: str) -> NoiseChannelConfig:
-    block = _section(noise, name, _CHANNEL_DEFAULTS, "noise.")
+def _channel(noise: dict, name: str, tau: float, driver: str,
+             default: NoiseChannelConfig) -> NoiseChannelConfig:
+    block = _section(noise, name, _channel_fields(default), "noise.")
     path = f"noise.{name}."
     return NoiseChannelConfig(
         drift=PeriodicDriftSpec(
@@ -187,9 +191,10 @@ class RunConfig:
             raise ConfigError("noise.convention must be 'derived' or 'paper'")
         self.driver = noise["driver"]
         self.convention = noise["convention"]
+        default1, default2 = default_noise_pair()
         try:
-            self.channel1 = _channel(noise, "channel1", self.tau, self.driver)
-            self.channel2 = _channel(noise, "channel2", self.tau, self.driver)
+            self.channel1 = _channel(noise, "channel1", self.tau, self.driver, default1)
+            self.channel2 = _channel(noise, "channel2", self.tau, self.driver, default2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -221,7 +226,7 @@ class RunConfig:
             "moment_times": 16, "theta_grid_n": 64}, "")
         self.poincare = _section(cfg, "poincare", {
             "run": ["concentration"], "sigma_levels": [[0.2, 0.2], [0.1, 0.1], [0.05, 0.05]],
-            "equilibrium_theta": 0.0, "n_points": 64,
+            "equilibrium_theta": 0.0, "n_points": 64, "initial": [0.1, 0.0],
             "fill_grid": [64, 64], "sections_exported": 4}, "")
 
         self.raw = cfg
@@ -247,16 +252,8 @@ class RunConfig:
                 "tau": self.tau, "sigma1": self.amps.sigma1,
                 "sigma2": self.amps.sigma2, "driver": self.driver,
                 "convention": self.convention,
-                "channel1": {"alpha": self.channel1.drift.alpha,
-                             "beta": self.channel1.beta,
-                             "forcing_amp": self.channel1.drift.forcing_amp,
-                             "forcing_phase": self.channel1.drift.forcing_phase,
-                             "z0": self.channel1.z0},
-                "channel2": {"alpha": self.channel2.drift.alpha,
-                             "beta": self.channel2.beta,
-                             "forcing_amp": self.channel2.drift.forcing_amp,
-                             "forcing_phase": self.channel2.drift.forcing_phase,
-                             "z0": self.channel2.z0},
+                "channel1": _channel_fields(self.channel1),
+                "channel2": _channel_fields(self.channel2),
             },
             "grid": {"h": self.h, "horizon_periods": self.horizon_periods},
             "seeds": {"master": self.master_seed, "ensemble": self.ensemble_n},
@@ -473,6 +470,8 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     levels = _sigma_levels(block, "poincare.")
     if "fill" in runs:
         fill_grid = _numbers(block["fill_grid"], "poincare.fill_grid", 2, integer=True)
+    if "sections" in runs or "fill" in runs:
+        initial = config.initial_state(block)
     spp = config.steps_per_period
     pair_cfg = config.pair_config()
     stats = calibration_stats(pair_cfg, config.master_seed, steps_per_period=spp)
@@ -494,7 +493,7 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
         sections = []
         for k, seed in enumerate(ensemble_seeds(config.master_seed, n_export)):
             pair = simulate_pair(*pair_cfg, grid, seed=int(seed))
-            traj = exact_flow((0.1, 0.0), pair, config.params, config.amps)
+            traj = exact_flow(initial, pair, config.params, config.amps)
             sec = stroboscope(traj, config.tau)
             sec.seed = int(seed)
             sections.append(sec)

@@ -31,9 +31,15 @@ Lambda_2 = sigma_1 sigma_2 C_12 / 2 under both conventions.
 
 The exact flow treats the noise paths as an exogenous signal (a random
 ODE), integrated with a fixed-step classical Runge-Kutta scheme on the
-noise grid; the averaged flow uses kick-drift-kick leapfrog, which keeps
-Hbar bounded.  Angles are unwrapped reals throughout; wrapping to
-(-pi, pi] happens only at presentation level.
+noise grid by one stepper, ``_rk4_nodes``, which every exact-flow caller
+shares.  It yields S, cos(theta) and sin(theta) at each node, from which
+
+    H - Hbar = S (S/2 - p/l) - (Lambda_1 (2 cos^2 theta - 1) + 2 Lambda_2 sin theta cos theta),
+
+since the p^2/(2 l^2) and g l cos(theta) terms cancel.  The averaged flow
+uses kick-drift-kick leapfrog, which keeps Hbar bounded.  Angles are
+unwrapped reals throughout; wrapping to (-pi, pi] happens only at
+presentation level.
 """
 
 from __future__ import annotations
@@ -247,10 +253,41 @@ def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2):
     sx1 = s1 * x1
     sx2 = s2 * x2
     S = sx1 * ct + sx2 * st
-    Sp = -sx1 * st + sx2 * ct
+    Sp = sx2 * ct - sx1 * st  # dS/dtheta
     dtheta = p / (l * l) - S / l
     dp = p * Sp / l - S * Sp - g * l * st
-    return dtheta, dp
+    return dtheta, dp, S, ct, st  # S, cos and sin give the node values
+
+
+def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
+    """Classical RK4 on the noise grid; yields the state at every node.
+
+    ``xi1``/``xi2`` are time-major (``xi[k]`` is the noise at node k) and,
+    like the couplings ``s1``/``s2`` (scalars, or (levels, 1) columns that
+    stack several levels over one noise batch), broadcast against the
+    batch shape of ``theta``/``p``.  The noise is linearly interpolated in
+    each cell.  Yields ``(k, theta, p, S, cos theta, sin theta)`` for
+    k = 0 .. n; the right-hand side at node k + 1 is the next step's first
+    stage, so the node values cost no extra work.  Raises
+    :class:`BlowUpError` with the first step at which any row blows up.
+    """
+    l, g = params.l, params.g
+    k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xi1[0], xi2[0], l, g, s1, s2)
+    yield 0, theta, p, S, ct, st
+    for k in range(len(xi1) - 1):
+        xa1, xb1 = xi1[k], xi1[k + 1]
+        xa2, xb2 = xi2[k], xi2[k + 1]
+        xm1 = 0.5 * (xa1 + xb1)
+        xm2 = 0.5 * (xa2 + xb2)
+        k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p, xm1, xm2, l, g, s1, s2)
+        k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p, xm1, xm2, l, g, s1, s2)
+        k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p, xb1, xb2, l, g, s1, s2)
+        theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
+            raise BlowUpError(k + 1)
+        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2)
+        yield k + 1, theta, p, S, ct, st
 
 
 def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
@@ -263,7 +300,7 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     ``theta0``/``p0`` may be scalars or arrays of shape (m,); ``xi1``/``xi2``
     are value arrays of shape (n+1,) or (m, n+1) on ``grid``.  The noise
     is linearly interpolated inside each grid cell (the midpoint value is
-    the endpoint average).  Returns (theta, p, energy) arrays whose last
+    the endpoint average).  Returns (theta, p, energy) arrays whose first
     axis runs over the recorded grid nodes 0, record_every, 2*record_every,
     ...; ``energy`` is None when ``with_energy`` is false.
 
@@ -272,42 +309,26 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     """
     if grid.n % record_every:
         raise ValueError("record_every must divide grid.n")
-    l, g = params.l, params.g
-    s1, s2 = amps.sigma1, amps.sigma2
-    h = grid.h
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
+    xi1 = np.moveaxis(np.asarray(xi1, dtype=float), -1, 0)  # time-major views
+    xi2 = np.moveaxis(np.asarray(xi2, dtype=float), -1, 0)
+    if len(xi1) != grid.n + 1 or len(xi2) != grid.n + 1:
+        raise ValueError("noise values must have grid.n + 1 nodes")
     batch = np.broadcast_shapes(np.shape(theta0), np.shape(p0),
-                                xi1.shape[:-1], xi2.shape[:-1])
-    theta = np.broadcast_to(np.asarray(theta0, dtype=float), batch).copy()
-    p = np.broadcast_to(np.asarray(p0, dtype=float), batch).copy()
+                                xi1.shape[1:], xi2.shape[1:])
+    theta = np.broadcast_to(np.asarray(theta0, dtype=float), batch)
+    p = np.broadcast_to(np.asarray(p0, dtype=float), batch)
     n_rec = grid.n // record_every + 1
     out_theta = np.empty((n_rec,) + batch)
     out_p = np.empty((n_rec,) + batch)
-    out_theta[0] = theta
-    out_p[0] = p
-    for k in range(grid.n):
-        xa1, xb1 = xi1[..., k], xi1[..., k + 1]
-        xa2, xb2 = xi2[..., k], xi2[..., k + 1]
-        xm1 = 0.5 * (xa1 + xb1)
-        xm2 = 0.5 * (xa2 + xb2)
-        k1t, k1p = _rk4_rhs(theta, p, xa1, xa2, l, g, s1, s2)
-        k2t, k2p = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p, xm1, xm2, l, g, s1, s2)
-        k3t, k3p = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p, xm1, xm2, l, g, s1, s2)
-        k4t, k4p = _rk4_rhs(theta + h * k3t, p + h * k3p, xb1, xb2, l, g, s1, s2)
-        theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-            raise BlowUpError(k + 1)
-        if (k + 1) % record_every == 0:
-            idx = (k + 1) // record_every
-            out_theta[idx] = theta
-            out_p[idx] = p
+    nodes = _rk4_nodes(theta, p, xi1, xi2, grid.h, params, amps.sigma1, amps.sigma2)
+    for k, theta, p, *_ in nodes:
+        if k % record_every == 0:
+            out_theta[k // record_every] = theta
+            out_p[k // record_every] = p
     energy = None
     if with_energy:
         # per-node noise values, axis-aligned with the (n_rec,) + batch outputs
-        x1r = np.moveaxis(xi1[..., ::record_every], -1, 0)
-        x2r = np.moveaxis(xi2[..., ::record_every], -1, 0)
+        x1r, x2r = xi1[::record_every], xi2[::record_every]
         x1r = x1r.reshape(x1r.shape + (1,) * (out_theta.ndim - x1r.ndim))
         x2r = x2r.reshape(x2r.shape + (1,) * (out_theta.ndim - x2r.ndim))
         energy = exact_hamiltonian(out_theta, out_p, x1r, x2r, params, amps)

@@ -33,9 +33,9 @@ from .dynamics import (
     NoiseAmplitudes,
     PendulumParams,
     Trajectory,
+    _rk4_nodes,
     averaged_hamiltonian,
     effective_potential,
-    exact_flow_ensemble,
     wrap_angle,
 )
 from .errors import ConfigError
@@ -186,33 +186,35 @@ def plane_fill_density(sections: list[StroboscopicSection],
                       band_occupancy=band_occ)
 
 
-def _section_cloud(pair_config: PairConfig, amps: NoiseAmplitudes,
-                   params: PendulumParams, theta0: np.ndarray, p0: np.ndarray,
-                   seeds: np.ndarray, horizon_periods: int,
-                   steps_per_period: int, burn_in_periods: int = 0,
+def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, float]],
+                   params: PendulumParams, theta0, p0, seeds: np.ndarray,
+                   horizon_periods: int, steps_per_period: int,
                    chunk: int = 500) -> tuple[np.ndarray, np.ndarray]:
-    """Section points (theta, p) for an ensemble; shape (n_sections, m)."""
+    """Section points (theta, p) of an ensemble; shape (levels, n_sections, m).
+
+    Each chunk's noise is simulated once and drives every sigma level; the
+    levels run stacked in one batch, with sigma held as (levels, 1) columns.
+    """
     cfg1, cfg2 = pair_config
-    tau = cfg1.drift.tau
-    total = burn_in_periods + horizon_periods
-    full_grid = grid_for_periods(tau, total, steps_per_period)
-    start = burn_in_periods * steps_per_period
-    sub_grid = PathGrid(t0=full_grid.t0 + start * full_grid.h,
-                        h=full_grid.h, n=full_grid.n - start)
+    grid = grid_for_periods(cfg1.drift.tau, horizon_periods, steps_per_period)
+    amps = [NoiseAmplitudes(*s) for s in sigma_levels]
+    sig = np.array([(a.sigma1, a.sigma2) for a in amps]).reshape(-1, 2)
     m = len(seeds)
-    n_sections = horizon_periods + 1
-    out_theta = np.empty((n_sections, m))
-    out_p = np.empty((n_sections, m))
+    theta0 = np.broadcast_to(theta0, (m,))
+    p0 = np.broadcast_to(p0, (m,))
+    out_theta = np.empty((len(sig), horizon_periods + 1, m))
+    out_p = np.empty_like(out_theta)
     for lo in range(0, m, chunk):
-        sel = seeds[lo:lo + chunk]
-        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, full_grid, sel)
-        th, p, _ = exact_flow_ensemble(
-            np.broadcast_to(theta0, (len(sel),)) if np.ndim(theta0) == 0 else theta0[lo:lo + chunk],
-            np.broadcast_to(p0, (len(sel),)) if np.ndim(p0) == 0 else p0[lo:lo + chunk],
-            x1[:, start:], x2[:, start:], sub_grid, params, amps,
-            record_every=steps_per_period, with_energy=False)
-        out_theta[:, lo:lo + len(sel)] = th
-        out_p[:, lo:lo + len(sel)] = p
+        sel = slice(lo, lo + chunk)
+        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds[sel])
+        shape = (len(sig), len(x1))
+        nodes = _rk4_nodes(np.broadcast_to(theta0[sel], shape), np.broadcast_to(p0[sel], shape),
+                           np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T),
+                           grid.h, params, sig[:, :1], sig[:, 1:])
+        for k, th, p, *_ in nodes:
+            if k % steps_per_period == 0:
+                out_theta[:, k // steps_per_period, sel] = th
+                out_p[:, k // steps_per_period, sel] = p
     return out_theta, out_p
 
 
@@ -232,14 +234,10 @@ def equilibrium_concentration(e0: Equilibrium,
     if e0.kind != "stable":
         raise ValueError("concentration is measured around a stable equilibrium")
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    radii = np.empty(len(sigma_levels))
-    for i, (sg1, sg2) in enumerate(sigma_levels):
-        amps = NoiseAmplitudes(sg1, sg2)
-        th, p = _section_cloud(pair_config, amps, params,
-                               np.float64(e0.theta), np.float64(0.0), seeds,
-                               horizon_periods, steps_per_period, chunk=chunk)
-        dist = cylinder_distance(th, p, e0.theta, 0.0)
-        radii[i] = np.percentile(dist, 95.0)
+    th, p = _section_cloud(pair_config, sigma_levels, params, e0.theta, 0.0, seeds,
+                           horizon_periods, steps_per_period, chunk=chunk)
+    dist = cylinder_distance(th, p, e0.theta, 0.0)
+    radii = np.array([np.percentile(d, 95.0) for d in dist])
     return ConcentrationReport(equilibrium=e0, sigma_levels=list(sigma_levels),
                                radii=radii, ensemble_n=ensemble_n,
                                horizon_periods=horizon_periods)
@@ -288,12 +286,9 @@ def separatrix_splitting_probe(lam: LambdaPoint,
     """
     theta0, p0, saddle = separatrix_initial_states(lam, params, n_points)
     seeds = ensemble_seeds(master_seed, n_points)
-    spreads = np.empty(len(sigma_levels))
-    for i, (sg1, sg2) in enumerate(sigma_levels):
-        amps = NoiseAmplitudes(sg1, sg2)
-        th, p = _section_cloud(pair_config, amps, params, theta0, p0, seeds,
-                               horizon_periods, steps_per_period, chunk=chunk)
-        offset = np.abs(averaged_hamiltonian(th, p, lam, params) - saddle.potential)
-        spreads[i] = np.percentile(offset, 95.0)
+    th, p = _section_cloud(pair_config, sigma_levels, params, theta0, p0, seeds,
+                           horizon_periods, steps_per_period, chunk=chunk)
+    offset = np.abs(averaged_hamiltonian(th, p, lam, params) - saddle.potential)
+    spreads = np.array([np.percentile(o, 95.0) for o in offset])
     return SplittingReport(lam=lam, saddle=saddle, sigma_levels=list(sigma_levels),
                            spreads=spreads, n_points=n_points)

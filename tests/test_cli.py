@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from stochpend.rpsde import grid_for_periods
 
 
@@ -211,6 +211,24 @@ def test_poincare_concentration_run(tmp_path):
     assert rep["radii"][0] > rep["radii"][1]
     assert (out / "section-000.csv").exists()
     assert (out / "fill.json").exists()
+
+
+def test_poincare_sections_start_at_configured_initial_state(tmp_path):
+    cfg = {"grid": {"h": 0.01, "horizon_periods": 2},
+           "poincare": {"run": ["sections"], "initial": [0.7, -0.3],
+                        "sections_exported": 1}}
+    code, out = run_cli(tmp_path, "poincare", cfg)
+    assert code == EXIT_OK
+    with open(out / "section-000.csv") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["theta_wrapped"]) == pytest.approx(0.7, abs=1e-12)
+    assert float(first["p"]) == -0.3
+
+
+def test_default_noise_pair_comes_from_presets():
+    config = RunConfig({})
+    assert (config.channel1.drift.alpha, config.channel1.beta) == (1.0, 0.6)
+    assert (config.channel2.drift.alpha, config.channel2.beta) == (2.0, 0.8)
 
 
 def test_invalid_json_config(tmp_path, capsys):

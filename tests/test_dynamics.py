@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochpend import (
     LambdaPoint,
@@ -24,7 +26,9 @@ from stochpend import (
     velocity_from_momentum,
     wrap_angle,
 )
-from stochpend.rpsde import ErgodicStats, grid_for_periods
+from stochpend.dynamics import _rk4_nodes, exact_flow_ensemble
+from stochpend.rng import ensemble_seeds
+from stochpend.rpsde import ErgodicStats, grid_for_periods, simulate_pair_ensemble
 from stochpend.presets import default_noise_pair
 
 
@@ -361,6 +365,29 @@ def test_exact_flow_blowup_reports_index(params):
         with pytest.raises(BlowUpError) as err:
             exact_flow(PhaseState(0.1, np.finfo(float).max / 4), pair, params, amps)
     assert err.value.step_index >= 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 200),
+       levels=st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 0.8)),
+                       min_size=1, max_size=3),
+       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5))
+def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, p0):
+    grid = PathGrid(0.0, 0.01, n)
+    x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 2))
+    th0 = theta0 + np.array([0.0, 0.25])
+    shape = (len(levels), 2)
+    sig = np.array(levels)
+    nodes = _rk4_nodes(np.broadcast_to(th0, shape), np.full(shape, p0), x1.T, x2.T,
+                       grid.h, params, sig[:, :1], sig[:, 1:])
+    theta, p = map(np.array, zip(*[(th, mom) for _, th, mom, *_ in nodes]))
+    for i, level in enumerate(levels):
+        for j in range(2):
+            th_ref, p_ref, _ = exact_flow_ensemble(th0[j], p0, x1[j], x2[j], grid, params,
+                                                   NoiseAmplitudes(*level),
+                                                   with_energy=False)
+            assert np.array_equal(theta[:, i, j], th_ref)
+            assert np.array_equal(p[:, i, j], p_ref)
 
 
 # ---------------------------------------------------------------------------

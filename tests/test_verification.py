@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochpend import (
     LambdaPoint,
@@ -20,8 +22,11 @@ from stochpend import (
     potential_deviation,
     simulate_pair,
 )
-from stochpend.rpsde import grid_for_periods
-from stochpend.verification import M1M2Decomposition
+from stochpend.dynamics import averaged_hamiltonian, exact_flow_ensemble, exact_hamiltonian
+from stochpend.errors import BlowUpError
+from stochpend.rng import ensemble_seeds
+from stochpend.rpsde import PathGrid, grid_for_periods, simulate_pair_ensemble
+from stochpend.verification import M1M2Decomposition, _sup_gaps
 from stochpend.presets import default_noise_pair
 
 
@@ -71,18 +76,62 @@ def test_mean_sup_gap_monotone_in_sigma(params, quick_stats):
 
 
 def test_sup_gap_coupled_monotonicity(params, quick_stats):
-    from stochpend.verification import _sup_gap_chunk
     from stochpend.rpsde import simulate_pair_ensemble, PathGrid
     from stochpend.rng import ensemble_seeds
     cfg1, cfg2 = default_noise_pair()
     grid = grid_for_periods(1.0, 10, 200)
     x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, ensemble_seeds(0, 200))
-    sups = {}
-    for s in (0.1, 0.05):
-        amps = NoiseAmplitudes(s, s)
-        lam = lambda_from_stats(amps, quick_stats)
-        sups[s] = _sup_gap_chunk(x1, x2, grid, params, amps, lam, 0.1, 0.0)
+    levels = [(0.1, 0.1), (0.05, 0.05)]
+    lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats) for s in levels]
+    gaps = _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, 0.1, 0.0)
+    sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
+
+
+# zero, or large enough that the reference's cancellation error in
+# H - Hbar stays far below 1e-12 of the gap
+sigmas = st.one_of(st.just(0.0), st.floats(0.05, 0.8))
+level_lists = st.lists(st.tuples(sigmas, sigmas), min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 200), levels=level_lists,
+       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5),
+       convention=st.sampled_from(["derived", "paper"]))
+def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, seed, n,
+                                                         levels, theta0, p0, convention):
+    grid = PathGrid(0.0, 0.01, n)
+    x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
+    lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention) for s in levels]
+    gaps = _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, theta0, p0)
+    for i, level in enumerate(levels):
+        amps = NoiseAmplitudes(*level)
+        th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps,
+                                       with_energy=False)
+        ref = np.abs(exact_hamiltonian(th, p, x1.T, x2.T, params, amps)
+                     - averaged_hamiltonian(th, p, lams[i], params)).max(axis=0)
+        np.testing.assert_allclose(gaps[i], ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 200), data=st.data(),
+       sigma=st.floats(0.05, 0.8), zero_level_first=st.booleans())
+def test_blowup_in_one_stacked_row_names_its_step(params, seed, n, data, sigma,
+                                                  zero_level_first):
+    grid = PathGrid(0.0, 0.01, n)
+    x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
+    row = data.draw(st.integers(0, 2))
+    step = data.draw(st.integers(1, n))
+    # a huge noise value overflows S^2 wherever sigma > 0; the zero level stays finite
+    x1[row, step] = x2[row, step] = 1e200
+    levels = [(0.0, 0.0), (sigma, sigma)]
+    if not zero_level_first:
+        levels.reverse()
+    lams = [LambdaPoint(0.0, 0.0)] * 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, 0.1, 0.0)
+    assert err.value.step_index == step
 
 
 # ---------------------------------------------------------------------------
