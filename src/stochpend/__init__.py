@@ -77,10 +77,8 @@ from .rpsde import (
     ks_critical_value,
     ks_statistic,
     law_periodicity_check,
-    simulate_ensemble,
     simulate_pair,
     simulate_pair_ensemble,
-    simulate_path,
 )
 from .verification import (
     ChebyshevReport,

@@ -66,11 +66,6 @@ def standard_normals(seed: int, stream: int, n: int) -> np.ndarray:
     return ndtri(uniforms(seed, stream, n))
 
 
-def wiener_increments(seed: int, stream: int, n: int, h: float) -> np.ndarray:
-    """``n`` increments of a standard Wiener process on steps of length ``h``."""
-    return np.sqrt(h) * standard_normals(seed, stream, n)
-
-
 def ensemble_seeds(master_seed: int, n: int) -> np.ndarray:
     """Member seeds for an ensemble of size ``n``.
 

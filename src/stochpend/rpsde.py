@@ -25,8 +25,16 @@ fused form
               + beta sqrt(h) z_k,
 
 where z_k are the unit normals of the channel's stream (see
-:mod:`stochpend.rng`).  The recurrence runs through a compiled linear
-filter, which is bit-identical to the literal step-by-step loop.
+:mod:`stochpend.rng`).  One generator serves :func:`simulate_pair_ensemble`
+and its one-seed view :func:`simulate_pair`.  It writes each seed's
+normals into columns 1..n of a (seeds, n + 1) array per channel (on a
+shared driver they are drawn once and copied to channel 2), scales them
+and adds the forcing in place, puts z0 in column 0 and runs the
+recurrence as a compiled linear filter with zero initial state, so
+y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical
+to the literal step-by-step loop.  The first channel's input is freed
+before the second is filtered, so peak memory is about 1.6 times the
+output.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import BlowUpError, SampleLengthError
-from .rng import ensemble_seeds, standard_normals
+from .rng import standard_normals
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -205,94 +213,57 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
-def _channel_stream(config: NoiseChannelConfig, channel: int) -> int:
-    if config.driver == SHARED:
-        return SHARED_STREAM
-    if channel not in (1, 2):
-        raise ValueError(f"channel must be 1 or 2, got {channel}")
-    return channel
+def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
+                 grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The one noise generator (see the module docstring).
 
-
-def _simulate_values(config: NoiseChannelConfig, grid: PathGrid,
-                     normals: np.ndarray) -> np.ndarray:
-    """Run the Euler-Maruyama recurrence for given unit normals.
-
-    ``normals`` has shape (..., n); the returned array has shape
-    (..., n + 1) with the initial value prepended.
+    Both public entry points call it directly, not each other, so a traced
+    call of either one counts its paths once.
     """
-    d = config.drift
-    h = grid.h
-    c = 1.0 - d.alpha * h
-    t_k = grid.t0 + h * np.arange(grid.n)
-    forcing = d.alpha * h * d.target(t_k)
-    u = forcing + config.beta * np.sqrt(h) * normals
-    zi_shape = normals.shape[:-1] + (1,)
-    zi = np.full(zi_shape, c * config.z0)
-    y, _ = lfilter([1.0], [1.0, -c], u, axis=-1, zi=zi)
-    head = np.full(normals.shape[:-1] + (1,), float(config.z0))
-    values = np.concatenate([head, y], axis=-1)
-    if not np.isfinite(values).all():
-        bad = int(np.argmax(~np.isfinite(values).all(axis=tuple(range(values.ndim - 1)))))
-        raise BlowUpError(bad, f"noise path non-finite at grid step {bad}")
-    return values
-
-
-def simulate_path(config: NoiseChannelConfig, grid: PathGrid, seed: int,
-                  channel: int = 1) -> PathSample:
-    """Euler-Maruyama realization of one channel.
-
-    ``channel`` selects the Wiener substream when the driver mode is
-    ``independent``; shared-driver channels always read stream 0, so two
-    shared channels with the same config and seed produce identical paths.
-    """
-    stream = _channel_stream(config, channel)
-    z = standard_normals(int(seed), stream, grid.n)
-    return PathSample(grid=grid, values=_simulate_values(config, grid, z), seed=int(seed))
-
-
-def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
-                  grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
-    """Jointly simulate two channels honoring their driver modes.
-
-    Marginals are identical to ``simulate_path(cfg_i, grid, seed, channel=i)``.
-    """
-    s1 = _channel_stream(cfg1, 1)
-    s2 = _channel_stream(cfg2, 2)
-    z1 = standard_normals(int(seed), s1, grid.n)
-    z2 = z1 if s2 == s1 else standard_normals(int(seed), s2, grid.n)
-    p1 = PathSample(grid=grid, values=_simulate_values(cfg1, grid, z1), seed=int(seed))
-    p2 = PathSample(grid=grid, values=_simulate_values(cfg2, grid, z2), seed=int(seed))
-    return p1, p2
-
-
-def simulate_ensemble(config: NoiseChannelConfig, grid: PathGrid,
-                      seeds: np.ndarray, channel: int = 1) -> np.ndarray:
-    """Paths for many seeds at once; returns shape (len(seeds), n + 1).
-
-    Row k equals ``simulate_path(config, grid, seeds[k], channel).values``.
-    """
-    stream = _channel_stream(config, channel)
-    z = np.empty((len(seeds), grid.n))
+    s1 = SHARED_STREAM if cfg1.driver == SHARED else 1
+    s2 = SHARED_STREAM if cfg2.driver == SHARED else 2
+    inputs = [np.empty((len(seeds), grid.n + 1)) for _ in range(2)]
     for i, s in enumerate(seeds):
-        z[i] = standard_normals(int(s), stream, grid.n)
-    return _simulate_values(config, grid, z)
+        inputs[0][i, 1:] = standard_normals(int(s), s1, grid.n)
+        inputs[1][i, 1:] = inputs[0][i, 1:] if s2 == s1 else standard_normals(int(s), s2, grid.n)
+    h = grid.h
+    t_k = grid.t0 + h * np.arange(grid.n)
+    paths = []
+    for cfg in (cfg1, cfg2):
+        # popped, so channel 1's input is freed before channel 2 is filtered
+        v = inputs.pop(0)
+        d = cfg.drift
+        v[:, 1:] *= cfg.beta * np.sqrt(h)
+        v[:, 1:] += d.alpha * h * d.target(t_k)
+        v[:, 0] = cfg.z0
+        x = lfilter([1.0], [1.0, -(1.0 - d.alpha * h)], v, axis=-1)
+        finite = np.isfinite(x).all(axis=0)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise BlowUpError(bad, f"noise path non-finite at grid step {bad}")
+        paths.append(x)
+    return paths[0], paths[1]
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                            grid: PathGrid, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint ensemble version of :func:`simulate_pair`."""
-    s1 = _channel_stream(cfg1, 1)
-    s2 = _channel_stream(cfg2, 2)
-    z1 = np.empty((len(seeds), grid.n))
-    for i, s in enumerate(seeds):
-        z1[i] = standard_normals(int(s), s1, grid.n)
-    if s2 == s1:
-        z2 = z1
-    else:
-        z2 = np.empty((len(seeds), grid.n))
-        for i, s in enumerate(seeds):
-            z2[i] = standard_normals(int(s), s2, grid.n)
-    return _simulate_values(cfg1, grid, z1), _simulate_values(cfg2, grid, z2)
+    """Both channels for many seeds; each result has shape (len(seeds), n + 1).
+
+    Row k of channel i depends only on ``cfg_i``, ``grid`` and
+    ``seeds[k]``: it reads stream 0 on a shared driver and stream i on an
+    independent one, so two shared channels with the same config and seed
+    produce identical paths.  Raises :class:`BlowUpError` at the first
+    grid node where any row is non-finite.
+    """
+    return _pair_values(cfg1, cfg2, grid, seeds)
+
+
+def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
+                  grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
+    """One-seed view of :func:`simulate_pair_ensemble`: row 0 of each channel."""
+    x1, x2 = _pair_values(cfg1, cfg2, grid, [seed])
+    return (PathSample(grid=grid, values=x1[0], seed=int(seed)),
+            PathSample(grid=grid, values=x2[0], seed=int(seed)))
 
 
 def _batch_stats(series: np.ndarray, batches: int) -> tuple[float, float]:
@@ -359,13 +330,14 @@ def ks_critical_value(n1: int, n2: int, alpha: float = 0.05) -> float:
 
 
 def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
-                          seeds: np.ndarray, s: float, lag: float | None = None,
-                          channel: int = 1) -> KSReport:
+                          seeds: np.ndarray, s: float,
+                          lag: float | None = None) -> KSReport:
     """KS test of law periodicity: ensemble values at time s vs s + lag.
 
     ``lag`` defaults to the drift period.  With the default family the law
     is tau-periodic, so the statistic at lag = tau stays below the 5%
     critical value; at fractional lags with strong forcing it does not.
+    The ensemble is channel 1 of ``simulate_pair_ensemble(config, config, ...)``.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 ensemble members")
@@ -373,7 +345,7 @@ def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
         lag = config.drift.tau
     i = grid.index_of(s)
     j = grid.index_of(s + lag)
-    values = simulate_ensemble(config, grid, seeds, channel=channel)
+    values, _ = simulate_pair_ensemble(config, config, grid, seeds)
     stat = ks_statistic(values[:, i], values[:, j])
     crit = ks_critical_value(len(seeds), len(seeds))
     return KSReport(statistic=stat, critical_value=crit, n=len(seeds), s=s, lag=lag)

@@ -7,7 +7,6 @@ from stochpend.rng import (
     standard_normals,
     stream_key,
     uniforms,
-    wiener_increments,
 )
 
 
@@ -47,11 +46,6 @@ def test_normals_distribution():
     # quantile inversion gives the right tails
     _, p = stats.kstest(z[:5000], "norm")
     assert p > 1e-3
-
-
-def test_wiener_increment_variance():
-    dw = wiener_increments(11, 0, 100000, h=0.01)
-    assert abs(dw.var() - 0.01) < 0.001
 
 
 def test_ensemble_seeds_sorted_and_distinct():

@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stochpend import (
@@ -13,11 +18,11 @@ from stochpend import (
     ks_critical_value,
     ks_statistic,
     law_periodicity_check,
-    simulate_ensemble,
     simulate_pair,
-    simulate_path,
+    simulate_pair_ensemble,
 )
-from stochpend.rng import ensemble_seeds
+from stochpend.errors import BlowUpError
+from stochpend.rng import ensemble_seeds, standard_normals
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +76,15 @@ def test_invalid_specs_rejected():
 # simulation
 
 
-def test_deterministic_replay(ou_config):
+def test_deterministic_replay(pair_config):
+    cfg1, cfg2 = pair_config
+    cfg2 = dataclasses.replace(cfg2, z0=0.4, driver="independent")
     grid = PathGrid(0.0, 0.001, 2000)
-    a = simulate_path(ou_config, grid, seed=5)
-    b = simulate_path(ou_config, grid, seed=5)
-    assert np.array_equal(a.values, b.values)
-    assert a.values[0] == ou_config.z0
+    a = simulate_pair(cfg1, cfg2, grid, seed=5)
+    b = simulate_pair(cfg1, cfg2, grid, seed=5)
+    for pa, pb, cfg in zip(a, b, (cfg1, cfg2)):
+        assert np.array_equal(pa.values, pb.values)
+        assert pa.values[0] == cfg.z0
 
 
 def test_shared_channels_identical(ou_config):
@@ -86,11 +94,16 @@ def test_shared_channels_identical(ou_config):
 
 
 def test_pair_marginals_match_single(pair_config):
-    cfg1, cfg2 = pair_config
+    # channel i's path depends only on cfg_i and the seed
     grid = PathGrid(0.0, 0.001, 1500)
-    p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=3)
-    assert np.array_equal(p1.values, simulate_path(cfg1, grid, 3, channel=1).values)
-    assert np.array_equal(p2.values, simulate_path(cfg2, grid, 3, channel=2).values)
+    for driver, other_driver in (("shared", "independent"), ("independent", "shared")):
+        cfg1, cfg2 = (dataclasses.replace(c, driver=driver) for c in pair_config)
+        other = NoiseChannelConfig(
+            drift=PeriodicDriftSpec(tau=1.0, alpha=3.0, forcing_amp=1.5, forcing_phase=0.2),
+            beta=0.3, z0=-0.7, driver=other_driver)
+        p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=3)
+        assert np.array_equal(p1.values, simulate_pair(cfg1, other, grid, seed=3)[0].values)
+        assert np.array_equal(p2.values, simulate_pair(other, cfg2, grid, seed=3)[1].values)
 
 
 def test_independent_channels_differ():
@@ -132,7 +145,7 @@ def test_decay_oracle_matches_ode():
                              beta=1e-300, z0=1.0)
     h = 1e-3
     grid = PathGrid(0.0, h, 1000)
-    path = simulate_path(cfg, grid, seed=1)
+    path, _ = simulate_pair(cfg, cfg, grid, seed=1)
     assert path.values[-1] == pytest.approx(np.exp(-1.0), abs=2 * h)
 
 
@@ -140,8 +153,6 @@ def test_strong_order_monitor(ou_config):
     # Refine one Brownian path (coarse increments = sums of fine ones) and
     # compare Euler endpoints across step sizes.  Monitored as a band, not
     # a sharp constant.
-    from stochpend.rng import wiener_increments
-
     alpha, beta = ou_config.drift.alpha, ou_config.beta
     horizon = 2.0
     n_fine = 2048
@@ -154,7 +165,7 @@ def test_strong_order_monitor(ou_config):
 
     gaps = {1: [], 2: [], 4: []}
     for seed in range(20):
-        dw = wiener_increments(seed, 0, n_fine, horizon / n_fine)
+        dw = np.sqrt(horizon / n_fine) * standard_normals(seed, 0, n_fine)
         ends = {}
         for factor in (1, 2, 4):
             dw_c = dw.reshape(-1, factor).sum(axis=1)
@@ -278,10 +289,88 @@ def test_law_check_needs_two_members(ou_config):
         law_periodicity_check(ou_config, grid, ensemble_seeds(0, 1), s=1.0)
 
 
-def test_ensemble_rows_match_single(ou_config):
+def test_ensemble_rows_match_single(pair_config):
     grid = PathGrid(0.0, 0.01, 300)
     seeds = ensemble_seeds(40, 5)
-    values = simulate_ensemble(ou_config, grid, seeds)
+    for driver in ("shared", "independent"):
+        cfg1, cfg2 = (dataclasses.replace(c, driver=driver) for c in pair_config)
+        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
+        for k, seed in enumerate(seeds):
+            p1, p2 = simulate_pair(cfg1, cfg2, grid, int(seed))
+            assert np.array_equal(x1[k], p1.values)
+            assert np.array_equal(x2[k], p2.values)
+
+
+# ---------------------------------------------------------------------------
+# the generator against the literal Euler-Maruyama loop
+
+
+def literal_path(cfg, grid, seed, channel):
+    """x_{k+1} = (alpha h A sin(2 pi t_k / tau + phi) + beta sqrt(h) z_k)
+    + (1 - alpha h) x_k, one step at a time on the channel's stream."""
+    z = standard_normals(int(seed), 0 if cfg.driver == "shared" else channel, grid.n)
+    d, h = cfg.drift, grid.h
+    target = d.target(grid.times())
+    x = [cfg.z0]
+    for k in range(grid.n):
+        x.append((d.alpha * h * target[k] + cfg.beta * np.sqrt(h) * z[k])
+                 + (1.0 - d.alpha * h) * x[-1])
+    return np.array(x)
+
+
+channels = st.builds(
+    lambda tau, alpha, amp, phase, beta, z0, driver: NoiseChannelConfig(
+        drift=PeriodicDriftSpec(tau=tau, alpha=alpha, forcing_amp=amp,
+                                forcing_phase=phase),
+        beta=beta, z0=z0, driver=driver),
+    st.floats(0.2, 3.0), st.floats(0.1, 5.0), st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.floats(-np.pi, np.pi), st.floats(0.05, 2.0), st.floats(-3.0, 3.0),
+    st.sampled_from(["shared", "independent"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cfg1=channels, cfg2=channels, t0=st.floats(-5.0, 5.0),
+       h=st.floats(1e-4, 0.05), n=st.integers(1, 300),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+def test_generator_matches_literal_loop(cfg1, cfg2, t0, h, n, seeds):
+    grid = PathGrid(t0=t0, h=h, n=n)
+    x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
+    assert x1.shape == x2.shape == (len(seeds), n + 1)
     for k, seed in enumerate(seeds):
-        assert np.array_equal(values[k],
-                              simulate_path(ou_config, grid, int(seed)).values)
+        assert np.array_equal(x1[k], literal_path(cfg1, grid, seed, 1))
+        assert np.array_equal(x2[k], literal_path(cfg2, grid, seed, 2))
+
+
+@pytest.mark.parametrize("driver", ["shared", "independent"])
+def test_generator_peak_memory_within_twice_output(pair_config, driver):
+    cfg1, cfg2 = (dataclasses.replace(c, driver=driver) for c in pair_config)
+    seeds = ensemble_seeds(0, 50)
+    simulate_pair_ensemble(cfg1, cfg2, PathGrid(0.0, 0.001, 10), seeds[:2])
+    tracemalloc.start()
+    try:
+        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, PathGrid(0.0, 0.001, 4000), seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (x1.nbytes + x2.nbytes)
+
+
+@pytest.mark.parametrize("unstable", [1, 2])
+def test_generator_blowup_names_first_non_finite_node(pair_config, unstable):
+    # alpha h = 3, so |1 - alpha h| = 2 and the paths overflow near step 1025
+    h = 0.01
+    wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h),
+                              beta=1.0, driver="independent")
+    cfgs = list(pair_config)
+    cfgs[unstable - 1] = wild
+    grid = PathGrid(0.0, h, 2000)
+    seeds = ensemble_seeds(3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.array([literal_path(wild, grid, s, unstable) for s in seeds])
+    finite = np.isfinite(rows).all(axis=0)
+    first = int(np.argmin(finite))
+    assert not finite.all() and 1000 < first < 1100
+    assert np.isfinite(rows[:, :first]).all()
+    with pytest.raises(BlowUpError) as err:
+        simulate_pair_ensemble(*cfgs, grid, seeds)
+    assert err.value.step_index == first

@@ -66,13 +66,14 @@ def test_gap_triangle_bound(params, quick_stats):
 
 
 def test_mean_sup_gap_monotone_in_sigma(params, quick_stats):
+    # delta sits inside the sup-gap range of both levels at this seed
+    # (probabilities 0.95 and 0.1), so the comparison is not vacuous
     rep = exceedance_probability(
-        1e9, [(0.1, 0.1), (0.05, 0.05)], ensemble_n=1, horizon_periods=3,
+        0.005, [(0.1, 0.1), (0.05, 0.05)], ensemble_n=20, horizon_periods=3,
         pair_config=default_noise_pair(), initial=(0.1, 0.0),
         steps_per_period=200, master_seed=5, stats=quick_stats)
-    # delta huge: probabilities are zero, but the coupled sup-gap check
-    # runs through the same machinery
-    assert np.all(rep.probs == 0.0)
+    assert rep.probs[0] > 0.0
+    assert rep.probs[0] >= rep.probs[1]
 
 
 def test_sup_gap_coupled_monotonicity(params, quick_stats):
