@@ -61,7 +61,6 @@ from .io import (
 from .poincare import (
     equilibrium_concentration,
     plane_fill_density,
-    section_stride,
     separatrix_splitting_probe,
     stroboscope,
 )
@@ -307,10 +306,7 @@ class RunDir:
 
 
 def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
-    n = int(round(config.horizon_periods * config.tau / config.h))
-    grid = PathGrid(t0=0.0, h=config.h, n=n)
-    if config.simulate["section"]:
-        section_stride(config.tau, grid)  # raises ConfigError if incommensurate
+    grid = grid_for_periods(config.tau, config.horizon_periods, config.steps_per_period)
     pair = simulate_pair(*config.pair_config(), grid, seed=config.master_seed)
     initial = config.initial_state(config.simulate)
     traj = exact_flow(initial, pair, config.params, config.amps)

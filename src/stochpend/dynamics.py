@@ -32,7 +32,14 @@ Lambda_2 = sigma_1 sigma_2 C_12 / 2 under both conventions.
 The exact flow treats the noise paths as an exogenous signal (a random
 ODE), integrated with a fixed-step classical Runge-Kutta scheme on the
 noise grid by one stepper, ``_rk4_nodes``, which every exact-flow caller
-shares.  It yields S, cos(theta) and sin(theta) at each node, from which
+shares.  It has one right-hand side, ``_rk4_rhs``, with two trig
+back-ends chosen by the batch shape: a width-1 orbit (scalar state,
+couplings and 1-D noise) runs on Python floats with ``math.cos`` and
+``math.sin``, every wider batch on arrays with ``np.cos`` and ``np.sin``.
+The two are bit-identical where numpy's float64 cos/sin round as libm
+does, and both raise :class:`BlowUpError` at the same step; the
+``math`` back-end maps its ``ValueError`` on an infinite angle to it.
+The stepper yields S, cos(theta) and sin(theta) at each node, from which
 
     H - Hbar = S (S/2 - p/l) - (Lambda_1 (2 cos^2 theta - 1) + 2 Lambda_2 sin theta cos theta),
 
@@ -248,8 +255,8 @@ def _as_state(initial) -> tuple[float, float]:
     return float(theta), float(p)
 
 
-def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2):
-    ct, st = np.cos(theta), np.sin(theta)
+def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2, cos, sin):
+    ct, st = cos(theta), sin(theta)
     sx1 = s1 * x1
     sx2 = s2 * x2
     S = sx1 * ct + sx2 * st
@@ -270,24 +277,61 @@ def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
     k = 0 .. n; the right-hand side at node k + 1 is the next step's first
     stage, so the node values cost no extra work.  Raises
     :class:`BlowUpError` with the first step at which any row blows up.
+
+    The one right-hand side ``_rk4_rhs`` runs on one of two back-ends,
+    chosen once per call by the batch shape.  A width-1 orbit (``theta``,
+    ``p``, ``s1`` and ``s2`` scalar, noise 1-D) steps on Python floats
+    with ``math.cos``/``math.sin`` and noise lists, which skips the
+    per-call overhead of numpy scalars; every other shape steps on arrays
+    with ``np.cos``/``np.sin``.  Both back-ends do the same IEEE double
+    operations in the same order, so a width-1 orbit is bit-identical to
+    the same orbit run as a shape-(1,) batch as long as numpy's float64
+    cos/sin round as the platform libm does.  numpy 2.4 on x86-64 Linux
+    (AVX-512 included) does; a numpy build with its own vectorized float64
+    trig may differ in the last bit, and the test suite checks this.
+    ``math.cos``/``math.sin`` raise ``ValueError`` on an infinite angle
+    and Python float division raises ``ZeroDivisionError`` where numpy
+    gives inf or nan; on the float back-end either one becomes
+    ``BlowUpError(k + 1)``, the step at which the array back-end's
+    finiteness check fails (step 1 for a non-finite start).
     """
     l, g = params.l, params.g
-    k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xi1[0], xi2[0], l, g, s1, s2)
-    yield 0, theta, p, S, ct, st
-    for k in range(len(xi1) - 1):
-        xa1, xb1 = xi1[k], xi1[k + 1]
-        xa2, xb2 = xi2[k], xi2[k + 1]
-        xm1 = 0.5 * (xa1 + xb1)
-        xm2 = 0.5 * (xa2 + xb2)
-        k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p, xm1, xm2, l, g, s1, s2)
-        k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p, xm1, xm2, l, g, s1, s2)
-        k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p, xb1, xb2, l, g, s1, s2)
-        theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-            raise BlowUpError(k + 1)
-        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2)
-        yield k + 1, theta, p, S, ct, st
+    if np.shape(theta) == np.shape(p) == np.shape(s1) == np.shape(s2) == () \
+            and np.ndim(xi1) == np.ndim(xi2) == 1:
+        cos, sin, blowups = math.cos, math.sin, (ValueError, ZeroDivisionError)
+        theta, p, s1, s2 = float(theta), float(p), float(s1), float(s2)
+        xi1, xi2 = xi1.tolist(), xi2.tolist()
+
+        def finite(a, b):
+            return math.isfinite(a) and math.isfinite(b)
+    else:
+        cos, sin, blowups = np.cos, np.sin, ()
+
+        def finite(a, b):
+            return np.isfinite(a).all() and np.isfinite(b).all()
+    k = 0
+    try:
+        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xi1[0], xi2[0], l, g, s1, s2, cos, sin)
+        yield 0, theta, p, S, ct, st
+        for k in range(len(xi1) - 1):
+            xa1, xb1 = xi1[k], xi1[k + 1]
+            xa2, xb2 = xi2[k], xi2[k + 1]
+            xm1 = 0.5 * (xa1 + xb1)
+            xm2 = 0.5 * (xa2 + xb2)
+            k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
+                                    xm1, xm2, l, g, s1, s2, cos, sin)
+            k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p,
+                                    xm1, xm2, l, g, s1, s2, cos, sin)
+            k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p,
+                                    xb1, xb2, l, g, s1, s2, cos, sin)
+            theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            if not finite(theta, p):
+                raise BlowUpError(k + 1)
+            k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
+            yield k + 1, theta, p, S, ct, st
+    except blowups:
+        raise BlowUpError(k + 1) from None
 
 
 def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,

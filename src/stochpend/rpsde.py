@@ -32,9 +32,10 @@ shared driver they are drawn once and copied to channel 2), scales them
 and adds the forcing in place, puts z0 in column 0 and runs the
 recurrence as a compiled linear filter with zero initial state, so
 y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical
-to the literal step-by-step loop.  The first channel's input is freed
-before the second is filtered, so peak memory is about 1.6 times the
-output.
+to the literal step-by-step loop.  Each row is filtered in place, so
+peak memory is the output plus one row and a boolean finiteness mask.
+:func:`law_periodicity_check` uses the generator's one-channel form,
+which draws and filters channel 1 only.
 """
 
 from __future__ import annotations
@@ -213,36 +214,37 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
-def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
-                 grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
+                 grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray | None]:
     """The one noise generator (see the module docstring).
 
-    Both public entry points call it directly, not each other, so a traced
-    call of either one counts its paths once.
+    With ``cfg2`` None only channel 1 is drawn and filtered; it is
+    bit-identical to channel 1 of any pair, and None stands in for
+    channel 2.  Both public entry points call it directly, not each
+    other, so a traced call of either one counts its paths once.
     """
-    s1 = SHARED_STREAM if cfg1.driver == SHARED else 1
-    s2 = SHARED_STREAM if cfg2.driver == SHARED else 2
-    inputs = [np.empty((len(seeds), grid.n + 1)) for _ in range(2)]
+    cfgs = [cfg1] if cfg2 is None else [cfg1, cfg2]
+    streams = [SHARED_STREAM if cfg.driver == SHARED else c
+               for c, cfg in enumerate(cfgs, start=1)]
+    values = [np.empty((len(seeds), grid.n + 1)) for _ in cfgs]
     for i, s in enumerate(seeds):
-        inputs[0][i, 1:] = standard_normals(int(s), s1, grid.n)
-        inputs[1][i, 1:] = inputs[0][i, 1:] if s2 == s1 else standard_normals(int(s), s2, grid.n)
+        for c, stream in enumerate(streams):
+            values[c][i, 1:] = values[0][i, 1:] if c and stream == streams[0] \
+                else standard_normals(int(s), stream, grid.n)
     h = grid.h
     t_k = grid.t0 + h * np.arange(grid.n)
-    paths = []
-    for cfg in (cfg1, cfg2):
-        # popped, so channel 1's input is freed before channel 2 is filtered
-        v = inputs.pop(0)
+    for cfg, x in zip(cfgs, values):
         d = cfg.drift
-        v[:, 1:] *= cfg.beta * np.sqrt(h)
-        v[:, 1:] += d.alpha * h * d.target(t_k)
-        v[:, 0] = cfg.z0
-        x = lfilter([1.0], [1.0, -(1.0 - d.alpha * h)], v, axis=-1)
+        x[:, 1:] *= cfg.beta * np.sqrt(h)
+        x[:, 1:] += d.alpha * h * d.target(t_k)
+        x[:, 0] = cfg.z0
+        for row in x:  # row by row, in place: no second full-size array
+            row[:] = lfilter([1.0], [1.0, -(1.0 - d.alpha * h)], row)
         finite = np.isfinite(x).all(axis=0)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise BlowUpError(bad, f"noise path non-finite at grid step {bad}")
-        paths.append(x)
-    return paths[0], paths[1]
+    return values[0], (values[1] if cfg2 is not None else None)
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -337,7 +339,8 @@ def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
     ``lag`` defaults to the drift period.  With the default family the law
     is tau-periodic, so the statistic at lag = tau stays below the 5%
     critical value; at fractional lags with strong forcing it does not.
-    The ensemble is channel 1 of ``simulate_pair_ensemble(config, config, ...)``.
+    The ensemble is channel 1 of ``simulate_pair_ensemble(config, config, ...)``,
+    bit for bit, drawn without channel 2.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 ensemble members")
@@ -345,7 +348,7 @@ def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
         lag = config.drift.tau
     i = grid.index_of(s)
     j = grid.index_of(s + lag)
-    values, _ = simulate_pair_ensemble(config, config, grid, seeds)
+    values, _ = _pair_values(config, None, grid, seeds)
     stat = ks_statistic(values[:, i], values[:, j])
     crit = ks_critical_value(len(seeds), len(seeds))
     return KSReport(statistic=stat, critical_value=crit, n=len(seeds), s=s, lag=lag)

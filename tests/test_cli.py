@@ -85,10 +85,24 @@ def test_incommensurate_tau_with_section(tmp_path, capsys):
     assert "multiple" in err and "0.0003" in err
 
 
-def test_incommensurate_tau_without_section_ok(tmp_path):
+def test_incommensurate_tau_without_section_rejected(tmp_path, capsys):
+    # the grid always covers whole periods, with or without a section
     cfg = dict(BASE, grid={"h": 0.0003, "horizon_periods": 2})
     code, out = run_cli(tmp_path, "simulate", cfg)
-    assert code == EXIT_OK
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "multiple" in capsys.readouterr().err
+
+
+def test_width1_overflow_exits_numeric(tmp_path, capsys):
+    # noise near 1e200 makes an RK4 stage angle infinite; the float
+    # back-end's math.cos(inf) must surface as a blow-up, not a config error
+    cfg = dict(BASE, noise={"sigma1": 0.1, "sigma2": 0.1, "channel1": {"beta": 1e200}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == EXIT_NUMERIC
+    assert not out.exists()
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_blowup_exits_numeric(tmp_path, capsys):

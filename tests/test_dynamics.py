@@ -8,6 +8,7 @@ from stochpend import (
     NoiseAmplitudes,
     PathGrid,
     PathSample,
+    PendulumParams,
     PhaseState,
     averaged_flow,
     averaged_hamiltonian,
@@ -388,6 +389,57 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
                                                    with_energy=False)
             assert np.array_equal(theta[:, i, j], th_ref)
             assert np.array_equal(p[:, i, j], p_ref)
+
+
+def _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps):
+    """The flow's (theta, p, energy) bytes, or the step at which it blows up."""
+    from stochpend import BlowUpError
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
+    except BlowUpError as exc:
+        return exc.step_index
+    return [np.ascontiguousarray(a).tobytes() for a in out]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 300),
+       sigma=st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 0.8)),
+       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5),
+       spike=st.integers(0, 300))
+def test_float_backend_is_bit_identical_to_array_backend(params, seed, n, sigma,
+                                                         theta0, p0, spike):
+    # scalar theta0/p0 and 1-D noise step on Python floats and math.cos/sin;
+    # shape-(1,) arrays step on numpy arrays through the same right-hand side
+    grid = PathGrid(0.0, 0.01, n)
+    p1, p2 = simulate_pair(*default_noise_pair(), grid, seed)
+    amps = NoiseAmplitudes(*sigma)
+    x1, x2 = p1.values, p2.values
+    as_float = _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps)
+    as_array = _flow_or_blowup(np.array([theta0]), np.array([p0]), x1, x2,
+                               grid, params, amps)
+    assert as_float == as_array
+    # one huge noise node: both back-ends blow up at the same step
+    x1 = x1.copy()
+    x1[spike % (n + 1)] = 1e200
+    step = _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps)
+    assert isinstance(step, int)
+    assert step == _flow_or_blowup(np.array([theta0]), np.array([p0]), x1, x2,
+                                   grid, params, amps)
+
+
+@pytest.mark.parametrize("theta0, p0, l", [
+    (np.inf, 0.0, 1.0), (np.nan, 0.0, 1.0), (0.1, np.inf, 1.0), (0.1, -np.inf, 1.0),
+    (0.1, 0.0, 1e-170),  # l * l underflows to 0
+])
+def test_float_backend_non_finite_start_blows_up_at_step_one(theta0, p0, l):
+    grid = PathGrid(0.0, 0.01, 5)
+    params = PendulumParams(l=l, g=1.0)
+    amps = NoiseAmplitudes(0.1, 0.1)
+    x = np.linspace(0.0, 1.0, grid.n + 1)
+    assert _flow_or_blowup(theta0, p0, x, x, grid, params, amps) == 1
+    assert _flow_or_blowup(np.array([theta0]), np.array([p0]), x, x,
+                           grid, params, amps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from stochpend import (
     simulate_pair_ensemble,
 )
 from stochpend.errors import BlowUpError
+from stochpend.rpsde import _pair_values
 from stochpend.rng import ensemble_seeds, standard_normals
 
 
@@ -374,3 +375,32 @@ def test_generator_blowup_names_first_non_finite_node(pair_config, unstable):
     with pytest.raises(BlowUpError) as err:
         simulate_pair_ensemble(*cfgs, grid, seeds)
     assert err.value.step_index == first
+
+
+@pytest.mark.parametrize("driver", ["shared", "independent"])
+def test_one_channel_form_is_channel_one_of_the_pair(pair_config, driver):
+    cfg1, cfg2 = (dataclasses.replace(c, driver=driver) for c in pair_config)
+    grid = PathGrid(0.0, 0.01, 300)
+    seeds = ensemble_seeds(8, 4)
+    alone, none = _pair_values(cfg1, None, grid, seeds)
+    x1, _ = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
+    assert none is None
+    assert alone.tobytes() == x1.tobytes()
+
+
+def test_law_check_draws_one_channel():
+    cfg = NoiseChannelConfig(
+        drift=PeriodicDriftSpec(tau=1.0, alpha=1.0, forcing_amp=1.0), beta=0.5)
+    grid = grid_for_periods(1.0, 12, 200)
+    seeds = ensemble_seeds(7, 400)
+    law_periodicity_check(cfg, PathGrid(0.0, 0.01, 10), seeds[:2], s=0.0, lag=0.0)
+    tracemalloc.start()
+    try:
+        rep = law_periodicity_check(cfg, grid, seeds, s=10.0, lag=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    channel = len(seeds) * (grid.n + 1) * 8
+    assert peak <= 2 * channel
+    x1, _ = simulate_pair_ensemble(cfg, cfg, grid, seeds)
+    assert rep.statistic == ks_statistic(x1[:, 2000], x1[:, 2200])
