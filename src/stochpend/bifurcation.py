@@ -47,6 +47,7 @@ from .dynamics import (
     effective_potential,
     effective_potential_d2theta,
     effective_potential_dtheta,
+    lambda1_factor,
 )
 from .rpsde import PathSample
 
@@ -330,9 +331,7 @@ def perturbed_lambda_trace(pair: tuple[PathSample, PathSample],
     ergodic statistics; the scatter of the trace around that mean is the
     random shift of the bifurcation point seen by the frozen-time system.
     """
-    if convention not in ("derived", "paper"):
-        raise ValueError("convention must be 'derived' or 'paper'")
-    factor = 0.25 if convention == "derived" else 0.5
+    factor = lambda1_factor(convention)
     p1, p2 = pair
     if p1.grid != p2.grid:
         raise ValueError("paths must share one grid")

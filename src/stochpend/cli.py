@@ -10,8 +10,11 @@ and write one output directory per run:
     stochpend verify    --config cfg.json --out runs/verify
     stochpend poincare  --config cfg.json --out runs/poincare
 
-Every run writes ``manifest.json`` (the effective configuration with
-defaults applied, plus a SHA-256 per data file) and prints it to stdout.
+``SCHEMA`` is the reference for every config field, its default and its
+bounds.  The whole config is checked before any output exists, whichever
+command runs.  Every run writes ``manifest.json`` (the checked
+configuration with defaults applied, plus a SHA-256 per data file) and
+prints it to stdout.
 Outputs are a pure function of (config, seed): rerunning a command
 reproduces every byte.  ``--seed`` overrides the master seed from the
 config.
@@ -37,6 +40,7 @@ from .bifurcation import (
     phase_portrait,
 )
 from .dynamics import (
+    CONVENTIONS,
     LambdaPoint,
     NoiseAmplitudes,
     PendulumParams,
@@ -44,7 +48,7 @@ from .dynamics import (
     exact_flow,
     lambda_from_stats,
 )
-from .errors import BlowUpError, ConfigError, SampleLengthError
+from .errors import BlowUpError, ConfigError
 from .io import (
     portrait_sidecar,
     sha256_of,
@@ -64,11 +68,10 @@ from .poincare import (
     separatrix_splitting_probe,
     stroboscope,
 )
-from .presets import default_noise_pair
+from .presets import DEFAULT_STEPS_PER_PERIOD, DEFAULT_TAU, default_noise_pair
 from .rng import ensemble_seeds
 from .rpsde import (
     NoiseChannelConfig,
-    PathGrid,
     PeriodicDriftSpec,
     estimate_ergodic_stats,
     grid_for_periods,
@@ -90,176 +93,199 @@ EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------------------
 # configuration schema
+#
+# A rule checks one JSON value, ``rule(value, path)``, and returns the value
+# to run with; it raises ConfigError naming ``path`` otherwise.
 
 
-def _section(cfg: dict, name: str, defaults: dict, path: str) -> dict:
-    raw = cfg.get(name, {})
+def _real(gt=None, ge=None, integer=False):
+    """Rule: a finite number (an integer if ``integer``) with optional bounds."""
+    def check(v, path):
+        # the comparison also rejects nan, and ints too large for a float
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max):
+            raise ConfigError(f"{path} must be a finite number, got {v!r}")
+        if integer and int(v) != v:
+            raise ConfigError(f"{path} must be an integer, got {v!r}")
+        if gt is not None and v <= gt:
+            raise ConfigError(f"{path} must be > {gt}, got {v}")
+        if ge is not None and v < ge:
+            raise ConfigError(f"{path} must be >= {ge}, got {v}")
+        return int(v) if integer else float(v)
+    return check
+
+
+def _int(ge):
+    return _real(ge=ge, integer=True)
+
+
+def _numbers(n, **bounds):
+    """Rule: a list of ``n`` finite numbers, each checked by ``_real(**bounds)``."""
+    item = _real(**bounds)
+
+    def check(v, path):
+        if not (isinstance(v, list) and len(v) == n):
+            raise ConfigError(f"{path} must be a list of {n} finite numbers, got {v!r}")
+        return [item(x, path) for x in v]
+    return check
+
+
+def _choice(names):
+    def check(v, path):
+        if v not in names:
+            raise ConfigError(f"{path} must be one of {list(names)}, got {v!r}")
+        return v
+    return check
+
+
+def _subset(names):
+    def check(v, path):
+        if not (isinstance(v, list) and all(r in names for r in v)):
+            raise ConfigError(f"{path} must be a list of entries from {list(names)}, "
+                              f"got {v!r}")
+        return list(v)
+    return check
+
+
+def _flag(v, path):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path} must be true or false, got {v!r}")
+    return v
+
+
+def _levels(v, path):
+    """Rule: a non-empty list of [sigma1, sigma2] pairs, each >= 0."""
+    if not (isinstance(v, list) and v):
+        raise ConfigError(f"{path} must be a non-empty list of [sigma1, sigma2] pairs, "
+                          f"got {v!r}")
+    return [tuple(_numbers(2, ge=0.0)(lv, path)) for lv in v]
+
+
+REAL, POSITIVE, NONNEGATIVE = _real(), _real(gt=0.0), _real(ge=0.0)
+INITIAL = ((0.1, 0.0), _numbers(2))
+
+#: block -> field -> (default, rule), a nested dict being a nested block: the
+#: reference for fields, defaults (immutable, as every run shares them) and bounds.
+SCHEMA = {
+    "pendulum": {"l": (1.0, POSITIVE), "g": (1.0, POSITIVE)},
+    "noise": {
+        "tau": (DEFAULT_TAU, POSITIVE), "sigma1": (0.1, NONNEGATIVE),
+        "sigma2": (0.1, NONNEGATIVE),
+        "driver": ("shared", _choice(("shared", "independent"))),
+        "convention": ("derived", _choice(CONVENTIONS)),
+        **{f"channel{i}": {
+            "alpha": (ch.drift.alpha, POSITIVE), "beta": (ch.beta, POSITIVE),
+            "forcing_amp": (ch.drift.forcing_amp, NONNEGATIVE),
+            "forcing_phase": (ch.drift.forcing_phase, REAL), "z0": (ch.z0, REAL),
+        } for i, ch in enumerate(default_noise_pair(), start=1)},
+    },
+    # h = None stands for tau / DEFAULT_STEPS_PER_PERIOD
+    "grid": {"h": (None, POSITIVE), "horizon_periods": (50, _int(1))},
+    "seeds": {"master": (0, _int(0)), "ensemble": (100, _int(1))},
+    "simulate": {"initial": INITIAL, "section": (False, _flag)},
+    "average": {"burn_in_periods": (100, _int(0)), "avg_periods": (10000, _int(1)),
+                "batches": (16, _int(8))},
+    "atlas": {
+        "samples": (512, _int(16)), "box": ((-1.0, 1.0, 0.0, 1.2), _numbers(4)),
+        "step": (0.01, POSITIVE), "scan": (False, _flag),
+        # accepted and range-checked; equilibria are quartic roots, not grid roots
+        "scan_grid_n": (1024, _int(64)),
+    },
+    "portrait": {
+        "lambda1": (0.0, REAL), "lambda2": (0.0, REAL),
+        "theta_min": (-float(np.pi), REAL), "theta_max": (float(np.pi), REAL),
+        "p_min": (-3.0, REAL), "p_max": (3.0, REAL),
+        "grid": ((129, 129), _numbers(2, integer=True)),
+    },
+    "verify": {
+        "run": (("exceedance",),
+                _subset(("exceedance", "deviation", "chebyshev", "moments"))),
+        "delta": (0.05, POSITIVE),
+        "sigma_levels": (((0.4, 0.4), (0.2, 0.2), (0.1, 0.1), (0.05, 0.05)), _levels),
+        "burn_in_periods": (20, _int(0)), "initial": INITIAL,
+        "moment_times": (16, _int(2)), "theta_grid_n": (64, _int(8)),
+    },
+    "poincare": {
+        "run": (("concentration",),
+                _subset(("concentration", "fill", "splitting", "sections"))),
+        "sigma_levels": (((0.2, 0.2), (0.1, 0.1), (0.05, 0.05)), _levels),
+        "equilibrium_theta": (0.0, REAL), "n_points": (64, _int(2)),
+        "initial": INITIAL, "fill_grid": ((64, 64), _numbers(2, integer=True)),
+        "sections_exported": (4, _int(1)),
+    },
+}
+
+
+def _validate(raw, table: dict, path: str = "") -> dict:
+    """``raw`` checked against ``table``; absent fields take their default."""
+    where = path or "the configuration root"
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}{name} must be an object")
-    unknown = set(raw) - set(defaults)
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(raw) - set(table)
     if unknown:
-        raise ConfigError(f"unknown field(s) in {path}{name}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(raw)
-    return merged
-
-
-def _is_finite_number(v) -> bool:
-    # the comparison also rejects nan, and ints too large for a float
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
-def _number(block: dict, key: str, path: str, lo=None, hi=None,
-            strict_lo=False, integer=False):
-    v = block[key]
-    if not _is_finite_number(v):
-        raise ConfigError(f"{path}{key} must be a finite number, got {v!r}")
-    if integer and int(v) != v:
-        raise ConfigError(f"{path}{key} must be an integer, got {v!r}")
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        rel = ">" if strict_lo else ">="
-        raise ConfigError(f"{path}{key} must be {rel} {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}{key} must be <= {hi}, got {v}")
-    return int(v) if integer else float(v)
-
-
-def _numbers(value, path: str, length: int, integer=False) -> list:
-    """``value`` as a list of ``length`` finite numbers (ints if ``integer``)."""
-    if not (isinstance(value, (list, tuple)) and len(value) == length
-            and all(_is_finite_number(v) for v in value)):
-        raise ConfigError(f"{path} must be a list of {length} finite numbers, "
-                          f"got {value!r}")
-    if integer and any(int(v) != v for v in value):
-        raise ConfigError(f"{path} must hold integers, got {value!r}")
-    return [int(v) if integer else float(v) for v in value]
-
-
-def _channel_fields(ch: NoiseChannelConfig) -> dict:
-    return {"alpha": ch.drift.alpha, "beta": ch.beta,
-            "forcing_amp": ch.drift.forcing_amp,
-            "forcing_phase": ch.drift.forcing_phase, "z0": ch.z0}
-
-
-def _channel(noise: dict, name: str, tau: float, driver: str,
-             default: NoiseChannelConfig) -> NoiseChannelConfig:
-    block = _section(noise, name, _channel_fields(default), "noise.")
-    path = f"noise.{name}."
-    return NoiseChannelConfig(
-        drift=PeriodicDriftSpec(
-            tau=tau,
-            alpha=_number(block, "alpha", path, lo=0.0, strict_lo=True),
-            forcing_amp=_number(block, "forcing_amp", path, lo=0.0),
-            forcing_phase=_number(block, "forcing_phase", path),
-        ),
-        beta=_number(block, "beta", path, lo=0.0, strict_lo=True),
-        z0=_number(block, "z0", path),
-        driver=driver,
-    )
+        raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    out = {}
+    for key, spec in table.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            out[key] = _validate(raw.get(key, {}), spec, sub)
+        else:
+            default, rule = spec
+            out[key] = rule(raw[key], sub) if key in raw else default
+    return out
 
 
 class RunConfig:
-    """Validated effective configuration (defaults applied)."""
+    """The checked configuration of one ``command`` run, defaults applied.
 
-    TOP_LEVEL = ("pendulum", "noise", "grid", "seeds",
-                 "simulate", "average", "atlas", "portrait", "verify", "poincare")
+    Every block is checked against ``SCHEMA``, whichever command runs;
+    then come the checks that depend on the command.  Each block is an
+    attribute (``config.verify["delta"]``).  ``seed`` overrides
+    ``seeds.master``.
+    """
 
-    def __init__(self, cfg: dict):
-        if not isinstance(cfg, dict):
-            raise ConfigError("configuration root must be an object")
-        unknown = set(cfg) - set(self.TOP_LEVEL)
-        if unknown:
-            raise ConfigError(f"unknown top-level field(s): {sorted(unknown)}")
-
-        pend = _section(cfg, "pendulum", {"l": 1.0, "g": 1.0}, "")
-        self.params = PendulumParams(
-            l=_number(pend, "l", "pendulum.", lo=0.0, strict_lo=True),
-            g=_number(pend, "g", "pendulum.", lo=0.0, strict_lo=True))
-
-        noise = _section(cfg, "noise", {
-            "tau": 1.0, "sigma1": 0.1, "sigma2": 0.1, "driver": "shared",
-            "convention": "derived", "channel1": {}, "channel2": {}}, "")
-        self.tau = _number(noise, "tau", "noise.", lo=0.0, strict_lo=True)
-        self.amps = NoiseAmplitudes(
-            sigma1=_number(noise, "sigma1", "noise.", lo=0.0),
-            sigma2=_number(noise, "sigma2", "noise.", lo=0.0))
-        if noise["driver"] not in ("shared", "independent"):
-            raise ConfigError("noise.driver must be 'shared' or 'independent'")
-        if noise["convention"] not in ("derived", "paper"):
-            raise ConfigError("noise.convention must be 'derived' or 'paper'")
-        self.driver = noise["driver"]
+    def __init__(self, raw, command: str, seed: int | None = None):
+        values = _validate(raw, SCHEMA)
+        if seed is not None:
+            values["seeds"]["master"] = SCHEMA["seeds"]["master"][1](seed, "--seed")
+        noise, grid = values["noise"], values["grid"]
+        self.tau = tau = noise["tau"]
+        if grid["h"] is None:
+            grid["h"] = tau / DEFAULT_STEPS_PER_PERIOD
+        self.values = values
+        self.__dict__.update(values)
+        self.master_seed = values["seeds"]["master"]
+        self.ensemble_n = values["seeds"]["ensemble"]
+        self.horizon_periods = grid["horizon_periods"]
         self.convention = noise["convention"]
-        default1, default2 = default_noise_pair()
-        try:
-            self.channel1 = _channel(noise, "channel1", self.tau, self.driver, default1)
-            self.channel2 = _channel(noise, "channel2", self.tau, self.driver, default2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.params = PendulumParams(**values["pendulum"])
+        self.amps = NoiseAmplitudes(noise["sigma1"], noise["sigma2"])
+        self.pair = tuple(NoiseChannelConfig(
+            PeriodicDriftSpec(tau, ch["alpha"], ch["forcing_amp"], ch["forcing_phase"]),
+            beta=ch["beta"], z0=ch["z0"], driver=noise["driver"])
+            for ch in (noise["channel1"], noise["channel2"]))
 
-        grid = _section(cfg, "grid", {"h": self.tau / 1000.0,
-                                      "horizon_periods": 50}, "")
-        self.h = _number(grid, "h", "grid.", lo=0.0, strict_lo=True)
-        self.horizon_periods = _number(grid, "horizon_periods", "grid.",
-                                       lo=1, integer=True)
-
-        seeds = _section(cfg, "seeds", {"master": 0, "ensemble": 100}, "")
-        self.master_seed = _number(seeds, "master", "seeds.", lo=0, integer=True)
-        self.ensemble_n = _number(seeds, "ensemble", "seeds.", lo=1, integer=True)
-
-        self.simulate = _section(cfg, "simulate", {
-            "initial": [0.1, 0.0], "section": False}, "")
-        self.average = _section(cfg, "average", {
-            "burn_in_periods": 100, "avg_periods": 10000, "batches": 16}, "")
-        self.atlas = _section(cfg, "atlas", {
-            "samples": 512, "box": [-1.0, 1.0, 0.0, 1.2], "step": 0.01,
-            "scan": False, "scan_grid_n": 1024}, "")
-        self.portrait = _section(cfg, "portrait", {
-            "lambda1": 0.0, "lambda2": 0.0,
-            "theta_min": -float(np.pi), "theta_max": float(np.pi),
-            "p_min": -3.0, "p_max": 3.0, "grid": [129, 129]}, "")
-        self.verify = _section(cfg, "verify", {
-            "run": ["exceedance"], "delta": 0.05,
-            "sigma_levels": [[0.4, 0.4], [0.2, 0.2], [0.1, 0.1], [0.05, 0.05]],
-            "burn_in_periods": 20, "initial": [0.1, 0.0],
-            "moment_times": 16, "theta_grid_n": 64}, "")
-        self.poincare = _section(cfg, "poincare", {
-            "run": ["concentration"], "sigma_levels": [[0.2, 0.2], [0.1, 0.1], [0.05, 0.05]],
-            "equilibrium_theta": 0.0, "n_points": 64, "initial": [0.1, 0.0],
-            "fill_grid": [64, 64], "sections_exported": 4}, "")
-
-        self.raw = cfg
-
-    @property
-    def steps_per_period(self) -> int:
-        k = round(self.tau / self.h)
-        if k < 1 or abs(k * self.h - self.tau) > 1e-9 * max(1.0, self.tau):
-            raise ConfigError(
-                f"tau = {self.tau} is not an integer multiple of h = {self.h}")
-        return k
-
-    def pair_config(self):
-        return self.channel1, self.channel2
-
-    def initial_state(self, block: dict):
-        return tuple(_numbers(block["initial"], "initial", 2))
+        if command in ("simulate", "average", "verify", "poincare"):
+            k = round(tau / grid["h"]) if tau / grid["h"] < 2.0**53 else 0
+            if k < 1 or abs(k * grid["h"] - tau) > 1e-9 * max(1.0, tau):
+                raise ConfigError(f"tau = {tau} is not an integer multiple of h = {grid['h']}")
+            self.steps_per_period = k
+        verify, box = self.verify, self.atlas["box"]
+        if command == "verify" and "deviation" in verify["run"] \
+                and len(verify["sigma_levels"]) < 3:
+            raise ConfigError("verify.deviation needs at least 3 sigma levels")
+        # moment times are grid nodes of one period, which has spp + 1 of them
+        if command == "verify" and "moments" in verify["run"] \
+                and verify["moment_times"] > self.steps_per_period + 1:
+            raise ConfigError(f"verify.moment_times must be <= {self.steps_per_period + 1}, "
+                              f"got {verify['moment_times']}")
+        if command == "atlas" and self.atlas["scan"] \
+                and not (box[0] < box[1] and box[2] < box[3]):
+            raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
+                              f"with min < max on each axis, got {box}")
 
     def effective(self) -> dict:
-        return {
-            "pendulum": {"l": self.params.l, "g": self.params.g},
-            "noise": {
-                "tau": self.tau, "sigma1": self.amps.sigma1,
-                "sigma2": self.amps.sigma2, "driver": self.driver,
-                "convention": self.convention,
-                "channel1": _channel_fields(self.channel1),
-                "channel2": _channel_fields(self.channel2),
-            },
-            "grid": {"h": self.h, "horizon_periods": self.horizon_periods},
-            "seeds": {"master": self.master_seed, "ensemble": self.ensemble_n},
-            "simulate": self.simulate, "average": self.average,
-            "atlas": self.atlas, "portrait": self.portrait,
-            "verify": self.verify, "poincare": self.poincare,
-        }
+        return self.values
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +333,8 @@ class RunDir:
 
 def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
     grid = grid_for_periods(config.tau, config.horizon_periods, config.steps_per_period)
-    pair = simulate_pair(*config.pair_config(), grid, seed=config.master_seed)
-    initial = config.initial_state(config.simulate)
-    traj = exact_flow(initial, pair, config.params, config.amps)
+    pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
+    traj = exact_flow(config.simulate["initial"], pair, config.params, config.amps)
     emb = bob_embedding(traj, pair, config.params, config.amps)
     write_pair_csv(rundir.path("paths.csv"), pair)
     write_trajectory_csv(rundir.path("trajectory.csv"), traj, energy_label="H")
@@ -322,135 +347,81 @@ def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
 
 def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
     block = config.average
-    burn_in = _number(block, "burn_in_periods", "average.", lo=0, integer=True)
-    avg = _number(block, "avg_periods", "average.", lo=1, integer=True)
-    batches = _number(block, "batches", "average.", lo=8, integer=True)
-    n = int(round((burn_in + avg) * config.tau / config.h))
-    grid = PathGrid(t0=0.0, h=config.h, n=n)
-    pair = simulate_pair(*config.pair_config(), grid, seed=config.master_seed)
-    try:
-        stats = estimate_ergodic_stats(pair, config.tau, burn_in_periods=burn_in,
-                                       batches=batches)
-    except (SampleLengthError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = grid_for_periods(config.tau, block["burn_in_periods"] + block["avg_periods"],
+                            config.steps_per_period)
+    pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
+    stats = estimate_ergodic_stats(pair, config.tau,
+                                   burn_in_periods=block["burn_in_periods"],
+                                   batches=block["batches"])
     lam = lambda_from_stats(config.amps, stats, config.convention)
-    payload = stats.as_dict()
-    payload["lambda1"] = lam.lambda1
-    payload["lambda2"] = lam.lambda2
-    payload["convention"] = config.convention
-    write_json(rundir.path("ergodic_stats.json"), payload)
+    write_json(rundir.path("ergodic_stats.json"),
+               {**stats.as_dict(), "lambda1": lam.lambda1, "lambda2": lam.lambda2,
+                "convention": config.convention})
     return rundir.manifest("average", config)
 
 
 def cmd_atlas(config: RunConfig, rundir: RunDir) -> dict:
-    """Analytic curves, and with ``scan`` the numeric scan of ``box``.
-
-    ``scan_grid_n`` is still accepted and validated, but has no effect:
-    equilibria are roots of a quartic, not of a sampled grid.
-    """
+    """Analytic curves, and with ``scan`` the numeric scan of ``box``."""
     block = config.atlas
-    samples = _number(block, "samples", "atlas.", lo=16, integer=True)
+    write_atlas_json(rundir.path("atlas.json"), atlas_curves(block["samples"]))
     if block["scan"]:
-        box = _numbers(block["box"], "atlas.box", 4)
-        if not (box[0] < box[1] and box[2] < box[3]):
-            raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
-                              f"with min < max on each axis, got {box}")
-        step = _number(block, "step", "atlas.", lo=0.0, strict_lo=True)
-        _number(block, "scan_grid_n", "atlas.", lo=64, integer=True)
-    write_atlas_json(rundir.path("atlas.json"), atlas_curves(samples))
-    if block["scan"]:
-        scan = numeric_bifurcation_scan((box[0], box[1]), (box[2], box[3]),
-                                        step, config.params)
+        l1_min, l1_max, l2_min, l2_max = block["box"]
+        scan = numeric_bifurcation_scan((l1_min, l1_max), (l2_min, l2_max),
+                                        block["step"], config.params)
         write_scan_csv(rundir.path("scan.csv"), scan)
     return rundir.manifest("atlas", config)
 
 
 def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
     block = config.portrait
-    lam = LambdaPoint(_number(block, "lambda1", "portrait."),
-                      _number(block, "lambda2", "portrait."))
-    n_theta, n_p = _numbers(block["grid"], "portrait.grid", 2, integer=True)
-    try:
-        portrait = phase_portrait(
-            lam, config.params,
-            theta_range=(_number(block, "theta_min", "portrait."),
-                         _number(block, "theta_max", "portrait.")),
-            p_range=(_number(block, "p_min", "portrait."),
-                     _number(block, "p_max", "portrait.")),
-            grid=(n_theta, n_p))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    portrait = phase_portrait(
+        LambdaPoint(block["lambda1"], block["lambda2"]), config.params,
+        theta_range=(block["theta_min"], block["theta_max"]),
+        p_range=(block["p_min"], block["p_max"]), grid=tuple(block["grid"]))
     write_portrait_csv(rundir.path("portrait.csv"), portrait)
     write_json(rundir.path("portrait_meta.json"), portrait_sidecar(portrait))
     return rundir.manifest("portrait", config)
 
 
-def _sigma_levels(block: dict, path: str) -> list[tuple[float, float]]:
-    levels = block["sigma_levels"]
-    if not isinstance(levels, (list, tuple)) or not levels:
-        raise ConfigError(f"{path}sigma_levels must be a non-empty list")
-    out = []
-    for lv in levels:
-        s1, s2 = _numbers(lv, f"{path}sigma_levels entry", 2)
-        if s1 < 0 or s2 < 0:
-            raise ConfigError(f"{path}sigma_levels must be >= 0")
-        out.append((s1, s2))
-    return out
-
-
 def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
     block = config.verify
-    runs = block["run"]
-    known = {"exceedance", "deviation", "chebyshev", "moments"}
-    if not isinstance(runs, (list, tuple)) or not set(runs) <= known:
-        raise ConfigError(f"verify.run must be a subset of {sorted(known)}")
-    levels = _sigma_levels(block, "verify.")
-    if "deviation" in runs and len(levels) < 3:
-        raise ConfigError("verify.deviation needs at least 3 sigma levels")
-    delta = _number(block, "delta", "verify.", lo=0.0, strict_lo=True)
-    burn_in = _number(block, "burn_in_periods", "verify.", lo=0, integer=True)
+    runs, levels, delta = block["run"], block["sigma_levels"], block["delta"]
+    burn_in = block["burn_in_periods"]
     spp = config.steps_per_period
-    if "moments" in runs:
-        # moment times are grid nodes of one period, which has spp + 1 of them
-        n_times = _number(block, "moment_times", "verify.", lo=2, hi=spp + 1,
-                          integer=True)
-    pair_cfg = config.pair_config()
-    stats = calibration_stats(pair_cfg, config.master_seed, steps_per_period=spp)
+    stats = calibration_stats(config.pair, config.master_seed, steps_per_period=spp)
     if "exceedance" in runs:
         report = exceedance_probability(
             delta, levels, config.ensemble_n, config.horizon_periods,
-            pair_cfg, config.initial_state(block), params=config.params,
+            config.pair, block["initial"], params=config.params,
             steps_per_period=spp, burn_in_periods=burn_in,
             master_seed=config.master_seed, stats=stats,
             convention=config.convention)
         write_json(rundir.path("exceedance.json"), report.as_dict())
     if "deviation" in runs:
-        n_grid = _number(block, "theta_grid_n", "verify.", lo=8, integer=True)
-        theta_grid = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+        theta_grid = np.linspace(0.0, 2.0 * np.pi, block["theta_grid_n"], endpoint=False)
         report = potential_deviation(
-            theta_grid, levels, config.ensemble_n, pair_cfg,
+            theta_grid, levels, config.ensemble_n, config.pair,
             convention=config.convention, params=config.params,
             burn_in_periods=max(burn_in, 1), steps_per_period=spp,
             master_seed=config.master_seed, stats=stats)
         write_json(rundir.path("deviation.json"), report.as_dict())
     if "chebyshev" in runs:
         grid = grid_for_periods(config.tau, burn_in + config.horizon_periods, spp)
-        pair = simulate_pair(*pair_cfg, grid, seed=config.master_seed)
+        pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
         start = burn_in * spp
         p1 = pair[0].slice_from(start) if start else pair[0]
         p2 = pair[1].slice_from(start) if start else pair[1]
-        traj = exact_flow(config.initial_state(block), (p1, p2),
-                          config.params, config.amps)
+        traj = exact_flow(block["initial"], (p1, p2), config.params, config.amps)
         decomp = m1m2_decomposition(traj, (p1, p2), stats, config.params,
                                     config.amps, delta)
         write_json(rundir.path("chebyshev.json"),
                    chebyshev_consistency(decomp).as_dict())
     if "moments" in runs:
         grid = grid_for_periods(config.tau, 1, spp)
-        idx = np.round(np.linspace(0, spp, n_times)).astype(int)
+        idx = np.round(np.linspace(0, spp, block["moment_times"])).astype(int)
         # tau / spp * spp may exceed tau by one ulp; the node is still tau
         t_samples = np.minimum(grid.times()[idx], config.tau)
-        report = moment_growth(pair_cfg, t_samples, config.ensemble_n,
+        report = moment_growth(config.pair, t_samples, config.ensemble_n,
                                config.amps, steps_per_period=spp,
                                master_seed=config.master_seed)
         write_json(rundir.path("moments.json"), report.as_dict())
@@ -459,51 +430,40 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
 
 def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     block = config.poincare
-    runs = block["run"]
-    known = {"concentration", "fill", "splitting", "sections"}
-    if not isinstance(runs, (list, tuple)) or not set(runs) <= known:
-        raise ConfigError(f"poincare.run must be a subset of {sorted(known)}")
-    levels = _sigma_levels(block, "poincare.")
-    if "fill" in runs:
-        fill_grid = _numbers(block["fill_grid"], "poincare.fill_grid", 2, integer=True)
-    if "sections" in runs or "fill" in runs:
-        initial = config.initial_state(block)
+    runs, levels = block["run"], block["sigma_levels"]
     spp = config.steps_per_period
-    pair_cfg = config.pair_config()
-    stats = calibration_stats(pair_cfg, config.master_seed, steps_per_period=spp)
+    stats = calibration_stats(config.pair, config.master_seed, steps_per_period=spp)
     lam = lambda_from_stats(config.amps, stats, config.convention)
     if "concentration" in runs:
-        theta_e = _number(block, "equilibrium_theta", "poincare.")
+        theta_e = block["equilibrium_theta"]
         eqs = find_equilibria(LambdaPoint(0.0, 0.0), config.params)
         stable = [e for e in eqs if e.kind == "stable"]
         e0 = min(stable, key=lambda e: abs(e.theta - theta_e))
         report = equilibrium_concentration(
-            e0, levels, config.ensemble_n, config.horizon_periods, pair_cfg,
+            e0, levels, config.ensemble_n, config.horizon_periods, config.pair,
             params=config.params, steps_per_period=spp,
             master_seed=config.master_seed)
         write_json(rundir.path("concentration.json"), report.as_dict())
     if "sections" in runs or "fill" in runs:
-        n_export = _number(block, "sections_exported", "poincare.", lo=1,
-                           integer=True)
         grid = grid_for_periods(config.tau, config.horizon_periods, spp)
         sections = []
-        for k, seed in enumerate(ensemble_seeds(config.master_seed, n_export)):
-            pair = simulate_pair(*pair_cfg, grid, seed=int(seed))
-            traj = exact_flow(initial, pair, config.params, config.amps)
+        for k, seed in enumerate(ensemble_seeds(config.master_seed,
+                                                block["sections_exported"])):
+            pair = simulate_pair(*config.pair, grid, seed=int(seed))
+            traj = exact_flow(block["initial"], pair, config.params, config.amps)
             sec = stroboscope(traj, config.tau)
             sec.seed = int(seed)
             sections.append(sec)
             if "sections" in runs:
                 write_section_csv(rundir.path(f"section-{k:03d}.csv"), sec)
         if "fill" in runs:
-            report = plane_fill_density(sections, grid=tuple(fill_grid),
+            report = plane_fill_density(sections, grid=tuple(block["fill_grid"]),
                                         lam=lam, params=config.params)
             write_histogram_csv(rundir.path("fill_histogram.csv"), report)
             write_json(rundir.path("fill.json"), report.as_dict())
     if "splitting" in runs:
-        n_points = _number(block, "n_points", "poincare.", lo=2, integer=True)
         report = separatrix_splitting_probe(
-            lam, levels, n_points, pair_cfg, params=config.params,
+            lam, levels, block["n_points"], config.pair, params=config.params,
             horizon_periods=config.horizon_periods, steps_per_period=spp,
             master_seed=config.master_seed)
         write_json(rundir.path("splitting.json"), report.as_dict())
@@ -547,23 +507,16 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out) if args.out else Path("runs") / args.command
     rundir = None
     try:
-        config = RunConfig(raw)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            config.master_seed = args.seed
+        config = RunConfig(raw, args.command, seed=args.seed)
         rundir = RunDir(out)
         manifest = _COMMANDS[args.command](config, rundir)
-    except ValueError as exc:  # ConfigError, SampleLengthError, or a rejected value
+    # ValueError: ConfigError, SampleLengthError, or a value a library rejected
+    except (ValueError, BlowUpError, FloatingPointError) as exc:
         if rundir is not None:
             rundir.discard()
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BlowUpError, FloatingPointError) as exc:
-        if rundir is not None:
-            rundir.discard()
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        numeric = not isinstance(exc, ValueError)
+        print(f"{'numeric failure' if numeric else 'config error'}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC if numeric else EXIT_CONFIG
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return EXIT_OK
 

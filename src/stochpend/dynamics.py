@@ -185,6 +185,13 @@ def hamiltonian_partials(theta, p, xi1, xi2,
     return dH_dtheta, dH_dp
 
 
+def lambda1_factor(convention: str) -> float:
+    """The Lambda_1 factor of ``convention``: 1/4 ``derived``, 1/2 ``paper``."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    return 0.25 if convention == "derived" else 0.5
+
+
 def instantaneous_potential(theta, xi1, xi2, params: PendulumParams,
                             amps: NoiseAmplitudes, convention: str = "derived"):
     """Potential part of H before averaging, as a cos/sin(2 theta) form.
@@ -194,18 +201,15 @@ def instantaneous_potential(theta, xi1, xi2, params: PendulumParams,
     cos(2 theta) coefficient (sigma_1^2 xi_1^2 - sigma_2^2 xi_2^2)/2 and
     drops the constant.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    factor = lambda1_factor(convention)
     theta = np.asarray(theta, dtype=float)
     l, g = params.l, params.g
     q1 = (amps.sigma1 * np.asarray(xi1)) ** 2
     q2 = (amps.sigma2 * np.asarray(xi2)) ** 2
     cross = amps.sigma1 * amps.sigma2 * np.asarray(xi1) * np.asarray(xi2)
     c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    gravity = -g * l * np.cos(theta)
-    if convention == "derived":
-        return 0.25 * (q1 - q2) * c2t + 0.5 * cross * s2t + gravity + 0.25 * (q1 + q2)
-    return 0.5 * (q1 - q2) * c2t + 0.5 * cross * s2t + gravity
+    u = factor * (q1 - q2) * c2t + 0.5 * cross * s2t - g * l * np.cos(theta)
+    return u + 0.25 * (q1 + q2) if convention == "derived" else u
 
 
 def effective_potential(theta, lam: LambdaPoint, params: PendulumParams):
@@ -240,10 +244,8 @@ def averaged_hamiltonian(theta, p, lam: LambdaPoint, params: PendulumParams):
 def lambda_from_stats(amps: NoiseAmplitudes, stats: ErgodicStats,
                       convention: str = "derived") -> LambdaPoint:
     """Map (sigma, C) estimates to the effective-potential coefficients."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    factor = 0.25 if convention == "derived" else 0.5
-    lambda1 = factor * (amps.sigma1**2 * stats.c1 - amps.sigma2**2 * stats.c2)
+    lambda1 = lambda1_factor(convention) * (amps.sigma1**2 * stats.c1
+                                            - amps.sigma2**2 * stats.c2)
     lambda2 = 0.5 * amps.sigma1 * amps.sigma2 * stats.c12
     return LambdaPoint(lambda1=lambda1, lambda2=lambda2)
 

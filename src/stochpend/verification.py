@@ -38,6 +38,7 @@ from .dynamics import (
     averaged_hamiltonian,
     exact_hamiltonian,
     instantaneous_potential,
+    lambda1_factor,
     lambda_from_stats,
     noise_coupling,
     velocity_from_momentum,
@@ -421,11 +422,11 @@ def potential_deviation(theta_grid: np.ndarray,
     xi2 = x2[:, -1][:, None]
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
+    factor = lambda1_factor(convention)
     devs = np.empty((len(sigma_levels), 3))
     for i, (sg1, sg2) in enumerate(sigma_levels):
         amps = NoiseAmplitudes(sg1, sg2)
         lam = lambda_from_stats(amps, stats, convention)
-        factor = 0.25 if convention == "derived" else 0.5
         lt1 = factor * ((sg1 * xi1) ** 2 - (sg2 * xi2) ** 2)
         lt2 = 0.5 * sg1 * sg2 * xi1 * xi2
         d1 = lam.lambda1 - lt1

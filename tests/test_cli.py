@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from stochpend.rpsde import grid_for_periods
@@ -85,10 +91,11 @@ def test_incommensurate_tau_with_section(tmp_path, capsys):
     assert "multiple" in err and "0.0003" in err
 
 
-def test_incommensurate_tau_without_section_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "average"])
+def test_incommensurate_tau_without_section_rejected(tmp_path, capsys, command):
     # the grid always covers whole periods, with or without a section
     cfg = dict(BASE, grid={"h": 0.0003, "horizon_periods": 2})
-    code, out = run_cli(tmp_path, "simulate", cfg)
+    code, out = run_cli(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert not out.exists()
     assert "multiple" in capsys.readouterr().err
@@ -240,9 +247,47 @@ def test_poincare_sections_start_at_configured_initial_state(tmp_path):
 
 
 def test_default_noise_pair_comes_from_presets():
-    config = RunConfig({})
-    assert (config.channel1.drift.alpha, config.channel1.beta) == (1.0, 0.6)
-    assert (config.channel2.drift.alpha, config.channel2.beta) == (2.0, 0.8)
+    channel1, channel2 = RunConfig({}, "simulate").pair
+    assert (channel1.drift.alpha, channel1.beta) == (1.0, 0.6)
+    assert (channel2.drift.alpha, channel2.beta) == (2.0, 0.8)
+
+
+# effective_config of {} as the manifest writes it
+DEFAULTS = {
+    "pendulum": {"l": 1.0, "g": 1.0},
+    "noise": {
+        "tau": 1.0, "sigma1": 0.1, "sigma2": 0.1, "driver": "shared",
+        "convention": "derived",
+        "channel1": {"alpha": 1.0, "beta": 0.6, "forcing_amp": 0.0,
+                     "forcing_phase": 0.0, "z0": 0.0},
+        "channel2": {"alpha": 2.0, "beta": 0.8, "forcing_amp": 0.0,
+                     "forcing_phase": 0.0, "z0": 0.0},
+    },
+    "grid": {"h": 0.001, "horizon_periods": 50},
+    "seeds": {"master": 0, "ensemble": 100},
+    "simulate": {"initial": [0.1, 0.0], "section": False},
+    "average": {"burn_in_periods": 100, "avg_periods": 10000, "batches": 16},
+    "atlas": {"samples": 512, "box": [-1.0, 1.0, 0.0, 1.2], "step": 0.01,
+              "scan": False, "scan_grid_n": 1024},
+    "portrait": {"lambda1": 0.0, "lambda2": 0.0, "theta_min": -3.141592653589793,
+                 "theta_max": 3.141592653589793, "p_min": -3.0, "p_max": 3.0,
+                 "grid": [129, 129]},
+    "verify": {"run": ["exceedance"], "delta": 0.05,
+               "sigma_levels": [[0.4, 0.4], [0.2, 0.2], [0.1, 0.1], [0.05, 0.05]],
+               "burn_in_periods": 20, "initial": [0.1, 0.0], "moment_times": 16,
+               "theta_grid_n": 64},
+    "poincare": {"run": ["concentration"],
+                 "sigma_levels": [[0.2, 0.2], [0.1, 0.1], [0.05, 0.05]],
+                 "equilibrium_theta": 0.0, "n_points": 64, "initial": [0.1, 0.0],
+                 "fill_grid": [64, 64], "sections_exported": 4},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "atlas", "portrait",
+                                     "verify", "poincare"])
+def test_defaults_pinned(command):
+    effective = json.dumps(RunConfig({}, command).effective(), sort_keys=True)
+    assert effective == json.dumps(DEFAULTS, sort_keys=True)
 
 
 def test_invalid_json_config(tmp_path, capsys):
@@ -261,8 +306,10 @@ def test_invalid_json_config(tmp_path, capsys):
                '"verify": {"run": ["exceedance", "moments"], "moment_times": 102}}'),
     ("simulate", '{"noise": {"sigma1": NaN}}'),
     ("simulate", '{"pendulum": {"l": 1' + '0' * 400 + '}}'),
+    # a block the command does not run is checked all the same
+    ("atlas", '{"verify": {"delta": "abc", "sigma_levels": "x"}}'),
 ], ids=["sigma-overflow", "length-overflow", "moment-times-past-grid", "sigma-nan",
-        "length-huge-int"])
+        "length-huge-int", "unrun-block-checked"])
 def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)
@@ -287,8 +334,13 @@ def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     ("portrait", '{"portrait": {"grid": ["a", 48]}}', "portrait.grid"),
     ("poincare", '{"poincare": {"run": ["fill"], "fill_grid": [16, null]}}',
      "poincare.fill_grid"),
+    ("verify", '{"verify": {"run": [["exceedance"]]}}', "verify.run"),
+    ("poincare", '{"poincare": {"run": [{}]}}', "poincare.run"),
+    ("simulate", '{"simulate": {"section": "no"}}', "simulate.section"),
+    ("atlas", '{"atlas": {"scan": "false"}}', "atlas.scan"),
 ], ids=["box-string", "box-null", "box-reversed", "sigma-level-string",
-        "sigma-level-infinite", "portrait-grid-string", "fill-grid-null"])
+        "sigma-level-infinite", "portrait-grid-string", "fill-grid-null",
+        "run-entry-list", "run-entry-object", "section-string", "scan-string"])
 def test_malformed_list_fields_exit_config(tmp_path, capsys, command, text, field):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)
@@ -299,6 +351,18 @@ def test_malformed_list_fields_exit_config(tmp_path, capsys, command, text, fiel
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+
+
+def test_theta_grid_checked_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("calibration ran before the config was checked")
+
+    monkeypatch.setattr("stochpend.cli.calibration_stats", no_run)
+    cfg = {"verify": {"run": ["exceedance", "deviation"], "theta_grid_n": 4}}
+    code, out = run_cli(tmp_path, "verify", cfg)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "verify.theta_grid_n" in capsys.readouterr().err
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -318,3 +382,120 @@ def test_verify_moments_default_times_on_grid(tmp_path):
     assert t[0] == 0.0 and t[-1] == 1.0
     nodes = grid_for_periods(1.0, 1, 1000).times()
     assert np.all(np.isin(t, nodes))
+
+
+# ---------------------------------------------------------------------------
+# drawn configs: the CLI contract holds for any JSON input
+
+# wrong JSON types; a drawn config may carry one of them in any field or block
+JUNK = st.one_of(st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+                 st.just({"x": 1}), st.none(), st.booleans(),
+                 st.just(float("nan")), st.just(10**400))
+
+
+def _block(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _pair(elements):
+    return st.lists(elements, min_size=2, max_size=2)
+
+
+def _runs(names):
+    # a run entry may also be an unhashable list or object
+    entry = st.one_of(st.sampled_from(names), st.just([names[0]]), st.just({}))
+    return st.lists(entry, max_size=3)
+
+
+_INITIAL = _pair(st.sampled_from([-0.5, 0.0, 0.1, 0.7]))
+_LEVELS = st.lists(_pair(st.sampled_from([0.0, 0.05, 0.2])), min_size=1, max_size=4)
+_CHANNEL = _block(alpha=st.sampled_from([1.0, 2.0]), beta=st.sampled_from([0.6, 0.8]),
+                  forcing_amp=st.sampled_from([0.0, 0.5]),
+                  forcing_phase=st.sampled_from([0.0, 1.0]),
+                  z0=st.sampled_from([0.0, 0.3]))
+
+BLOCKS = {
+    "pendulum": _block(l=st.sampled_from([0.5, 1.0, 2]), g=st.sampled_from([1.0, 2.0])),
+    "noise": _block(tau=st.sampled_from([1.0, 0.5]),
+                    sigma1=st.sampled_from([0.0, 0.1, 0.2]),
+                    sigma2=st.sampled_from([0.0, 0.1, 0.2]),
+                    driver=st.sampled_from(["shared", "independent"]),
+                    convention=st.sampled_from(["derived", "paper"]),
+                    channel1=_CHANNEL, channel2=_CHANNEL),
+    "simulate": _block(initial=_INITIAL, section=st.booleans()),
+    "average": _block(burn_in_periods=st.integers(0, 3), avg_periods=st.integers(8, 20),
+                      batches=st.integers(8, 12)),
+    "atlas": _block(samples=st.integers(16, 64),
+                    box=st.sampled_from([[0.0, 0.4, 0.0, 0.4], [0.4, 0.0, 0.0, 0.4]]),
+                    step=st.sampled_from([0.1, 0.2]), scan=st.booleans(),
+                    scan_grid_n=st.integers(64, 256)),
+    "portrait": _block(lambda1=st.sampled_from([-0.2, 0.0, 0.5]),
+                       lambda2=st.sampled_from([0.0, 1]),
+                       theta_min=st.sampled_from([-3.0, 1.0]),
+                       theta_max=st.sampled_from([3.0, 0.5]),
+                       p_min=st.sampled_from([-2.0, 0]), p_max=st.sampled_from([2.0, 0]),
+                       grid=_pair(st.integers(24, 40))),
+    "verify": _block(run=_runs(["exceedance", "deviation", "chebyshev", "moments"]),
+                     delta=st.sampled_from([0.01, 0.1]), sigma_levels=_LEVELS,
+                     burn_in_periods=st.integers(0, 2), initial=_INITIAL,
+                     moment_times=st.integers(2, 12), theta_grid_n=st.integers(8, 16)),
+    "poincare": _block(run=_runs(["concentration", "fill", "splitting", "sections"]),
+                       sigma_levels=_LEVELS, equilibrium_theta=st.sampled_from([0.0, 3.0]),
+                       n_points=st.integers(2, 4), initial=_INITIAL,
+                       fill_grid=_pair(st.integers(12, 18)),
+                       sections_exported=st.integers(1, 2)),
+}
+PLAIN_CONFIGS = st.fixed_dictionaries({
+    # tiny grids: h = 0.1 (10 steps a period), 1-2 periods, 2-4 seeds
+    "grid": st.fixed_dictionaries({"h": st.just(0.1)}, optional={
+        "horizon_periods": st.integers(1, 2)}),
+    "seeds": st.fixed_dictionaries({"ensemble": st.integers(2, 4)}, optional={
+        "master": st.integers(0, 3)}),
+}, optional=BLOCKS)
+COMMANDS = ["simulate", "average", "atlas", "portrait", "verify", "poincare"]
+
+
+@st.composite
+def runs(draw):
+    """A command, and a plain config that sets the command's block.
+
+    Junk goes into at most one field or block of the config.
+    """
+    command = draw(st.sampled_from(COMMANDS))
+    cfg = draw(PLAIN_CONFIGS)
+    cfg[command] = draw(BLOCKS[command])
+    node = cfg
+    while draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node)))
+        if isinstance(node[key], dict) and node[key] and draw(st.booleans()):
+            node = node[key]
+        else:
+            node[key] = draw(JUNK)
+            break
+    return command, cfg
+
+
+def _run_quietly(command, cfg_path, out):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(run=runs())
+def test_drawn_configs_keep_the_cli_contract(run):
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, err = _run_quietly(command, cfg_path, Path(tmp) / "a")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), err
+        assert "Traceback" not in err
+        if code != EXIT_OK:
+            assert not (Path(tmp) / "a").exists()
+            return
+        code_b, _ = _run_quietly(command, cfg_path, Path(tmp) / "b")
+        assert code_b == EXIT_OK
+        assert read_bytes(Path(tmp) / "a") == read_bytes(Path(tmp) / "b")
