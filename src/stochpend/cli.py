@@ -195,7 +195,7 @@ SCHEMA = {
         "lambda1": (0.0, REAL), "lambda2": (0.0, REAL),
         "theta_min": (-float(np.pi), REAL), "theta_max": (float(np.pi), REAL),
         "p_min": (-3.0, REAL), "p_max": (3.0, REAL),
-        "grid": ((129, 129), _numbers(2, integer=True)),
+        "grid": ((129, 129), _numbers(2, integer=True, ge=32)),
     },
     "verify": {
         "run": (("exceedance",),
@@ -210,7 +210,7 @@ SCHEMA = {
                 _subset(("concentration", "fill", "splitting", "sections"))),
         "sigma_levels": (((0.2, 0.2), (0.1, 0.1), (0.05, 0.05)), _levels),
         "equilibrium_theta": (0.0, REAL), "n_points": (64, _int(2)),
-        "initial": INITIAL, "fill_grid": ((64, 64), _numbers(2, integer=True)),
+        "initial": INITIAL, "fill_grid": ((64, 64), _numbers(2, integer=True, ge=16)),
         "sections_exported": (4, _int(1)),
     },
 }
@@ -248,6 +248,12 @@ class RunConfig:
         values = _validate(raw, SCHEMA)
         if seed is not None:
             values["seeds"]["master"] = SCHEMA["seeds"]["master"][1](seed, "--seed")
+        seeds, poincare = values["seeds"], values["poincare"]
+        # member seeds are master + k for k below the largest count drawn
+        drawn = max(seeds["ensemble"], poincare["sections_exported"], poincare["n_points"])
+        if seeds["master"] + drawn > 2**64:
+            raise ConfigError(f"seeds.master must be <= 2**64 - {drawn}, so that its "
+                              f"{drawn} member seeds fit in 64 bits; got {seeds['master']}")
         noise, grid = values["noise"], values["grid"]
         self.tau = tau = noise["tau"]
         if grid["h"] is None:

@@ -11,6 +11,12 @@ seed and a small integer stream label.  The construction:
   inverted through the standard normal quantile function
   (``scipy.special.ndtri``, Cephes rational approximation).
 
+Variates are generated in blocks of :data:`BLOCK` values, each one drawn,
+converted and inverted in place in the caller's output array, so the only
+memory beyond the output is one block of raw words.  Because Philox is
+counter-based, the blocked stream equals the one-shot formula
+``ndtri((Philox(key).random_raw(n) >> 11) * 2**-53 + 2**-54)`` bit for bit.
+
 Identical (seed, stream) inputs reproduce identical variates bit for bit
 on every run of the same library versions; the scheme contains no global
 state and no platform-dependent sampling loop (no rejection steps).
@@ -52,18 +58,47 @@ def stream_key(seed: int, stream: int) -> tuple[int, int]:
     return b, splitmix64(b)
 
 
-def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """``n`` doubles in the open interval (0, 1)."""
+#: Values drawn per Philox call.  A block of raw words and one of doubles
+#: (256 KiB each) stay in a core's L2 cache while they are transformed.
+BLOCK = 1 << 15
+
+
+def _uniform_blocks(seed: int, stream: int, out: np.ndarray):
+    """Fill ``out`` with uniforms on (0, 1) block by block, yielding each block."""
     k0, k1 = stream_key(seed, stream)
     bg = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
-    raw = bg.random_raw(n)
-    # 53 high bits -> (0, 1); the half-ulp offset excludes both endpoints.
-    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    for lo in range(0, len(out), BLOCK):
+        seg = out[lo:lo + BLOCK]
+        raw = bg.random_raw(len(seg))
+        # 53 high bits -> (0, 1); the half-ulp offset excludes both endpoints.
+        raw >>= np.uint64(11)
+        np.multiply(raw, 2.0**-53, out=seg)
+        seg += 2.0**-54
+        yield seg
 
 
-def standard_normals(seed: int, stream: int, n: int) -> np.ndarray:
-    """``n`` unit normals by quantile inversion."""
-    return ndtri(uniforms(seed, stream, n))
+def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """``n`` doubles in the open interval (0, 1)."""
+    out = np.empty(n)
+    for _ in _uniform_blocks(seed, stream, out):
+        pass
+    return out
+
+
+def standard_normals(seed: int, stream: int, n: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``n`` unit normals by quantile inversion, written into ``out`` if given.
+
+    ``out`` is a float64 vector of length ``n`` (a view, such as one row of
+    a path array, is fine); it is filled and returned.
+    """
+    if out is None:
+        out = np.empty(n)
+    elif out.shape != (n,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 vector of length {n}")
+    for seg in _uniform_blocks(seed, stream, out):
+        ndtri(seg, out=seg)
+    return out
 
 
 def ensemble_seeds(master_seed: int, n: int) -> np.ndarray:
@@ -74,4 +109,7 @@ def ensemble_seeds(master_seed: int, n: int) -> np.ndarray:
     ensembles should iterate members in this (sorted) order so results do
     not depend on scheduling.
     """
+    if not 0 <= master_seed <= (1 << 64) - n:
+        raise ValueError(f"ensemble seeds {master_seed} + k, k < {n}, "
+                         "must lie in [0, 2**64)")
     return np.arange(master_seed, master_seed + n, dtype=np.uint64)

@@ -26,14 +26,24 @@ fused form
 
 where z_k are the unit normals of the channel's stream (see
 :mod:`stochpend.rng`).  One generator serves :func:`simulate_pair_ensemble`
-and its one-seed view :func:`simulate_pair`.  It writes each seed's
-normals into columns 1..n of a (seeds, n + 1) array per channel (on a
-shared driver they are drawn once and copied to channel 2), scales them
-and adds the forcing in place, puts z0 in column 0 and runs the
-recurrence as a compiled linear filter with zero initial state, so
-y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical
-to the literal step-by-step loop.  Each row is filtered in place, so
-peak memory is the output plus one row and a boolean finiteness mask.
+and its one-seed view :func:`simulate_pair`.  It has
+:func:`stochpend.rng.standard_normals` write each seed's normals straight
+into columns 1..n of a (seeds, n + 1) array per channel (on a shared
+driver they are drawn once and copied to channel 2) and puts z0 in
+column 0.  Then each row is turned into its path in place, one block of
+:data:`stochpend.rng.BLOCK` nodes at a time: scale by beta sqrt(h), add
+the forcing, and run the recurrence as a compiled linear filter whose
+state is carried from block to block, so y_0 = z0 and
+y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
+step-by-step loop.  Peak memory is the output plus a few blocks, for
+the generator and for :func:`estimate_ergodic_stats`, which forms the
+products xi_i xi_j one batch at a time.
+
+The forcing term and its time grid are built only when A != 0.  At
+A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
+so skipping it changes no value, with one exception: where
+beta sqrt(h) z_k underflows to -0 (beta below about 1e-290), adding a +0
+term gave +0, and the skipped form keeps -0.
 :func:`law_periodicity_check` uses the generator's one-channel form,
 which draws and filters channel 1 only.
 """
@@ -47,7 +57,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import BlowUpError, SampleLengthError
-from .rng import standard_normals
+from .rng import BLOCK, standard_normals
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -229,22 +239,43 @@ def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
     values = [np.empty((len(seeds), grid.n + 1)) for _ in cfgs]
     for i, s in enumerate(seeds):
         for c, stream in enumerate(streams):
-            values[c][i, 1:] = values[0][i, 1:] if c and stream == streams[0] \
-                else standard_normals(int(s), stream, grid.n)
-    h = grid.h
-    t_k = grid.t0 + h * np.arange(grid.n)
+            if c and stream == streams[0]:
+                values[c][i, 1:] = values[0][i, 1:]
+            else:
+                standard_normals(int(s), stream, grid.n, out=values[c][i, 1:])
     for cfg, x in zip(cfgs, values):
-        d = cfg.drift
-        x[:, 1:] *= cfg.beta * np.sqrt(h)
-        x[:, 1:] += d.alpha * h * d.target(t_k)
-        x[:, 0] = cfg.z0
-        for row in x:  # row by row, in place: no second full-size array
-            row[:] = lfilter([1.0], [1.0, -(1.0 - d.alpha * h)], row)
-        finite = np.isfinite(x).all(axis=0)
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        bad = min((_filter_row(cfg, row, grid) for row in x), default=grid.n + 1)
+        if bad <= grid.n:
             raise BlowUpError(bad, f"noise path non-finite at grid step {bad}")
     return values[0], (values[1] if cfg2 is not None else None)
+
+
+def _filter_row(cfg: NoiseChannelConfig, row: np.ndarray, grid: PathGrid) -> int:
+    """Turn normals z_k in ``row[1:]`` into the channel's path, in place.
+
+    Block by block: scale by beta sqrt(h), add the forcing (only when
+    A != 0), then run the Euler recurrence as a linear filter whose state
+    is carried from block to block.  Returns the first grid node that is
+    not finite, or ``grid.n + 1`` if there is none.
+    """
+    d, h = cfg.drift, grid.h
+    scale = cfg.beta * np.sqrt(h)
+    b, a = [1.0], [1.0, -(1.0 - d.alpha * h)]
+    state = np.zeros(1)
+    row[0] = cfg.z0
+    for lo in range(0, len(row), BLOCK):
+        seg = row[lo:lo + BLOCK]
+        first = max(lo, 1)  # node 0 holds z0, not a normal
+        u = seg[first - lo:]
+        u *= scale
+        if d.forcing_amp != 0:
+            t_k = grid.t0 + h * np.arange(first - 1, lo + len(seg) - 1)
+            u += d.alpha * h * d.target(t_k)
+        seg[:], state = lfilter(b, a, seg, zi=state)
+        finite = np.isfinite(seg)
+        if not finite.all():
+            return lo + int(np.argmin(finite))
+    return len(row)
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -268,12 +299,9 @@ def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
             PathSample(grid=grid, values=x2[0], seed=int(seed)))
 
 
-def _batch_stats(series: np.ndarray, batches: int) -> tuple[float, float]:
-    """Mean and batch-means standard error of a (possibly correlated) series."""
-    block = len(series) // batches
-    trimmed = series[: block * batches]
-    means = trimmed.reshape(batches, block).mean(axis=1)
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
+def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
+    """Mean of batch means and its batch-means standard error."""
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
 def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
@@ -296,13 +324,17 @@ def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
             f"sample covers {total_periods:.2f} periods; "
             f"need >= {burn_in_periods + batches} (burn-in + batches)")
     start = int(round(burn_in_periods * tau / grid.h))
-    x1 = p1.values[start:]
-    x2 = p2.values[start:]
-    mean1, se_mean1 = _batch_stats(x1, batches)
-    mean2, se_mean2 = _batch_stats(x2, batches)
-    c1, se_c1 = _batch_stats(x1 * x1, batches)
-    c2, se_c2 = _batch_stats(x2 * x2, batches)
-    c12, se_c12 = _batch_stats(x1 * x2, batches)
+    block = (grid.n + 1 - start) // batches
+    # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch;
+    # a product is formed for one batch at a time, never for the whole path
+    means = np.empty((5, batches))
+    for k in range(batches):
+        x1 = p1.values[start + k * block:start + (k + 1) * block]
+        x2 = p2.values[start + k * block:start + (k + 1) * block]
+        means[:, k] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
+                       np.mean(x2 * x2), np.mean(x1 * x2))
+    (mean1, se_mean1), (mean2, se_mean2), (c1, se_c1), (c2, se_c2), (c12, se_c12) = \
+        map(_mean_and_se, means)
     return ErgodicStats(
         mean1=mean1, mean2=mean2, c1=c1, c2=c2, c12=c12,
         se_mean1=se_mean1, se_mean2=se_mean2, se_c1=se_c1, se_c2=se_c2,

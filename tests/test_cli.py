@@ -365,6 +365,50 @@ def test_theta_grid_checked_before_any_run(tmp_path, capsys, monkeypatch):
     assert "verify.theta_grid_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "poincare"])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+def test_master_seed_past_64_bits_rejected(tmp_path, capsys, command, by_flag):
+    cfg = {"grid": {"h": 0.1, "horizon_periods": 1}, "seeds": {"ensemble": 2}}
+    if not by_flag:
+        cfg["seeds"]["master"] = 10**30
+    code, out = run_cli(tmp_path, command, cfg, seed=10**30 if by_flag else None)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seeds.master" in err
+    assert "Traceback" not in err
+
+
+def test_master_seed_bound_counts_every_member():
+    # the defaults draw 100 ensemble seeds, 64 splitting seeds and 4 sections
+    RunConfig({"seeds": {"master": 2**64 - 100}}, "verify")
+    with pytest.raises(ValueError, match="seeds.master"):
+        RunConfig({"seeds": {"master": 2**64 - 99}}, "verify")
+    RunConfig({"seeds": {"ensemble": 2}, "poincare": {"n_points": 2}}, "poincare",
+              seed=2**64 - 4)
+    with pytest.raises(ValueError, match="seeds.master"):
+        RunConfig({"seeds": {"ensemble": 2}, "poincare": {"n_points": 2}}, "poincare",
+                  seed=2**64 - 3)
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "atlas", "portrait",
+                                     "verify", "poincare"])
+@pytest.mark.parametrize("block, field, small", [
+    ("portrait", "grid", [8, 8]), ("portrait", "grid", [32, 31]),
+    ("poincare", "fill_grid", [8, 8]), ("poincare", "fill_grid", [15, 16]),
+])
+def test_library_grid_bounds_checked_for_every_command(tmp_path, capsys, command,
+                                                       block, field, small):
+    code, out = run_cli(tmp_path, command, {block: {field: small}})
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{block}.{field}" in err
+    assert "Traceback" not in err
+    RunConfig({"portrait": {"grid": [32, 32]}, "poincare": {"fill_grid": [16, 16]}},
+              command)
+
+
 def test_threads_flag_is_gone(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{}")

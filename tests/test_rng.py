@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from stochpend.rng import (
+    BLOCK,
     ensemble_seeds,
     splitmix64,
     standard_normals,
@@ -52,3 +55,37 @@ def test_ensemble_seeds_sorted_and_distinct():
     seeds = ensemble_seeds(1000, 50)
     assert len(set(seeds.tolist())) == 50
     assert np.all(np.diff(seeds.astype(np.int64)) == 1)
+
+
+def one_shot_normals(seed, stream, n):
+    """The whole stream from one Philox call, as the formula reads."""
+    key = np.array(stream_key(seed, stream), dtype=np.uint64)
+    return ndtri((np.random.Philox(key=key).random_raw(n) >> np.uint64(11))
+                 * 2.0**-53 + 2.0**-54)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_normals_equal_one_shot_formula(n):
+    expected = one_shot_normals(17, 2, n)
+    assert standard_normals(17, 2, n).tobytes() == expected.tobytes()
+    # into a strided view, such as one row of a path array past its z0 node
+    rows = np.full((2, n + 1), np.nan)
+    got = standard_normals(17, 2, n, out=rows[1, 1:])
+    assert got.base is rows
+    assert rows[1, 1:].tobytes() == expected.tobytes()
+    assert np.isnan(rows[0]).all() and np.isnan(rows[1, 0])
+
+
+def test_normals_out_must_match_n():
+    with pytest.raises(ValueError):
+        standard_normals(1, 0, 10, out=np.empty(9))
+    with pytest.raises(ValueError):
+        standard_normals(1, 0, 10, out=np.empty(10, dtype=np.float32))
+
+
+def test_ensemble_seeds_fit_in_64_bits():
+    top = ensemble_seeds(2**64 - 3, 3)
+    assert top.dtype == np.uint64 and int(top[-1]) == 2**64 - 1
+    for master, n in ((2**64 - 2, 3), (10**30, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            ensemble_seeds(master, n)

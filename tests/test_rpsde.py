@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -23,7 +23,7 @@ from stochpend import (
 )
 from stochpend.errors import BlowUpError
 from stochpend.rpsde import _pair_values
-from stochpend.rng import ensemble_seeds, standard_normals
+from stochpend.rng import BLOCK, ensemble_seeds, standard_normals
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,11 @@ channels = st.builds(
 @given(cfg1=channels, cfg2=channels, t0=st.floats(-5.0, 5.0),
        h=st.floats(1e-4, 0.05), n=st.integers(1, 300),
        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+# a path longer than one generator block, forced on channel 1 only
+@example(cfg1=NoiseChannelConfig(PeriodicDriftSpec(0.7, 1.3, 0.9, 0.4), beta=0.5, z0=0.2),
+         cfg2=NoiseChannelConfig(PeriodicDriftSpec(1.0, 2.0), beta=0.8, z0=-0.1,
+                                 driver="independent"),
+         t0=-1.5, h=0.001, n=BLOCK + 9, seeds=[2**64 - 1])
 def test_generator_matches_literal_loop(cfg1, cfg2, t0, h, n, seeds):
     grid = PathGrid(t0=t0, h=h, n=n)
     x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
@@ -354,6 +359,24 @@ def test_generator_peak_memory_within_twice_output(pair_config, driver):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * (x1.nbytes + x2.nbytes)
+
+
+@pytest.mark.parametrize("forcing_amp", [0.0, 1.5])
+def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing_amp):
+    cfg1, cfg2 = (dataclasses.replace(c, driver="shared", drift=dataclasses.replace(
+        c.drift, forcing_amp=forcing_amp)) for c in pair_config)
+    grid = grid_for_periods(1.0, 17, 8192)
+    assert grid.n >= 4 * BLOCK
+    simulate_pair(cfg1, cfg2, PathGrid(0.0, 0.001, 10), seed=1)
+    tracemalloc.start()
+    try:
+        pair = simulate_pair(cfg1, cfg2, grid, seed=3)
+        estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=1, batches=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(p.values.nbytes for p in pair)
+    assert peak <= output + 4 * BLOCK * 8
 
 
 @pytest.mark.parametrize("unstable", [1, 2])
