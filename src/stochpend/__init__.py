@@ -11,13 +11,6 @@ from .bifurcation import (
     BOUNDARY,
     PI1,
     PI2,
-    AtlasCurves,
-    Equilibrium,
-    Gamma2Ray,
-    LambdaTrace,
-    PhasePortrait,
-    ScanResult,
-    atlas_curves,
     classify_region,
     find_equilibria,
     gamma1_curve,
@@ -27,7 +20,6 @@ from .bifurcation import (
     phase_portrait,
 )
 from .dynamics import (
-    BobEmbedding,
     LambdaPoint,
     NoiseAmplitudes,
     PendulumParams,
@@ -40,7 +32,6 @@ from .dynamics import (
     effective_potential_d2theta,
     effective_potential_dtheta,
     exact_flow,
-    exact_flow_ensemble,
     exact_hamiltonian,
     hamiltonian_partials,
     instantaneous_potential,
@@ -52,10 +43,6 @@ from .dynamics import (
 )
 from .errors import BlowUpError, ConfigError, SampleLengthError
 from .poincare import (
-    ConcentrationReport,
-    FillReport,
-    SplittingReport,
-    StroboscopicSection,
     cylinder_distance,
     equilibrium_concentration,
     plane_fill_density,
@@ -63,10 +50,7 @@ from .poincare import (
     separatrix_splitting_probe,
     stroboscope,
 )
-from .presets import DEFAULT_STEPS_PER_PERIOD, DEFAULT_TAU, default_noise_pair
 from .rpsde import (
-    ErgodicStats,
-    KSReport,
     NoiseChannelConfig,
     PathGrid,
     PathSample,
@@ -81,11 +65,6 @@ from .rpsde import (
     simulate_pair_ensemble,
 )
 from .verification import (
-    ChebyshevReport,
-    DeviationScaling,
-    ExceedanceReport,
-    M1M2Decomposition,
-    MomentBoundReport,
     calibration_stats,
     chebyshev_consistency,
     exceedance_probability,

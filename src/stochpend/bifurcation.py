@@ -47,7 +47,7 @@ from .dynamics import (
     effective_potential,
     effective_potential_d2theta,
     effective_potential_dtheta,
-    lambda1_factor,
+    instantaneous_lambda,
 )
 from .rpsde import PathSample
 
@@ -64,6 +64,8 @@ BOUNDARY = "boundary"
 DEGEN_TOL = 1e-9
 #: Equal-well-depth band for the region classifier.
 EQUAL_VALUE_TOL = 1e-9
+#: |Lambda_2| up to which a point lies on the Gamma_2 ray.
+GAMMA2_LAMBDA2_TOL = 1e-12
 
 #: Lambda points per batched eigenvalue call.  It bounds the scan's
 #: temporaries (about 1 kB per point) whatever the size of the grid.
@@ -99,10 +101,9 @@ class Gamma2Ray:
     """The ray {Lambda_1 > min_lambda1, Lambda_2 = 0}."""
 
     min_lambda1: float = 0.25
-    lambda2_tol: float = 1e-12
 
     def contains(self, lam: LambdaPoint) -> bool:
-        return lam.lambda1 > self.min_lambda1 and abs(lam.lambda2) <= self.lambda2_tol
+        return lam.lambda1 > self.min_lambda1 and abs(lam.lambda2) <= GAMMA2_LAMBDA2_TOL
 
 
 @dataclass
@@ -202,8 +203,7 @@ def _equilibria(l1: np.ndarray, l2: np.ndarray, params: PendulumParams):
     return rep, kind, effective_potential(rep, lam, params), upp
 
 
-def _regions(l1: np.ndarray, l2: np.ndarray, params: PendulumParams,
-             equal_tol: float) -> np.ndarray:
+def _regions(l1: np.ndarray, l2: np.ndarray, params: PendulumParams) -> np.ndarray:
     """Region code (index into ``_REGIONS``) of each Lambda point.
 
     Works through the points _CHUNK at a time, so the temporaries stay
@@ -219,7 +219,7 @@ def _regions(l1: np.ndarray, l2: np.ndarray, params: PendulumParams,
         # a degenerate equilibrium makes the point BOUNDARY whatever the count
         count = np.where((kind == 2).any(axis=1), 0, (kind >= 0).sum(axis=1))
         pi2 = (count == 4) & (stable.sum(axis=1) == 2) \
-            & (depth_gap > equal_tol * _problem_scale(a, b, params))
+            & (depth_gap > EQUAL_VALUE_TOL * _problem_scale(a, b, params))
         codes[lo:lo + _CHUNK] = np.select([count == 2, pi2], [0, 1], 2)
     return codes
 
@@ -239,16 +239,14 @@ def find_equilibria(lam: LambdaPoint, params: PendulumParams) -> list[Equilibriu
     return eqs
 
 
-def classify_region(lam: LambdaPoint, params: PendulumParams,
-                    equal_tol: float = EQUAL_VALUE_TOL) -> str:
+def classify_region(lam: LambdaPoint, params: PendulumParams) -> str:
     """Label a parameter point PI1, PI2 or BOUNDARY.
 
     PI1: exactly 2 non-degenerate equilibria.  PI2: exactly 4, with the
     two wells at distinct depths.  BOUNDARY: any degenerate equilibrium
     (on Gamma_1) or equal well depths (on Gamma_2), within tolerance.
     """
-    code = _regions(np.array([lam.lambda1]), np.array([lam.lambda2]), params,
-                    equal_tol)[0]
+    code = _regions(np.array([lam.lambda1]), np.array([lam.lambda2]), params)[0]
     return _REGIONS[code]
 
 
@@ -290,8 +288,7 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
     n2 = int(round((lambda2_range[1] - lambda2_range[0]) / step)) + 1
     l1 = lambda1_range[0] + step * np.arange(n1)
     l2 = lambda2_range[0] + step * np.arange(n2)
-    codes = _regions(np.repeat(l1, n2), np.tile(l2, n1), params,
-                     EQUAL_VALUE_TOL).reshape(n1, n2)
+    codes = _regions(np.repeat(l1, n2), np.tile(l2, n1), params).reshape(n1, n2)
     # a cell is on the boundary if its corners disagree or one is BOUNDARY
     quad = np.stack([codes[:-1, :-1], codes[1:, :-1], codes[:-1, 1:], codes[1:, 1:]])
     hi = quad.max(axis=0)
@@ -331,12 +328,8 @@ def perturbed_lambda_trace(pair: tuple[PathSample, PathSample],
     ergodic statistics; the scatter of the trace around that mean is the
     random shift of the bifurcation point seen by the frozen-time system.
     """
-    factor = lambda1_factor(convention)
     p1, p2 = pair
     if p1.grid != p2.grid:
         raise ValueError("paths must share one grid")
-    q1 = (amps.sigma1 * p1.values) ** 2
-    q2 = (amps.sigma2 * p2.values) ** 2
-    lambda1 = factor * (q1 - q2)
-    lambda2 = 0.5 * amps.sigma1 * amps.sigma2 * p1.values * p2.values
+    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps, convention)
     return LambdaTrace(times=p1.grid.times(), lambda1=lambda1, lambda2=lambda2)

@@ -75,6 +75,7 @@ from .rpsde import (
     PeriodicDriftSpec,
     estimate_ergodic_stats,
     grid_for_periods,
+    period_stride,
     simulate_pair,
 )
 from .verification import (
@@ -272,10 +273,7 @@ class RunConfig:
             for ch in (noise["channel1"], noise["channel2"]))
 
         if command in ("simulate", "average", "verify", "poincare"):
-            k = round(tau / grid["h"]) if tau / grid["h"] < 2.0**53 else 0
-            if k < 1 or abs(k * grid["h"] - tau) > 1e-9 * max(1.0, tau):
-                raise ConfigError(f"tau = {tau} is not an integer multiple of h = {grid['h']}")
-            self.steps_per_period = k
+            self.steps_per_period = period_stride(tau, grid["h"])
         verify, box = self.verify, self.atlas["box"]
         if command == "verify" and "deviation" in verify["run"] \
                 and len(verify["sigma_levels"]) < 3:
@@ -458,7 +456,6 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
             pair = simulate_pair(*config.pair, grid, seed=int(seed))
             traj = exact_flow(block["initial"], pair, config.params, config.amps)
             sec = stroboscope(traj, config.tau)
-            sec.seed = int(seed)
             sections.append(sec)
             if "sections" in runs:
                 write_section_csv(rundir.path(f"section-{k:03d}.csv"), sec)

@@ -43,7 +43,14 @@ The stepper yields S, cos(theta) and sin(theta) at each node, from which
 
     H - Hbar = S (S/2 - p/l) - (Lambda_1 (2 cos^2 theta - 1) + 2 Lambda_2 sin theta cos theta),
 
-since the p^2/(2 l^2) and g l cos(theta) terms cancel.  The averaged flow
+since the p^2/(2 l^2) and g l cos(theta) terms cancel.
+``hamiltonian_partials`` returns (dH/dtheta, dH/dp) = (-pdot, thetadot)
+from ``_rk4_rhs`` itself, so the partials checked against finite
+differences of H are the field the stepper integrates.  The instantaneous
+coefficients, the (Lambda_1, Lambda_2) map with the products xi_i xi_j in
+place of the moments C, have one site, ``instantaneous_lambda``: the
+frozen-time potential, the perturbed-coefficient trace and the deviation
+check all read them from it.  The averaged flow
 uses kick-drift-kick leapfrog, which keeps Hbar bounded.  Angles are
 unwrapped reals throughout; wrapping to (-pi, pi] happens only at
 presentation level.
@@ -171,18 +178,11 @@ def exact_hamiltonian(theta, p, xi1, xi2,
 
 def hamiltonian_partials(theta, p, xi1, xi2,
                          params: PendulumParams, amps: NoiseAmplitudes):
-    """Analytic (dH/dtheta, dH/dp)."""
-    theta = np.asarray(theta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    l, g = params.l, params.g
-    s1x = amps.sigma1 * np.asarray(xi1)
-    s2x = amps.sigma2 * np.asarray(xi2)
-    ct, st = np.cos(theta), np.sin(theta)
-    S = s1x * ct + s2x * st
-    Sp = -s1x * st + s2x * ct  # dS/dtheta
-    dH_dtheta = -p * Sp / l + S * Sp + g * l * st
-    dH_dp = p / l**2 - S / l
-    return dH_dtheta, dH_dp
+    """Analytic (dH/dtheta, dH/dp): the vector field the RK4 stepper integrates."""
+    dtheta, dp, *_ = _rk4_rhs(np.asarray(theta, dtype=float), np.asarray(p, dtype=float),
+                              np.asarray(xi1), np.asarray(xi2), params.l, params.g,
+                              amps.sigma1, amps.sigma2, np.cos, np.sin)
+    return -dp, dtheta
 
 
 def lambda1_factor(convention: str) -> float:
@@ -190,6 +190,16 @@ def lambda1_factor(convention: str) -> float:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     return 0.25 if convention == "derived" else 0.5
+
+
+def instantaneous_lambda(xi1, xi2, amps: NoiseAmplitudes, convention: str = "derived"):
+    """Instantaneous (Lambda_1, Lambda_2): the map of ``lambda_from_stats``
+    with the products of the noise values in place of their moments."""
+    xi1, xi2 = np.asarray(xi1), np.asarray(xi2)
+    lambda1 = lambda1_factor(convention) * ((amps.sigma1 * xi1) ** 2
+                                            - (amps.sigma2 * xi2) ** 2)
+    lambda2 = 0.5 * amps.sigma1 * amps.sigma2 * xi1 * xi2
+    return lambda1, lambda2
 
 
 def instantaneous_potential(theta, xi1, xi2, params: PendulumParams,
@@ -201,15 +211,14 @@ def instantaneous_potential(theta, xi1, xi2, params: PendulumParams,
     cos(2 theta) coefficient (sigma_1^2 xi_1^2 - sigma_2^2 xi_2^2)/2 and
     drops the constant.
     """
-    factor = lambda1_factor(convention)
+    lt1, lt2 = instantaneous_lambda(xi1, xi2, amps, convention)
     theta = np.asarray(theta, dtype=float)
-    l, g = params.l, params.g
-    q1 = (amps.sigma1 * np.asarray(xi1)) ** 2
-    q2 = (amps.sigma2 * np.asarray(xi2)) ** 2
-    cross = amps.sigma1 * amps.sigma2 * np.asarray(xi1) * np.asarray(xi2)
-    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    u = factor * (q1 - q2) * c2t + 0.5 * cross * s2t - g * l * np.cos(theta)
-    return u + 0.25 * (q1 + q2) if convention == "derived" else u
+    u = lt1 * np.cos(2.0 * theta) + lt2 * np.sin(2.0 * theta) \
+        - params.g * params.l * np.cos(theta)
+    if convention == "derived":
+        u = u + 0.25 * ((amps.sigma1 * np.asarray(xi1)) ** 2
+                        + (amps.sigma2 * np.asarray(xi2)) ** 2)
+    return u
 
 
 def effective_potential(theta, lam: LambdaPoint, params: PendulumParams):
@@ -339,7 +348,6 @@ def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
 def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
                         grid: PathGrid, params: PendulumParams,
                         amps: NoiseAmplitudes,
-                        record_every: int = 1,
                         with_energy: bool = True):
     """Classical 4th-order integration of the noise-driven flow.
 
@@ -347,14 +355,12 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     are value arrays of shape (n+1,) or (m, n+1) on ``grid``.  The noise
     is linearly interpolated inside each grid cell (the midpoint value is
     the endpoint average).  Returns (theta, p, energy) arrays whose first
-    axis runs over the recorded grid nodes 0, record_every, 2*record_every,
-    ...; ``energy`` is None when ``with_energy`` is false.
+    axis runs over the grid nodes 0..n; ``energy`` is H at each node, or
+    None when ``with_energy`` is false.
 
     Raises :class:`BlowUpError` with the offending step index if the state
     leaves the finite range.
     """
-    if grid.n % record_every:
-        raise ValueError("record_every must divide grid.n")
     xi1 = np.moveaxis(np.asarray(xi1, dtype=float), -1, 0)  # time-major views
     xi2 = np.moveaxis(np.asarray(xi2, dtype=float), -1, 0)
     if len(xi1) != grid.n + 1 or len(xi2) != grid.n + 1:
@@ -363,21 +369,18 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
                                 xi1.shape[1:], xi2.shape[1:])
     theta = np.broadcast_to(np.asarray(theta0, dtype=float), batch)
     p = np.broadcast_to(np.asarray(p0, dtype=float), batch)
-    n_rec = grid.n // record_every + 1
-    out_theta = np.empty((n_rec,) + batch)
-    out_p = np.empty((n_rec,) + batch)
+    out_theta = np.empty((grid.n + 1,) + batch)
+    out_p = np.empty((grid.n + 1,) + batch)
     nodes = _rk4_nodes(theta, p, xi1, xi2, grid.h, params, amps.sigma1, amps.sigma2)
     for k, theta, p, *_ in nodes:
-        if k % record_every == 0:
-            out_theta[k // record_every] = theta
-            out_p[k // record_every] = p
+        out_theta[k] = theta
+        out_p[k] = p
     energy = None
     if with_energy:
-        # per-node noise values, axis-aligned with the (n_rec,) + batch outputs
-        x1r, x2r = xi1[::record_every], xi2[::record_every]
-        x1r = x1r.reshape(x1r.shape + (1,) * (out_theta.ndim - x1r.ndim))
-        x2r = x2r.reshape(x2r.shape + (1,) * (out_theta.ndim - x2r.ndim))
-        energy = exact_hamiltonian(out_theta, out_p, x1r, x2r, params, amps)
+        # per-node noise values, axis-aligned with the (n+1,) + batch outputs
+        x1 = xi1.reshape(xi1.shape + (1,) * (out_theta.ndim - xi1.ndim))
+        x2 = xi2.reshape(xi2.shape + (1,) * (out_theta.ndim - xi2.ndim))
+        energy = exact_hamiltonian(out_theta, out_p, x1, x2, params, amps)
     return out_theta, out_p, energy
 
 

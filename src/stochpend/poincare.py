@@ -38,9 +38,14 @@ from .dynamics import (
     effective_potential,
     wrap_angle,
 )
-from .errors import ConfigError
 from .rng import ensemble_seeds
-from .rpsde import NoiseChannelConfig, PathGrid, grid_for_periods, simulate_pair_ensemble
+from .rpsde import (
+    SEED_CHUNK,
+    NoiseChannelConfig,
+    grid_for_periods,
+    period_stride,
+    simulate_pair_ensemble,
+)
 
 PairConfig = tuple[NoiseChannelConfig, NoiseChannelConfig]
 
@@ -53,8 +58,6 @@ class StroboscopicSection:
     times: np.ndarray
     theta: np.ndarray            # unwrapped, bitwise equal to trajectory states
     p: np.ndarray
-    seed: int | None = None
-    source: str | None = None
 
     @property
     def theta_wrapped(self) -> np.ndarray:
@@ -120,18 +123,9 @@ class SplittingReport:
         }
 
 
-def section_stride(tau: float, grid: PathGrid, rtol: float = 1e-9) -> int:
-    """Grid steps per period; errors unless tau is a multiple of h."""
-    k = round(tau / grid.h)
-    if k < 1 or abs(k * grid.h - tau) > rtol * max(1.0, tau):
-        raise ConfigError(
-            f"tau = {tau} is not an integer multiple of the step h = {grid.h}")
-    return k
-
-
 def stroboscope(traj: Trajectory, tau: float) -> StroboscopicSection:
     """Section of a trajectory at t = t0 + n tau, exactly on grid nodes."""
-    k = section_stride(tau, traj.grid)
+    k = period_stride(tau, traj.grid.h)
     times = traj.grid.times()[::k]
     return StroboscopicSection(tau=tau, times=times,
                                theta=traj.theta[::k], p=traj.p[::k])
@@ -145,17 +139,18 @@ def cylinder_distance(theta_a, p_a, theta_b, p_b) -> np.ndarray:
 
 
 def plane_fill_density(sections: list[StroboscopicSection],
-                       theta_box: tuple[float, float] = (-np.pi, np.pi),
-                       p_box: tuple[float, float] = (-3.0, 3.0),
                        grid: tuple[int, int] = (64, 64),
                        lam: LambdaPoint | None = None,
                        params: PendulumParams | None = None,
                        bands: int = 8) -> FillReport:
     """Fraction of phase-plane grid cells visited by section points.
 
-    When ``lam`` and ``params`` are given, points are additionally binned
-    by their averaged energy and the occupancy is reported per band, so
-    fills at different coupling levels can be compared energy by energy.
+    The cells split the box (-pi, pi) x (-3, 3) of the phase cylinder
+    into ``grid`` equal parts, theta wrapped; points with |p| > 3 fall in
+    no cell.  When ``lam`` and ``params`` are given, points are
+    additionally binned by their averaged energy and the occupancy is
+    reported per band, so fills at different coupling levels can be
+    compared energy by energy.
     """
     if grid[0] < 16 or grid[1] < 16:
         raise ValueError("occupancy grid must be at least 16x16")
@@ -165,8 +160,8 @@ def plane_fill_density(sections: list[StroboscopicSection],
     else:
         theta = np.empty(0)
         p = np.empty(0)
-    theta_edges = np.linspace(*theta_box, grid[0] + 1)
-    p_edges = np.linspace(*p_box, grid[1] + 1)
+    theta_edges = np.linspace(-np.pi, np.pi, grid[0] + 1)
+    p_edges = np.linspace(-3.0, 3.0, grid[1] + 1)
     counts, _, _ = np.histogram2d(theta, p, bins=[theta_edges, p_edges])
     occupancy = float((counts > 0).mean())
     band_edges = band_occ = None
@@ -188,12 +183,12 @@ def plane_fill_density(sections: list[StroboscopicSection],
 
 def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, float]],
                    params: PendulumParams, theta0, p0, seeds: np.ndarray,
-                   horizon_periods: int, steps_per_period: int,
-                   chunk: int = 500) -> tuple[np.ndarray, np.ndarray]:
+                   horizon_periods: int, steps_per_period: int) -> tuple[np.ndarray, np.ndarray]:
     """Section points (theta, p) of an ensemble; shape (levels, n_sections, m).
 
-    Each chunk's noise is simulated once and drives every sigma level; the
-    levels run stacked in one batch, with sigma held as (levels, 1) columns.
+    The noise of each ``SEED_CHUNK`` seeds is simulated once and drives
+    every sigma level; the levels run stacked in one batch, with sigma held
+    as (levels, 1) columns.
     """
     cfg1, cfg2 = pair_config
     grid = grid_for_periods(cfg1.drift.tau, horizon_periods, steps_per_period)
@@ -204,8 +199,8 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     p0 = np.broadcast_to(p0, (m,))
     out_theta = np.empty((len(sig), horizon_periods + 1, m))
     out_p = np.empty_like(out_theta)
-    for lo in range(0, m, chunk):
-        sel = slice(lo, lo + chunk)
+    for lo in range(0, m, SEED_CHUNK):
+        sel = slice(lo, lo + SEED_CHUNK)
         x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds[sel])
         shape = (len(sig), len(x1))
         nodes = _rk4_nodes(np.broadcast_to(theta0[sel], shape), np.broadcast_to(p0[sel], shape),
@@ -224,8 +219,7 @@ def equilibrium_concentration(e0: Equilibrium,
                               pair_config: PairConfig,
                               params: PendulumParams = PendulumParams(),
                               steps_per_period: int = 1000,
-                              master_seed: int = 0,
-                              chunk: int = 500) -> ConcentrationReport:
+                              master_seed: int = 0) -> ConcentrationReport:
     """95th-percentile section distance from a stable averaged equilibrium.
 
     Orbits start at (e0.theta, 0); the same seeds drive every sigma level,
@@ -235,7 +229,7 @@ def equilibrium_concentration(e0: Equilibrium,
         raise ValueError("concentration is measured around a stable equilibrium")
     seeds = ensemble_seeds(master_seed, ensemble_n)
     th, p = _section_cloud(pair_config, sigma_levels, params, e0.theta, 0.0, seeds,
-                           horizon_periods, steps_per_period, chunk=chunk)
+                           horizon_periods, steps_per_period)
     dist = cylinder_distance(th, p, e0.theta, 0.0)
     radii = np.array([np.percentile(d, 95.0) for d in dist])
     return ConcentrationReport(equilibrium=e0, sigma_levels=list(sigma_levels),
@@ -276,8 +270,7 @@ def separatrix_splitting_probe(lam: LambdaPoint,
                                params: PendulumParams = PendulumParams(),
                                horizon_periods: int = 10,
                                steps_per_period: int = 1000,
-                               master_seed: int = 0,
-                               chunk: int = 500) -> SplittingReport:
+                               master_seed: int = 0) -> SplittingReport:
     """Transverse spread of section points launched on an averaged separatrix.
 
     The spread per level is the 95th percentile of |Hbar - Hbar_sep| over
@@ -287,7 +280,7 @@ def separatrix_splitting_probe(lam: LambdaPoint,
     theta0, p0, saddle = separatrix_initial_states(lam, params, n_points)
     seeds = ensemble_seeds(master_seed, n_points)
     th, p = _section_cloud(pair_config, sigma_levels, params, theta0, p0, seeds,
-                           horizon_periods, steps_per_period, chunk=chunk)
+                           horizon_periods, steps_per_period)
     offset = np.abs(averaged_hamiltonian(th, p, lam, params) - saddle.potential)
     spreads = np.array([np.percentile(o, 95.0) for o in offset])
     return SplittingReport(lam=lam, saddle=saddle, sigma_levels=list(sigma_levels),

@@ -7,8 +7,9 @@ Two mean-reverting channels riding on one shared Wiener process:
 
 with cross moment C_12 = beta_1 beta_2 / (alpha_1 + alpha_2) = 0.16, so
 the cross coefficient is positive and strictly below the Cauchy-Schwarz
-bound.  Periodic forcing is off by default (the long-run moments do not
-depend on it); demos that exercise law periodicity switch it on.
+bound.  Periodic forcing is off (the long-run moments do not depend on
+it); the forced channels of the law-periodicity checks are built where
+they are used.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ DEFAULT_TAU = 1.0
 DEFAULT_STEPS_PER_PERIOD = 1000
 
 
-def default_noise_pair(tau: float = DEFAULT_TAU, driver: str = "shared",
-                       forcing_amp: float = 0.0) -> tuple[NoiseChannelConfig, NoiseChannelConfig]:
-    ch1 = NoiseChannelConfig(
-        drift=PeriodicDriftSpec(tau=tau, alpha=1.0, forcing_amp=forcing_amp),
-        beta=0.6, z0=0.0, driver=driver)
-    ch2 = NoiseChannelConfig(
-        drift=PeriodicDriftSpec(tau=tau, alpha=2.0, forcing_amp=forcing_amp),
-        beta=0.8, z0=0.0, driver=driver)
-    return ch1, ch2
+def default_noise_pair() -> tuple[NoiseChannelConfig, NoiseChannelConfig]:
+    """The pair above at tau = DEFAULT_TAU, unforced, with z0 = 0 and a shared driver."""
+    return (NoiseChannelConfig(PeriodicDriftSpec(tau=DEFAULT_TAU, alpha=1.0), beta=0.6),
+            NoiseChannelConfig(PeriodicDriftSpec(tau=DEFAULT_TAU, alpha=2.0), beta=0.8))

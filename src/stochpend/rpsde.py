@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import BlowUpError, SampleLengthError
+from .errors import BlowUpError, ConfigError, SampleLengthError
 from .rng import BLOCK, standard_normals
 
 SHARED = "shared"
@@ -64,6 +64,10 @@ INDEPENDENT = "independent"
 
 #: Wiener substream label for the shared driver.
 SHARED_STREAM = 0
+#: Seeds whose noise is held in memory at once by the ensemble experiments.
+SEED_CHUNK = 500
+#: Relative tolerance within which a time is a grid node.
+GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,23 +144,26 @@ class PathGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.n + 1)
 
-    @property
-    def duration(self) -> float:
-        return self.h * self.n
-
-    def index_of(self, t: float, rtol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         """Grid index of time ``t``; errors if ``t`` is off-grid."""
         k = round((t - self.t0) / self.h)
-        if k < 0 or k > self.n or abs(self.t0 + k * self.h - t) > rtol * max(1.0, abs(t)):
+        if k < 0 or k > self.n or abs(self.t0 + k * self.h - t) > GRID_TOL * max(1.0, abs(t)):
             raise ValueError(f"time {t} is not on the grid")
         return k
 
 
-def grid_for_periods(tau: float, periods: float, steps_per_period: int = 1000,
-                     t0: float = 0.0) -> PathGrid:
-    """Grid covering ``periods`` periods at ``steps_per_period`` steps each."""
+def period_stride(tau: float, h: float) -> int:
+    """Grid steps per period; :class:`ConfigError` unless tau is a multiple of h."""
+    k = round(tau / h) if tau / h < 2.0**53 else 0
+    if k < 1 or abs(k * h - tau) > GRID_TOL * max(1.0, tau):
+        raise ConfigError(f"tau = {tau} is not an integer multiple of the step h = {h}")
+    return k
+
+
+def grid_for_periods(tau: float, periods: float, steps_per_period: int = 1000) -> PathGrid:
+    """Grid from t = 0 covering ``periods`` periods at ``steps_per_period`` steps each."""
     n = int(round(periods * steps_per_period))
-    return PathGrid(t0=t0, h=tau / steps_per_period, n=n)
+    return PathGrid(t0=0.0, h=tau / steps_per_period, n=n)
 
 
 @dataclass
@@ -308,9 +315,10 @@ def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
                            burn_in_periods: int = 100, batches: int = 16) -> ErgodicStats:
     """Time averages of xi_i, xi_i^2 and xi_1 xi_2 with batch-means errors.
 
-    The first ``burn_in_periods`` periods are discarded; the remainder is
-    split into ``batches`` equal blocks.  The sample must cover at least
-    ``burn_in_periods + batches`` periods (one period per batch).
+    ``tau`` must be a multiple of the grid step.  The first
+    ``burn_in_periods`` whole periods are discarded; the rest of the path
+    is split into ``batches`` equal blocks.  The path must span at least
+    ``burn_in_periods + batches`` whole periods (one period per batch).
     """
     if batches < 8:
         raise ValueError(f"batches must be >= 8, got {batches}")
@@ -318,12 +326,13 @@ def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
     if p1.grid != p2.grid:
         raise ValueError("paths must share one grid")
     grid = p1.grid
-    total_periods = grid.duration / tau
-    if total_periods < burn_in_periods + batches:
+    stride = period_stride(tau, grid.h)
+    periods = grid.n // stride
+    if periods < burn_in_periods + batches:
         raise SampleLengthError(
-            f"sample covers {total_periods:.2f} periods; "
+            f"sample covers {periods} whole periods; "
             f"need >= {burn_in_periods + batches} (burn-in + batches)")
-    start = int(round(burn_in_periods * tau / grid.h))
+    start = burn_in_periods * stride
     block = (grid.n + 1 - start) // batches
     # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch;
     # a product is formed for one batch at a time, never for the whole path
@@ -339,7 +348,7 @@ def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
         mean1=mean1, mean2=mean2, c1=c1, c2=c2, c12=c12,
         se_mean1=se_mean1, se_mean2=se_mean2, se_c1=se_c1, se_c2=se_c2,
         se_c12=se_c12, burn_in_periods=burn_in_periods,
-        avg_periods=int(total_periods - burn_in_periods),
+        avg_periods=periods - burn_in_periods,
     )
 
 

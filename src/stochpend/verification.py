@@ -37,8 +37,7 @@ from .dynamics import (
     _rk4_nodes,
     averaged_hamiltonian,
     exact_hamiltonian,
-    instantaneous_potential,
-    lambda1_factor,
+    instantaneous_lambda,
     lambda_from_stats,
     noise_coupling,
     velocity_from_momentum,
@@ -46,6 +45,7 @@ from .dynamics import (
 from .errors import SampleLengthError
 from .rng import ensemble_seeds, splitmix64
 from .rpsde import (
+    SEED_CHUNK,
     ErgodicStats,
     NoiseChannelConfig,
     PathSample,
@@ -206,21 +206,21 @@ def _sup_gaps(x1: np.ndarray, x2: np.ndarray, h: float, params: PendulumParams,
 
 def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]],
                            ensemble_n: int, horizon_periods: int,
-                           pair_config: PairConfig, initial,
+                           pair_config: PairConfig, initial, stats: ErgodicStats,
                            params: PendulumParams = PendulumParams(),
                            steps_per_period: int = 1000,
                            burn_in_periods: int = 20,
                            master_seed: int = 0,
-                           stats: ErgodicStats | None = None,
-                           convention: str = "derived",
-                           chunk: int = 500) -> ExceedanceReport:
+                           convention: str = "derived") -> ExceedanceReport:
     """Fraction of seeds whose sup-gap over the horizon exceeds ``delta``.
 
-    Noise paths are simulated once per chunk of seeds (they do not depend
-    on the coupling amplitudes) and shared by all sigma levels, which run
-    stacked in one batch, so the level comparison is coupled.  Paths start
-    ``burn_in_periods`` before the horizon so the flow sees settled noise.
-    A blow-up at any level raises :class:`BlowUpError` with its step.
+    ``stats`` are the long-run noise moments (see :func:`calibration_stats`)
+    that set each level's Lambda.  Noise paths are simulated once per
+    ``SEED_CHUNK`` seeds (they do not depend on the coupling amplitudes)
+    and shared by all sigma levels, which run stacked in one batch, so the
+    level comparison is coupled.  Paths start ``burn_in_periods`` before
+    the horizon so the flow sees settled noise.  A blow-up at any level
+    raises :class:`BlowUpError` with its step.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -228,9 +228,6 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
         raise ValueError("ensemble_n must be >= 1")
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
-    if stats is None:
-        stats = calibration_stats(pair_config, master_seed,
-                                  steps_per_period=steps_per_period)
     theta0, p0 = _as_state(initial)
     lams = [lambda_from_stats(NoiseAmplitudes(*s), stats, convention)
             for s in sigma_levels]
@@ -239,8 +236,8 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     start = burn_in_periods * steps_per_period
     seeds = ensemble_seeds(master_seed, ensemble_n)
     sup_gaps = np.empty((len(sigma_levels), ensemble_n))
-    for lo in range(0, ensemble_n, chunk):
-        sel = seeds[lo:lo + chunk]
+    for lo in range(0, ensemble_n, SEED_CHUNK):
+        sel = seeds[lo:lo + SEED_CHUNK]
         x1, x2 = simulate_pair_ensemble(cfg1, cfg2, full_grid, sel)
         x1 = np.ascontiguousarray(x1[:, start:].T)
         x2 = np.ascontiguousarray(x2[:, start:].T)
@@ -256,8 +253,7 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
 
 def m1m2_decomposition(traj: Trajectory, pair: tuple[PathSample, PathSample],
                        stats: ErgodicStats, params: PendulumParams,
-                       amps: NoiseAmplitudes, delta: float,
-                       stride: int = 1) -> M1M2Decomposition:
+                       amps: NoiseAmplitudes, delta: float) -> M1M2Decomposition:
     """Per-sample M_1 and delta_hat along an orbit.
 
     Substituting p = l^2 thetadot + l S into H and Hbar gives
@@ -277,19 +273,15 @@ def m1m2_decomposition(traj: Trajectory, pair: tuple[PathSample, PathSample],
     p1, p2 = pair
     if p1.grid != traj.grid or p2.grid != traj.grid:
         raise ValueError("trajectory and paths must share one grid")
-    sl = slice(None, None, stride)
-    x1 = p1.values[sl]
-    x2 = p2.values[sl]
-    theta = traj.theta[sl]
-    p = traj.p[sl]
+    x1, x2 = p1.values, p2.values
     a1 = np.abs(amps.sigma1 * x1)
     a2 = np.abs(amps.sigma2 * x2)
     m1 = a1**2 + 2.0 * a1 * a2 + a2**2
     m2 = abs(amps.sigma1**2 * stats.c1) \
         + 2.0 * abs(amps.sigma1 * amps.sigma2 * stats.c12) \
         + abs(amps.sigma2**2 * stats.c2)
-    S = noise_coupling(theta, x1, x2, amps)
-    theta_dot = velocity_from_momentum(theta, p, x1, x2, params, amps)
+    S = noise_coupling(traj.theta, x1, x2, amps)
+    theta_dot = velocity_from_momentum(traj.theta, traj.p, x1, x2, params, amps)
     delta_hat = delta - np.abs(params.l * theta_dot * S) - m2
     return M1M2Decomposition(m1_samples=m1, m2=float(m2),
                              delta_hat=delta_hat, delta=delta)
@@ -395,15 +387,16 @@ def moment_growth(pair_config: PairConfig, t_samples: np.ndarray,
 def potential_deviation(theta_grid: np.ndarray,
                         sigma_levels: list[tuple[float, float]],
                         ensemble_n: int, pair_config: PairConfig,
+                        stats: ErgodicStats,
                         convention: str = "derived",
                         params: PendulumParams = PendulumParams(),
                         burn_in_periods: int = 50,
                         steps_per_period: int = 1000,
-                        master_seed: int = 0,
-                        stats: ErgodicStats | None = None) -> DeviationScaling:
+                        master_seed: int = 0) -> DeviationScaling:
     """Mean |Ubar - Utilde| (and theta-derivatives) per coupling level.
 
-    The frozen-time potential is evaluated at one post-burn-in reference
+    Ubar takes its Lambda from the long-run moments ``stats``.  The
+    frozen-time potential is evaluated at one post-burn-in reference
     time per seed; the deviation is averaged over the theta grid and the
     ensemble.  Needs at least 3 levels for the log-log slope.
     """
@@ -412,9 +405,6 @@ def potential_deviation(theta_grid: np.ndarray,
     theta_grid = np.asarray(theta_grid, dtype=float)
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
-    if stats is None:
-        stats = calibration_stats(pair_config, master_seed,
-                                  steps_per_period=steps_per_period)
     grid = grid_for_periods(tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)
     x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
@@ -422,13 +412,11 @@ def potential_deviation(theta_grid: np.ndarray,
     xi2 = x2[:, -1][:, None]
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
-    factor = lambda1_factor(convention)
     devs = np.empty((len(sigma_levels), 3))
     for i, (sg1, sg2) in enumerate(sigma_levels):
         amps = NoiseAmplitudes(sg1, sg2)
         lam = lambda_from_stats(amps, stats, convention)
-        lt1 = factor * ((sg1 * xi1) ** 2 - (sg2 * xi2) ** 2)
-        lt2 = 0.5 * sg1 * sg2 * xi1 * xi2
+        lt1, lt2 = instantaneous_lambda(xi1, xi2, amps, convention)
         d1 = lam.lambda1 - lt1
         d2 = lam.lambda2 - lt2
         # Ubar - Utilde: gravity cancels; the derived convention keeps the

@@ -409,6 +409,21 @@ def test_library_grid_bounds_checked_for_every_command(tmp_path, capsys, command
               command)
 
 
+@pytest.mark.parametrize("block", [
+    {"burn_in_periods": 5, "avg_periods": 40},
+    {"burn_in_periods": 3, "avg_periods": 17, "batches": 17},
+])
+def test_average_counts_whole_periods(tmp_path, block):
+    # 250 steps a period, yet h * n / tau = 44.99999999999999 for 45 periods:
+    # periods are counted on grid nodes, not from the float duration
+    cfg = {"noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "average": block}
+    code, out = run_cli(tmp_path, "average", cfg)
+    assert code == EXIT_OK
+    stats = json.loads((out / "ergodic_stats.json").read_text())
+    assert stats["avg_periods"] == block["avg_periods"]
+    assert stats["burn_in_periods"] == block["burn_in_periods"]
+
+
 def test_threads_flag_is_gone(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{}")
@@ -478,7 +493,7 @@ BLOCKS = {
                        theta_min=st.sampled_from([-3.0, 1.0]),
                        theta_max=st.sampled_from([3.0, 0.5]),
                        p_min=st.sampled_from([-2.0, 0]), p_max=st.sampled_from([2.0, 0]),
-                       grid=_pair(st.integers(24, 40))),
+                       grid=_pair(st.integers(32, 40))),
     "verify": _block(run=_runs(["exceedance", "deviation", "chebyshev", "moments"]),
                      delta=st.sampled_from([0.01, 0.1]), sigma_levels=_LEVELS,
                      burn_in_periods=st.integers(0, 2), initial=_INITIAL,
@@ -486,7 +501,7 @@ BLOCKS = {
     "poincare": _block(run=_runs(["concentration", "fill", "splitting", "sections"]),
                        sigma_levels=_LEVELS, equilibrium_theta=st.sampled_from([0.0, 3.0]),
                        n_points=st.integers(2, 4), initial=_INITIAL,
-                       fill_grid=_pair(st.integers(12, 18)),
+                       fill_grid=_pair(st.integers(16, 18)),
                        sections_exported=st.integers(1, 2)),
 }
 PLAIN_CONFIGS = st.fixed_dictionaries({

@@ -27,7 +27,7 @@ from stochpend import (
     velocity_from_momentum,
     wrap_angle,
 )
-from stochpend.dynamics import _rk4_nodes, exact_flow_ensemble
+from stochpend.dynamics import _rk4_nodes, exact_flow_ensemble, instantaneous_lambda
 from stochpend.rng import ensemble_seeds
 from stochpend.rpsde import ErgodicStats, grid_for_periods, simulate_pair_ensemble
 from stochpend.presets import default_noise_pair
@@ -289,6 +289,23 @@ def test_lambda_map_zero_cross():
     amps = NoiseAmplitudes(0.4, 0.5)
     lam = lambda_from_stats(amps, make_stats(1.0, 1.0, 0.0))
     assert lam.lambda2 == 0.0
+
+
+_NOISE_VALUE = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+_SIGMA = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_NOISE_VALUE, b=_NOISE_VALUE, s1=_SIGMA, s2=_SIGMA,
+       convention=st.sampled_from(["derived", "paper"]))
+def test_instantaneous_lambda_is_the_moment_map_at_constant_noise(a, b, s1, s2, convention):
+    # constant noise (a, b) has the moments C_1 = a^2, C_2 = b^2, C_12 = a b;
+    # the error is relative to the size of the terms, as Lambda_1 may cancel
+    amps = NoiseAmplitudes(s1, s2)
+    lam = lambda_from_stats(amps, make_stats(a * a, b * b, a * b), convention)
+    lt1, lt2 = instantaneous_lambda(a, b, amps, convention)
+    assert abs(lt1 - lam.lambda1) <= 1e-15 * ((s1 * a) ** 2 + (s2 * b) ** 2)
+    assert abs(lt2 - lam.lambda2) <= 1e-15 * abs(s1 * s2 * a * b)
 
 
 def test_averaged_equals_ensemble_mean_of_quadratic(params):

@@ -21,8 +21,7 @@ from stochpend import (
     wrap_angle,
 )
 from stochpend.bifurcation import Equilibrium
-from stochpend.poincare import section_stride
-from stochpend.rpsde import grid_for_periods
+from stochpend.rpsde import grid_for_periods, period_stride
 from stochpend.presets import default_noise_pair
 
 
@@ -68,7 +67,7 @@ def test_section_requires_commensurate_tau(params):
     traj = classical_libration(params, n_periods=2, spp=300)
     with pytest.raises(ConfigError):
         stroboscope(traj, tau=1.0 / 3.0 + 1e-4)
-    assert section_stride(1.0 / 3.0, traj.grid) == 100
+    assert period_stride(1.0 / 3.0, traj.grid.h) == 100
 
 
 def test_section_on_energy_level_set(params):
