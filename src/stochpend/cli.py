@@ -19,8 +19,10 @@ Outputs are a pure function of (config, seed): rerunning a command
 reproduces every byte.  ``--seed`` overrides the master seed from the
 config.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure.  Partial
-outputs are removed when a run fails.
+Exit codes: 0 ok, 2 configuration error (including a config that cannot
+be read and an ``--out`` that cannot be written), 3 numeric failure
+(including running out of memory).  Partial outputs are removed when a
+run fails.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .bifurcation import (
     atlas_curves,
     find_equilibria,
@@ -50,8 +51,12 @@ from .dynamics import (
 )
 from .errors import BlowUpError, ConfigError
 from .io import (
+    ergodic_summary,
+    fill_summary,
     portrait_sidecar,
-    sha256_of,
+    report_dict,
+    run_manifest,
+    splitting_summary,
     write_atlas_json,
     write_embedding_csv,
     write_histogram_csv,
@@ -320,13 +325,7 @@ class RunDir:
                 pass
 
     def manifest(self, command: str, config: RunConfig) -> dict:
-        outputs = {p.name: sha256_of(p) for p in self.files}
-        manifest = {
-            "command": command,
-            "version": __version__,
-            "effective_config": config.effective(),
-            "outputs": outputs,
-        }
+        manifest = run_manifest(command, config.effective(), self.files)
         write_json(self.out / "manifest.json", manifest)
         return manifest
 
@@ -359,8 +358,7 @@ def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
                                    batches=block["batches"])
     lam = lambda_from_stats(config.amps, stats, config.convention)
     write_json(rundir.path("ergodic_stats.json"),
-               {**stats.as_dict(), "lambda1": lam.lambda1, "lambda2": lam.lambda2,
-                "convention": config.convention})
+               ergodic_summary(stats, lam, config.convention))
     return rundir.manifest("average", config)
 
 
@@ -400,7 +398,7 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
             steps_per_period=spp, burn_in_periods=burn_in,
             master_seed=config.master_seed, stats=stats,
             convention=config.convention)
-        write_json(rundir.path("exceedance.json"), report.as_dict())
+        write_json(rundir.path("exceedance.json"), report_dict(report))
     if "deviation" in runs:
         theta_grid = np.linspace(0.0, 2.0 * np.pi, block["theta_grid_n"], endpoint=False)
         report = potential_deviation(
@@ -408,7 +406,7 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
             convention=config.convention, params=config.params,
             burn_in_periods=max(burn_in, 1), steps_per_period=spp,
             master_seed=config.master_seed, stats=stats)
-        write_json(rundir.path("deviation.json"), report.as_dict())
+        write_json(rundir.path("deviation.json"), report_dict(report))
     if "chebyshev" in runs:
         grid = grid_for_periods(config.tau, burn_in + config.horizon_periods, spp)
         pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
@@ -419,7 +417,7 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
         decomp = m1m2_decomposition(traj, (p1, p2), stats, config.params,
                                     config.amps, delta)
         write_json(rundir.path("chebyshev.json"),
-                   chebyshev_consistency(decomp).as_dict())
+                   report_dict(chebyshev_consistency(decomp)))
     if "moments" in runs:
         grid = grid_for_periods(config.tau, 1, spp)
         idx = np.round(np.linspace(0, spp, block["moment_times"])).astype(int)
@@ -428,7 +426,7 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
         report = moment_growth(config.pair, t_samples, config.ensemble_n,
                                config.amps, steps_per_period=spp,
                                master_seed=config.master_seed)
-        write_json(rundir.path("moments.json"), report.as_dict())
+        write_json(rundir.path("moments.json"), report_dict(report))
     return rundir.manifest("verify", config)
 
 
@@ -447,7 +445,7 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
             e0, levels, config.ensemble_n, config.horizon_periods, config.pair,
             params=config.params, steps_per_period=spp,
             master_seed=config.master_seed)
-        write_json(rundir.path("concentration.json"), report.as_dict())
+        write_json(rundir.path("concentration.json"), report_dict(report))
     if "sections" in runs or "fill" in runs:
         grid = grid_for_periods(config.tau, config.horizon_periods, spp)
         sections = []
@@ -463,13 +461,13 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
             report = plane_fill_density(sections, grid=tuple(block["fill_grid"]),
                                         lam=lam, params=config.params)
             write_histogram_csv(rundir.path("fill_histogram.csv"), report)
-            write_json(rundir.path("fill.json"), report.as_dict())
+            write_json(rundir.path("fill.json"), fill_summary(report))
     if "splitting" in runs:
         report = separatrix_splitting_probe(
             lam, levels, block["n_points"], config.pair, params=config.params,
             horizon_periods=config.horizon_periods, steps_per_period=spp,
             master_seed=config.master_seed)
-        write_json(rundir.path("splitting.json"), report.as_dict())
+        write_json(rundir.path("splitting.json"), splitting_summary(report))
     return rundir.manifest("poincare", config)
 
 
@@ -500,24 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     out = Path(args.out) if args.out else Path("runs") / args.command
     rundir = None
     try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
         config = RunConfig(raw, args.command, seed=args.seed)
         rundir = RunDir(out)
         manifest = _COMMANDS[args.command](config, rundir)
-    # ValueError: ConfigError, SampleLengthError, or a value a library rejected
-    except (ValueError, BlowUpError, FloatingPointError) as exc:
+    # ValueError: ConfigError, SampleLengthError, a config file that is not UTF-8
+    # JSON, or a value a library rejected; RecursionError: a config nested too
+    # deep to parse; OSError: an unreadable config or an unwritable --out.
+    except (ValueError, RecursionError, OSError,
+            BlowUpError, FloatingPointError, MemoryError) as exc:
         if rundir is not None:
             rundir.discard()
-        numeric = not isinstance(exc, ValueError)
+        numeric = isinstance(exc, (BlowUpError, FloatingPointError, MemoryError))
         print(f"{'numeric failure' if numeric else 'config error'}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if numeric else EXIT_CONFIG
     print(json.dumps(manifest, indent=2, sort_keys=True))

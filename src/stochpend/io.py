@@ -7,19 +7,23 @@ separators, and lines with explicit newline endings, so identical inputs
 produce identical bytes.  Every CSV goes through one column writer: it
 turns each column into a Python list once and formats whole rows with one
 ``%`` template, which costs far less than formatting value by value.
+Every JSON file is shaped here: a report whose file lists its fields goes
+through :func:`report_dict`; every other file has a function of its own.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bifurcation import AtlasCurves, PhasePortrait, ScanResult
-from .dynamics import BobEmbedding, Trajectory
-from .poincare import FillReport, StroboscopicSection
-from .rpsde import PathSample
+from .dynamics import BobEmbedding, LambdaPoint, Trajectory
+from .poincare import FillReport, SplittingReport, StroboscopicSection
+from .rpsde import ErgodicStats, PathSample
 
 
 def _write_columns(path, header: str, columns, row: str | None = None) -> None:
@@ -39,6 +43,24 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _plain(value):
+    """``value`` in JSON types: arrays, tuples and lists as lists, dataclasses as dicts."""
+    if is_dataclass(value):
+        return report_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def report_dict(report) -> dict:
+    """JSON form of a report dataclass: one key per field."""
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}
 
 
 def write_pair_csv(path, pair: tuple[PathSample, PathSample]) -> None:
@@ -85,21 +107,47 @@ def write_portrait_csv(path, portrait: PhasePortrait) -> None:
 
 
 def portrait_sidecar(portrait: PhasePortrait) -> dict:
+    return {"equilibria": _plain(portrait.equilibria),
+            "separatrix_levels": list(portrait.separatrix_levels)}
+
+
+def ergodic_summary(stats: ErgodicStats, lam: LambdaPoint, convention: str) -> dict:
+    """The noise statistics and the Lambda they give under ``convention``."""
+    return {**report_dict(stats), "lambda1": lam.lambda1, "lambda2": lam.lambda2,
+            "convention": convention}
+
+
+def fill_summary(report: FillReport) -> dict:
+    """Occupancy, and the per-band occupancy when energy bands were binned."""
+    d = {"occupancy": report.occupancy}
+    if report.band_edges is not None:
+        d["band_edges"] = report.band_edges.tolist()
+        d["band_occupancy"] = report.band_occupancy.tolist()
+    return d
+
+
+def splitting_summary(report: SplittingReport) -> dict:
     return {
-        "equilibria": [
-            {"theta": e.theta, "kind": e.kind, "potential": e.potential,
-             "second_derivative": e.second_derivative}
-            for e in portrait.equilibria
-        ],
-        "separatrix_levels": list(portrait.separatrix_levels),
+        "lambda": [report.lam.lambda1, report.lam.lambda2],
+        "saddle_theta": report.saddle.theta,
+        "sigma_levels": _plain(report.sigma_levels),
+        "spreads": report.spreads.tolist(),
+        "n_points": report.n_points,
     }
 
 
 def write_atlas_json(path, atlas: AtlasCurves) -> None:
-    write_json(path, {
-        "gamma1": [[float(a), float(b)] for a, b in atlas.gamma1],
-        "gamma2": {"min_lambda1": atlas.gamma2.min_lambda1},
-    })
+    write_json(path, report_dict(atlas))
+
+
+def run_manifest(command: str, effective_config: dict, files: list[Path]) -> dict:
+    """A run's command, version and checked config, and a SHA-256 per data file."""
+    return {
+        "command": command,
+        "version": __version__,
+        "effective_config": effective_config,
+        "outputs": {p.name: sha256_of(p) for p in files},
+    }
 
 
 def sha256_of(path) -> str:

@@ -41,13 +41,11 @@ from .dynamics import (
 from .rng import ensemble_seeds
 from .rpsde import (
     SEED_CHUNK,
-    NoiseChannelConfig,
+    PairConfig,
     grid_for_periods,
     period_stride,
     simulate_pair_ensemble,
 )
-
-PairConfig = tuple[NoiseChannelConfig, NoiseChannelConfig]
 
 
 @dataclass
@@ -75,32 +73,16 @@ class FillReport:
     band_edges: np.ndarray | None = None
     band_occupancy: np.ndarray | None = None
 
-    def as_dict(self) -> dict:
-        d = {"occupancy": self.occupancy}
-        if self.band_edges is not None:
-            d["band_edges"] = self.band_edges.tolist()
-            d["band_occupancy"] = self.band_occupancy.tolist()
-        return d
-
 
 @dataclass
 class ConcentrationReport:
     """Section-point spread around a stable averaged equilibrium."""
 
-    equilibrium: Equilibrium
+    equilibrium_theta: float
     sigma_levels: list[tuple[float, float]]
     radii: np.ndarray            # 95th-percentile cylinder distance per level
     ensemble_n: int
     horizon_periods: int
-
-    def as_dict(self) -> dict:
-        return {
-            "equilibrium_theta": self.equilibrium.theta,
-            "sigma_levels": [list(s) for s in self.sigma_levels],
-            "radii": self.radii.tolist(),
-            "ensemble_n": self.ensemble_n,
-            "horizon_periods": self.horizon_periods,
-        }
 
 
 @dataclass
@@ -112,15 +94,6 @@ class SplittingReport:
     sigma_levels: list[tuple[float, float]]
     spreads: np.ndarray          # 95th percentile of |Hbar - Hbar_sep| per level
     n_points: int
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": [self.lam.lambda1, self.lam.lambda2],
-            "saddle_theta": self.saddle.theta,
-            "sigma_levels": [list(s) for s in self.sigma_levels],
-            "spreads": self.spreads.tolist(),
-            "n_points": self.n_points,
-        }
 
 
 def stroboscope(traj: Trajectory, tau: float) -> StroboscopicSection:
@@ -232,9 +205,9 @@ def equilibrium_concentration(e0: Equilibrium,
                            horizon_periods, steps_per_period)
     dist = cylinder_distance(th, p, e0.theta, 0.0)
     radii = np.array([np.percentile(d, 95.0) for d in dist])
-    return ConcentrationReport(equilibrium=e0, sigma_levels=list(sigma_levels),
-                               radii=radii, ensemble_n=ensemble_n,
-                               horizon_periods=horizon_periods)
+    return ConcentrationReport(equilibrium_theta=e0.theta,
+                               sigma_levels=list(sigma_levels), radii=radii,
+                               ensemble_n=ensemble_n, horizon_periods=horizon_periods)
 
 
 def separatrix_initial_states(lam: LambdaPoint, params: PendulumParams,

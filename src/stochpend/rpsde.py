@@ -125,6 +125,9 @@ class NoiseChannelConfig:
         )
 
 
+PairConfig = tuple[NoiseChannelConfig, NoiseChannelConfig]
+
+
 @dataclass(frozen=True)
 class PathGrid:
     """Uniform time grid t0 + k h, k = 0..n."""
@@ -172,15 +175,14 @@ class PathSample:
 
     grid: PathGrid
     values: np.ndarray
-    seed: int
 
     def slice_from(self, start_index: int) -> "PathSample":
-        """Tail of the sample starting at a grid index (seed kept for provenance)."""
+        """Tail of the sample starting at a grid index."""
         g = self.grid
         if not 0 <= start_index < g.n:
             raise ValueError(f"start_index {start_index} out of range")
         sub = PathGrid(t0=g.t0 + start_index * g.h, h=g.h, n=g.n - start_index)
-        return PathSample(grid=sub, values=self.values[start_index:], seed=self.seed)
+        return PathSample(grid=sub, values=self.values[start_index:])
 
 
 @dataclass
@@ -199,16 +201,6 @@ class ErgodicStats:
     se_c12: float
     burn_in_periods: int
     avg_periods: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mean1": self.mean1, "mean2": self.mean2,
-            "c1": self.c1, "c2": self.c2, "c12": self.c12,
-            "se_mean1": self.se_mean1, "se_mean2": self.se_mean2,
-            "se_c1": self.se_c1, "se_c2": self.se_c2, "se_c12": self.se_c12,
-            "burn_in_periods": self.burn_in_periods,
-            "avg_periods": self.avg_periods,
-        }
 
 
 @dataclass
@@ -302,8 +294,7 @@ def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                   grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
     """One-seed view of :func:`simulate_pair_ensemble`: row 0 of each channel."""
     x1, x2 = _pair_values(cfg1, cfg2, grid, [seed])
-    return (PathSample(grid=grid, values=x1[0], seed=int(seed)),
-            PathSample(grid=grid, values=x2[0], seed=int(seed)))
+    return PathSample(grid=grid, values=x1[0]), PathSample(grid=grid, values=x2[0])
 
 
 def _mean_and_se(means: np.ndarray) -> tuple[float, float]:

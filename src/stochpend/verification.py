@@ -47,15 +47,13 @@ from .rng import ensemble_seeds, splitmix64
 from .rpsde import (
     SEED_CHUNK,
     ErgodicStats,
-    NoiseChannelConfig,
+    PairConfig,
     PathSample,
     estimate_ergodic_stats,
     grid_for_periods,
     simulate_pair,
     simulate_pair_ensemble,
 )
-
-PairConfig = tuple[NoiseChannelConfig, NoiseChannelConfig]
 
 
 @dataclass
@@ -68,16 +66,6 @@ class ExceedanceReport:
     ci_half_widths: np.ndarray
     ensemble_n: int
     horizon_periods: int
-
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "sigma_levels": [list(s) for s in self.sigma_levels],
-            "probs": self.probs.tolist(),
-            "ci_half_widths": self.ci_half_widths.tolist(),
-            "ensemble_n": self.ensemble_n,
-            "horizon_periods": self.horizon_periods,
-        }
 
 
 @dataclass
@@ -100,14 +88,6 @@ class ChebyshevReport:
     passed: bool
     no_admissible: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "empirical": self.empirical, "bound": self.bound,
-            "slack": self.slack, "n_admissible": self.n_admissible,
-            "n_excluded": self.n_excluded, "passed": self.passed,
-            "no_admissible": self.no_admissible,
-        }
-
 
 @dataclass
 class MomentBoundReport:
@@ -123,17 +103,6 @@ class MomentBoundReport:
     residuals: dict
     ensemble_n: int
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t.tolist(),
-            "fourth1": self.fourth1.tolist(), "fourth2": self.fourth2.tolist(),
-            "cross22": self.cross22.tolist(), "cross31": self.cross31.tolist(),
-            "cross13": self.cross13.tolist(),
-            "fitted_constants": self.fitted_constants,
-            "residuals": {k: v.tolist() for k, v in self.residuals.items()},
-            "ensemble_n": self.ensemble_n,
-        }
-
 
 @dataclass
 class DeviationScaling:
@@ -143,14 +112,6 @@ class DeviationScaling:
     mean_abs_dev: np.ndarray     # shape (levels, 3): value, d/dtheta, d2/dtheta2
     loglog_slope: np.ndarray     # shape (3,)
     ensemble_n: int
-
-    def as_dict(self) -> dict:
-        return {
-            "sigma_levels": [list(s) for s in self.sigma_levels],
-            "mean_abs_dev": self.mean_abs_dev.tolist(),
-            "loglog_slope": self.loglog_slope.tolist(),
-            "ensemble_n": self.ensemble_n,
-        }
 
 
 def calibration_stats(pair_config: PairConfig, master_seed: int = 0,

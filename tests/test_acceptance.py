@@ -225,7 +225,7 @@ def test_criterion_6_numerics_suite(params):
     # exact flow at sigma = 0 over 1e5 steps
     grid = PathGrid(0.0, 1e-3, 100_000)
     zeros = np.zeros(grid.n + 1)
-    pair = (PathSample(grid, zeros, 0), PathSample(grid, zeros, 0))
+    pair = (PathSample(grid, zeros), PathSample(grid, zeros))
     traj = exact_flow(PhaseState(0.1, 0.0), pair, params,
                       NoiseAmplitudes(0.0, 0.0))
     drift_exact = np.abs(traj.energy - traj.energy[0]).max()

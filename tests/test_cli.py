@@ -124,6 +124,16 @@ def test_blowup_exits_numeric(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+    monkeypatch.setattr("stochpend.rpsde._pair_values", no_memory)
+    code, out = run_cli(tmp_path, "simulate", BASE)
+    assert code == EXIT_NUMERIC
+    assert not out.exists()
+    assert "numeric failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # average
 
@@ -246,6 +256,42 @@ def test_poincare_sections_start_at_configured_initial_state(tmp_path):
     assert float(first["p"]) == -0.3
 
 
+# the keys of every JSON file of an all-runs verify and poincare, so that a
+# field added to a report shows up here and not only in its output file
+REPORT_KEYS = {
+    "verify": {
+        "exceedance.json": {"delta", "sigma_levels", "probs", "ci_half_widths",
+                            "ensemble_n", "horizon_periods"},
+        "deviation.json": {"sigma_levels", "mean_abs_dev", "loglog_slope", "ensemble_n"},
+        "chebyshev.json": {"empirical", "bound", "slack", "n_admissible", "n_excluded",
+                           "passed", "no_admissible"},
+        "moments.json": {"t", "fourth1", "fourth2", "cross22", "cross31", "cross13",
+                         "fitted_constants", "residuals", "ensemble_n"},
+    },
+    "poincare": {
+        "concentration.json": {"equilibrium_theta", "sigma_levels", "radii",
+                               "ensemble_n", "horizon_periods"},
+        "fill.json": {"occupancy", "band_edges", "band_occupancy"},
+        "splitting.json": {"lambda", "saddle_theta", "sigma_levels", "spreads",
+                           "n_points"},
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_json_keys_pinned(tmp_path, command):
+    cfg = {"grid": {"h": 0.1, "horizon_periods": 2}, "seeds": {"ensemble": 4},
+           "verify": {"run": ["exceedance", "deviation", "chebyshev", "moments"],
+                      "moment_times": 4, "theta_grid_n": 8},
+           "poincare": {"run": ["concentration", "fill", "splitting", "sections"],
+                        "n_points": 4, "fill_grid": [16, 16], "sections_exported": 1}}
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == EXIT_OK
+    written = {p.name: set(json.loads(p.read_text())) for p in out.glob("*.json")}
+    manifest_keys = {"command", "version", "effective_config", "outputs"}
+    assert written == {**REPORT_KEYS[command], "manifest.json": manifest_keys}
+
+
 def test_default_noise_pair_comes_from_presets():
     channel1, channel2 = RunConfig({}, "simulate").pair
     assert (channel1.drift.alpha, channel1.beta) == (1.0, 0.6)
@@ -290,12 +336,25 @@ def test_defaults_pinned(command):
     assert effective == json.dumps(DEFAULTS, sort_keys=True)
 
 
-def test_invalid_json_config(tmp_path, capsys):
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}", b"[" * 200000],
+                         ids=["not-json", "not-utf8", "nested-too-deep"])
+def test_invalid_json_config(tmp_path, capsys, text):
     cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{not json")
-    code = main(["simulate", "--config", str(cfg_path), "--out",
-                 str(tmp_path / "x")])
+    cfg_path.write_bytes(text)
+    out = tmp_path / "x"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
     assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["is-a-file", "under-a-file"])
+def test_unwritable_out_exits_config(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("kept")
+    code, _ = run_cli(tmp_path, "atlas", {"atlas": {"samples": 16}}, out=out)
+    assert code == EXIT_CONFIG
+    assert (tmp_path / "taken").read_text() == "kept"
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text", [

@@ -41,7 +41,7 @@ def make_stats(c1, c2, c12):
 
 def zero_pair(grid):
     z = np.zeros(grid.n + 1)
-    return PathSample(grid, z, 0), PathSample(grid, z, 0)
+    return PathSample(grid, z), PathSample(grid, z)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def test_embedding_trapezoid_exact_for_constant(params):
     amps = NoiseAmplitudes(1.0, 1.0)
     grid = PathGrid(0.0, 0.1, 20)
     c = 0.7
-    const = PathSample(grid, np.full(grid.n + 1, c), 0)
+    const = PathSample(grid, np.full(grid.n + 1, c))
     from stochpend import Trajectory
     traj = Trajectory(grid=grid, theta=np.zeros(21), p=np.zeros(21))
     emb = bob_embedding(traj, (const, const), params, amps)

@@ -4,10 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochpend.bifurcation import PhasePortrait, ScanResult
+from stochpend.bifurcation import AtlasCurves, Gamma2Ray, PhasePortrait, ScanResult
 from stochpend.dynamics import BobEmbedding, Trajectory
 from stochpend.io import (
     _write_columns,
+    report_dict,
     write_embedding_csv,
     write_histogram_csv,
     write_pair_csv,
@@ -16,7 +17,8 @@ from stochpend.io import (
     write_section_csv,
     write_trajectory_csv,
 )
-from stochpend.poincare import FillReport, StroboscopicSection
+from stochpend.poincare import ConcentrationReport, FillReport, StroboscopicSection
+from stochpend.verification import MomentBoundReport
 from stochpend.rpsde import PathGrid, PathSample
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -60,7 +62,7 @@ def test_series_writers_match_value_formatting(tmp_path):
     a, b, c = (rng.standard_normal(grid.n + 1) for _ in range(3))
     a[2], b[3] = -0.0, np.inf
     t = grid.times()
-    pair = (PathSample(grid, a, 0), PathSample(grid, b, 0))
+    pair = (PathSample(grid, a), PathSample(grid, b))
     write_pair_csv(tmp_path / "pair.csv", pair)
     assert (tmp_path / "pair.csv").read_bytes() == value_rows("t,xi1,xi2", zip(t, a, b))
     traj = Trajectory(grid, a, b, c)
@@ -108,3 +110,22 @@ def test_grid_writers_keep_their_row_order(tmp_path):
         f"{n},{format(th, '.17g')},{format(mom, '.17g')}\n"
         for n, (th, mom) in enumerate(zip(sec.theta_wrapped, sec.p)))
     assert (tmp_path / "sec.csv").read_text() == expected
+
+
+def test_report_dict_gives_plain_json_types():
+    report = MomentBoundReport(
+        t=np.array([0.0, 0.5]), fourth1=np.zeros(2), fourth2=np.ones(2),
+        cross22=np.zeros(2), cross31=np.zeros(2), cross13=np.zeros(2),
+        fitted_constants={"C1_hat": {"lsq": 0.25, "dominating": 0.5}},
+        residuals={"C1_hat": np.array([1.0, -0.0])}, ensemble_n=3)
+    assert report_dict(report) == {
+        "t": [0.0, 0.5], "fourth1": [0.0, 0.0], "fourth2": [1.0, 1.0],
+        "cross22": [0.0, 0.0], "cross31": [0.0, 0.0], "cross13": [0.0, 0.0],
+        "fitted_constants": {"C1_hat": {"lsq": 0.25, "dominating": 0.5}},
+        "residuals": {"C1_hat": [1.0, -0.0]}, "ensemble_n": 3}
+    atlas = report_dict(AtlasCurves(gamma1=np.array([[0.5, -0.25]]), gamma2=Gamma2Ray()))
+    assert atlas == {"gamma1": [[0.5, -0.25]], "gamma2": {"min_lambda1": 0.25}}
+    assert type(atlas["gamma1"][0][0]) is float
+    concentration = ConcentrationReport(equilibrium_theta=0.0, sigma_levels=[(0.2, 0.1)],
+                                        radii=np.ones(1), ensemble_n=3, horizon_periods=2)
+    assert report_dict(concentration)["sigma_levels"] == [[0.2, 0.1]]

@@ -27,7 +27,7 @@ from stochpend.presets import default_noise_pair
 
 def zero_pair(grid):
     z = np.zeros(grid.n + 1)
-    return PathSample(grid, z, 0), PathSample(grid, z, 0)
+    return PathSample(grid, z), PathSample(grid, z)
 
 
 def classical_libration(params, n_periods=10, spp=1000, theta0=0.5):
