@@ -23,7 +23,6 @@ from .dynamics import (
     LambdaPoint,
     NoiseAmplitudes,
     PendulumParams,
-    PhaseState,
     Trajectory,
     averaged_flow,
     averaged_hamiltonian,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -246,8 +247,8 @@ class RunConfig:
 
     Every block is checked against ``SCHEMA``, whichever command runs;
     then come the checks that depend on the command.  Each block is an
-    attribute (``config.verify["delta"]``).  ``seed`` overrides
-    ``seeds.master``.
+    attribute (``config.verify["delta"]``), and ``values`` holds them all
+    as the manifest records them.  ``seed`` overrides ``seeds.master``.
     """
 
     def __init__(self, raw, command: str, seed: int | None = None):
@@ -261,15 +262,11 @@ class RunConfig:
             raise ConfigError(f"seeds.master must be <= 2**64 - {drawn}, so that its "
                               f"{drawn} member seeds fit in 64 bits; got {seeds['master']}")
         noise, grid = values["noise"], values["grid"]
-        self.tau = tau = noise["tau"]
+        tau = noise["tau"]
         if grid["h"] is None:
             grid["h"] = tau / DEFAULT_STEPS_PER_PERIOD
         self.values = values
         self.__dict__.update(values)
-        self.master_seed = values["seeds"]["master"]
-        self.ensemble_n = values["seeds"]["ensemble"]
-        self.horizon_periods = grid["horizon_periods"]
-        self.convention = noise["convention"]
         self.params = PendulumParams(**values["pendulum"])
         self.amps = NoiseAmplitudes(noise["sigma1"], noise["sigma2"])
         self.pair = tuple(NoiseChannelConfig(
@@ -293,9 +290,6 @@ class RunConfig:
             raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
                               f"with min < max on each axis, got {box}")
 
-    def effective(self) -> dict:
-        return self.values
-
 
 # ---------------------------------------------------------------------------
 # output handling
@@ -306,7 +300,8 @@ class RunDir:
 
     def __init__(self, out: Path):
         self.out = out
-        self.created_dir = not out.exists()
+        #: the directories this run creates, ``out`` first
+        self.created = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
 
@@ -318,14 +313,14 @@ class RunDir:
     def discard(self) -> None:
         for p in self.files:
             p.unlink(missing_ok=True)
-        if self.created_dir:
+        for d in self.created:
             try:
-                self.out.rmdir()
-            except OSError:
-                pass
+                d.rmdir()
+            except OSError:  # not empty: something else was written there
+                break
 
     def manifest(self, command: str, config: RunConfig) -> dict:
-        manifest = run_manifest(command, config.effective(), self.files)
+        manifest = run_manifest(command, config.values, self.files)
         write_json(self.out / "manifest.json", manifest)
         return manifest
 
@@ -335,30 +330,29 @@ class RunDir:
 
 
 def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
-    grid = grid_for_periods(config.tau, config.horizon_periods, config.steps_per_period)
-    pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
+    tau = config.noise["tau"]
+    grid = grid_for_periods(tau, config.grid["horizon_periods"], config.steps_per_period)
+    pair = simulate_pair(*config.pair, grid, seed=config.seeds["master"])
     traj = exact_flow(config.simulate["initial"], pair, config.params, config.amps)
     emb = bob_embedding(traj, pair, config.params, config.amps)
     write_pair_csv(rundir.path("paths.csv"), pair)
-    write_trajectory_csv(rundir.path("trajectory.csv"), traj, energy_label="H")
+    write_trajectory_csv(rundir.path("trajectory.csv"), traj)
     write_embedding_csv(rundir.path("embedding.csv"), emb)
     if config.simulate["section"]:
-        sec = stroboscope(traj, config.tau)
+        sec = stroboscope(traj, tau)
         write_section_csv(rundir.path("section.csv"), sec)
     return rundir.manifest("simulate", config)
 
 
 def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
-    block = config.average
-    grid = grid_for_periods(config.tau, block["burn_in_periods"] + block["avg_periods"],
+    block, tau, convention = config.average, config.noise["tau"], config.noise["convention"]
+    grid = grid_for_periods(tau, block["burn_in_periods"] + block["avg_periods"],
                             config.steps_per_period)
-    pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
-    stats = estimate_ergodic_stats(pair, config.tau,
-                                   burn_in_periods=block["burn_in_periods"],
+    pair = simulate_pair(*config.pair, grid, seed=config.seeds["master"])
+    stats = estimate_ergodic_stats(pair, tau, burn_in_periods=block["burn_in_periods"],
                                    batches=block["batches"])
-    lam = lambda_from_stats(config.amps, stats, config.convention)
-    write_json(rundir.path("ergodic_stats.json"),
-               ergodic_summary(stats, lam, config.convention))
+    lam = lambda_from_stats(config.amps, stats, convention)
+    write_json(rundir.path("ergodic_stats.json"), ergodic_summary(stats, lam, convention))
     return rundir.manifest("average", config)
 
 
@@ -388,44 +382,40 @@ def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
 def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
     block = config.verify
     runs, levels, delta = block["run"], block["sigma_levels"], block["delta"]
-    burn_in = block["burn_in_periods"]
+    burn_in, horizon = block["burn_in_periods"], config.grid["horizon_periods"]
+    tau, convention = config.noise["tau"], config.noise["convention"]
+    master, ensemble_n = config.seeds["master"], config.seeds["ensemble"]
     spp = config.steps_per_period
-    stats = calibration_stats(config.pair, config.master_seed, steps_per_period=spp)
+    stats = calibration_stats(config.pair, master, steps_per_period=spp)
     if "exceedance" in runs:
         report = exceedance_probability(
-            delta, levels, config.ensemble_n, config.horizon_periods,
-            config.pair, block["initial"], params=config.params,
-            steps_per_period=spp, burn_in_periods=burn_in,
-            master_seed=config.master_seed, stats=stats,
-            convention=config.convention)
+            delta, levels, ensemble_n, horizon, config.pair, block["initial"],
+            params=config.params, steps_per_period=spp, burn_in_periods=burn_in,
+            master_seed=master, stats=stats, convention=convention)
         write_json(rundir.path("exceedance.json"), report_dict(report))
     if "deviation" in runs:
         theta_grid = np.linspace(0.0, 2.0 * np.pi, block["theta_grid_n"], endpoint=False)
         report = potential_deviation(
-            theta_grid, levels, config.ensemble_n, config.pair,
-            convention=config.convention, params=config.params,
-            burn_in_periods=max(burn_in, 1), steps_per_period=spp,
-            master_seed=config.master_seed, stats=stats)
+            theta_grid, levels, ensemble_n, config.pair, convention=convention,
+            params=config.params, burn_in_periods=max(burn_in, 1), steps_per_period=spp,
+            master_seed=master, stats=stats)
         write_json(rundir.path("deviation.json"), report_dict(report))
     if "chebyshev" in runs:
-        grid = grid_for_periods(config.tau, burn_in + config.horizon_periods, spp)
-        pair = simulate_pair(*config.pair, grid, seed=config.master_seed)
-        start = burn_in * spp
-        p1 = pair[0].slice_from(start) if start else pair[0]
-        p2 = pair[1].slice_from(start) if start else pair[1]
+        grid = grid_for_periods(tau, burn_in + horizon, spp)
+        pair = simulate_pair(*config.pair, grid, seed=master)
+        p1, p2 = (path.slice_from(burn_in * spp) for path in pair)
         traj = exact_flow(block["initial"], (p1, p2), config.params, config.amps)
         decomp = m1m2_decomposition(traj, (p1, p2), stats, config.params,
                                     config.amps, delta)
         write_json(rundir.path("chebyshev.json"),
                    report_dict(chebyshev_consistency(decomp)))
     if "moments" in runs:
-        grid = grid_for_periods(config.tau, 1, spp)
+        grid = grid_for_periods(tau, 1, spp)
         idx = np.round(np.linspace(0, spp, block["moment_times"])).astype(int)
         # tau / spp * spp may exceed tau by one ulp; the node is still tau
-        t_samples = np.minimum(grid.times()[idx], config.tau)
-        report = moment_growth(config.pair, t_samples, config.ensemble_n,
-                               config.amps, steps_per_period=spp,
-                               master_seed=config.master_seed)
+        t_samples = np.minimum(grid.times()[idx], tau)
+        report = moment_growth(config.pair, t_samples, ensemble_n, config.amps,
+                               steps_per_period=spp, master_seed=master)
         write_json(rundir.path("moments.json"), report_dict(report))
     return rundir.manifest("verify", config)
 
@@ -433,27 +423,27 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
 def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     block = config.poincare
     runs, levels = block["run"], block["sigma_levels"]
+    tau, horizon = config.noise["tau"], config.grid["horizon_periods"]
+    master = config.seeds["master"]
     spp = config.steps_per_period
-    stats = calibration_stats(config.pair, config.master_seed, steps_per_period=spp)
-    lam = lambda_from_stats(config.amps, stats, config.convention)
+    stats = calibration_stats(config.pair, master, steps_per_period=spp)
+    lam = lambda_from_stats(config.amps, stats, config.noise["convention"])
     if "concentration" in runs:
         theta_e = block["equilibrium_theta"]
         eqs = find_equilibria(LambdaPoint(0.0, 0.0), config.params)
         stable = [e for e in eqs if e.kind == "stable"]
         e0 = min(stable, key=lambda e: abs(e.theta - theta_e))
         report = equilibrium_concentration(
-            e0, levels, config.ensemble_n, config.horizon_periods, config.pair,
-            params=config.params, steps_per_period=spp,
-            master_seed=config.master_seed)
+            e0, levels, config.seeds["ensemble"], horizon, config.pair,
+            params=config.params, steps_per_period=spp, master_seed=master)
         write_json(rundir.path("concentration.json"), report_dict(report))
     if "sections" in runs or "fill" in runs:
-        grid = grid_for_periods(config.tau, config.horizon_periods, spp)
+        grid = grid_for_periods(tau, horizon, spp)
         sections = []
-        for k, seed in enumerate(ensemble_seeds(config.master_seed,
-                                                block["sections_exported"])):
+        for k, seed in enumerate(ensemble_seeds(master, block["sections_exported"])):
             pair = simulate_pair(*config.pair, grid, seed=int(seed))
             traj = exact_flow(block["initial"], pair, config.params, config.amps)
-            sec = stroboscope(traj, config.tau)
+            sec = stroboscope(traj, tau)
             sections.append(sec)
             if "sections" in runs:
                 write_section_csv(rundir.path(f"section-{k:03d}.csv"), sec)
@@ -465,8 +455,7 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     if "splitting" in runs:
         report = separatrix_splitting_probe(
             lam, levels, block["n_points"], config.pair, params=config.params,
-            horizon_periods=config.horizon_periods, steps_per_period=spp,
-            master_seed=config.master_seed)
+            horizon_periods=horizon, steps_per_period=spp, master_seed=master)
         write_json(rundir.path("splitting.json"), splitting_summary(report))
     return rundir.manifest("poincare", config)
 

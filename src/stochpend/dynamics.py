@@ -98,16 +98,6 @@ class NoiseAmplitudes:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    theta: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.p)):
-            raise ValueError("phase state must be finite")
-
-
-@dataclass(frozen=True)
 class LambdaPoint:
     """Coefficients of the cos(2 theta) / sin(2 theta) terms of Ubar."""
 
@@ -126,7 +116,7 @@ class Trajectory:
     grid: PathGrid
     theta: np.ndarray
     p: np.ndarray
-    energy: np.ndarray | None = None
+    energy: np.ndarray
 
 
 @dataclass
@@ -260,8 +250,6 @@ def lambda_from_stats(amps: NoiseAmplitudes, stats: ErgodicStats,
 
 
 def _as_state(initial) -> tuple[float, float]:
-    if isinstance(initial, PhaseState):
-        return initial.theta, initial.p
     theta, p = initial
     return float(theta), float(p)
 
@@ -347,16 +335,14 @@ def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
 
 def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
                         grid: PathGrid, params: PendulumParams,
-                        amps: NoiseAmplitudes,
-                        with_energy: bool = True):
+                        amps: NoiseAmplitudes):
     """Classical 4th-order integration of the noise-driven flow.
 
     ``theta0``/``p0`` may be scalars or arrays of shape (m,); ``xi1``/``xi2``
     are value arrays of shape (n+1,) or (m, n+1) on ``grid``.  The noise
     is linearly interpolated inside each grid cell (the midpoint value is
     the endpoint average).  Returns (theta, p, energy) arrays whose first
-    axis runs over the grid nodes 0..n; ``energy`` is H at each node, or
-    None when ``with_energy`` is false.
+    axis runs over the grid nodes 0..n; ``energy`` is H at each node.
 
     Raises :class:`BlowUpError` with the offending step index if the state
     leaves the finite range.
@@ -375,18 +361,19 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     for k, theta, p, *_ in nodes:
         out_theta[k] = theta
         out_p[k] = p
-    energy = None
-    if with_energy:
-        # per-node noise values, axis-aligned with the (n+1,) + batch outputs
-        x1 = xi1.reshape(xi1.shape + (1,) * (out_theta.ndim - xi1.ndim))
-        x2 = xi2.reshape(xi2.shape + (1,) * (out_theta.ndim - xi2.ndim))
-        energy = exact_hamiltonian(out_theta, out_p, x1, x2, params, amps)
+    # per-node noise values, axis-aligned with the (n+1,) + batch outputs
+    x1 = xi1.reshape(xi1.shape + (1,) * (out_theta.ndim - xi1.ndim))
+    x2 = xi2.reshape(xi2.shape + (1,) * (out_theta.ndim - xi2.ndim))
+    energy = exact_hamiltonian(out_theta, out_p, x1, x2, params, amps)
     return out_theta, out_p, energy
 
 
 def exact_flow(initial, pair: tuple[PathSample, PathSample],
                params: PendulumParams, amps: NoiseAmplitudes) -> Trajectory:
-    """Integrate one orbit driven by a simulated noise pair."""
+    """Integrate one orbit from ``initial`` = (theta, p), driven by a noise pair.
+
+    A non-finite start raises :class:`BlowUpError` at step 1.
+    """
     p1, p2 = pair
     if p1.grid != p2.grid:
         raise ValueError("paths must share one grid")

@@ -69,11 +69,9 @@ def write_pair_csv(path, pair: tuple[PathSample, PathSample]) -> None:
     _write_columns(path, "t,xi1,xi2", (p1.grid.times(), p1.values, p2.values))
 
 
-def write_trajectory_csv(path, traj: Trajectory, energy_label: str = "H") -> None:
-    """Orbit as ``t,theta,p,<energy_label>``."""
-    times = traj.grid.times()
-    energy = traj.energy if traj.energy is not None else np.full(len(times), np.nan)
-    _write_columns(path, f"t,theta,p,{energy_label}", (times, traj.theta, traj.p, energy))
+def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """Orbit as ``t,theta,p,H``."""
+    _write_columns(path, "t,theta,p,H", (traj.grid.times(), traj.theta, traj.p, traj.energy))
 
 
 def write_embedding_csv(path, emb: BobEmbedding) -> None:
@@ -118,12 +116,9 @@ def ergodic_summary(stats: ErgodicStats, lam: LambdaPoint, convention: str) -> d
 
 
 def fill_summary(report: FillReport) -> dict:
-    """Occupancy, and the per-band occupancy when energy bands were binned."""
-    d = {"occupancy": report.occupancy}
-    if report.band_edges is not None:
-        d["band_edges"] = report.band_edges.tolist()
-        d["band_occupancy"] = report.band_occupancy.tolist()
-    return d
+    """Occupancy, overall and per averaged-energy band."""
+    return {"occupancy": report.occupancy, "band_edges": report.band_edges.tolist(),
+            "band_occupancy": report.band_occupancy.tolist()}
 
 
 def splitting_summary(report: SplittingReport) -> dict:

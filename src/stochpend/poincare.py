@@ -22,7 +22,6 @@ combined with the momentum difference in quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,9 @@ from .rpsde import (
     simulate_pair_ensemble,
 )
 
+#: Equal averaged-energy bands over which the fill occupancy is also reported.
+FILL_BANDS = 8
+
 
 @dataclass
 class StroboscopicSection:
@@ -70,8 +72,8 @@ class FillReport:
     theta_edges: np.ndarray
     p_edges: np.ndarray
     occupancy: float
-    band_edges: np.ndarray | None = None
-    band_occupancy: np.ndarray | None = None
+    band_edges: np.ndarray
+    band_occupancy: np.ndarray
 
 
 @dataclass
@@ -111,44 +113,33 @@ def cylinder_distance(theta_a, p_a, theta_b, p_b) -> np.ndarray:
     return np.sqrt(dtheta**2 + dp**2)
 
 
-def plane_fill_density(sections: list[StroboscopicSection],
-                       grid: tuple[int, int] = (64, 64),
-                       lam: LambdaPoint | None = None,
-                       params: PendulumParams | None = None,
-                       bands: int = 8) -> FillReport:
+def plane_fill_density(sections: list[StroboscopicSection], grid: tuple[int, int],
+                       lam: LambdaPoint, params: PendulumParams) -> FillReport:
     """Fraction of phase-plane grid cells visited by section points.
 
     The cells split the box (-pi, pi) x (-3, 3) of the phase cylinder
     into ``grid`` equal parts, theta wrapped; points with |p| > 3 fall in
-    no cell.  When ``lam`` and ``params`` are given, points are
-    additionally binned by their averaged energy and the occupancy is
-    reported per band, so fills at different coupling levels can be
-    compared energy by energy.
+    no cell.  Points are also binned into ``FILL_BANDS`` equal bands of
+    their averaged energy, and the occupancy is reported per band, so
+    fills at different coupling levels can be compared energy by energy.
     """
     if grid[0] < 16 or grid[1] < 16:
         raise ValueError("occupancy grid must be at least 16x16")
-    if sections:
-        theta = np.concatenate([s.theta_wrapped for s in sections])
-        p = np.concatenate([s.p for s in sections])
-    else:
-        theta = np.empty(0)
-        p = np.empty(0)
+    theta = np.concatenate([s.theta_wrapped for s in sections])
+    p = np.concatenate([s.p for s in sections])
     theta_edges = np.linspace(-np.pi, np.pi, grid[0] + 1)
     p_edges = np.linspace(-3.0, 3.0, grid[1] + 1)
     counts, _, _ = np.histogram2d(theta, p, bins=[theta_edges, p_edges])
     occupancy = float((counts > 0).mean())
-    band_edges = band_occ = None
-    if lam is not None and params is not None and len(theta):
-        energy = averaged_hamiltonian(theta, p, lam, params)
-        band_edges = np.linspace(energy.min(), energy.max(), bands + 1)
-        band_occ = np.empty(bands)
-        for b in range(bands):
-            hi_inc = energy <= band_edges[b + 1] if b == bands - 1 \
-                else energy < band_edges[b + 1]
-            sel = (energy >= band_edges[b]) & hi_inc
-            cb, _, _ = np.histogram2d(theta[sel], p[sel],
-                                      bins=[theta_edges, p_edges])
-            band_occ[b] = (cb > 0).mean()
+    energy = averaged_hamiltonian(theta, p, lam, params)
+    band_edges = np.linspace(energy.min(), energy.max(), FILL_BANDS + 1)
+    band_occ = np.empty(FILL_BANDS)
+    for b in range(FILL_BANDS):
+        hi_inc = energy <= band_edges[b + 1] if b == FILL_BANDS - 1 \
+            else energy < band_edges[b + 1]
+        sel = (energy >= band_edges[b]) & hi_inc
+        cb, _, _ = np.histogram2d(theta[sel], p[sel], bins=[theta_edges, p_edges])
+        band_occ[b] = (cb > 0).mean()
     return FillReport(counts=counts, theta_edges=theta_edges, p_edges=p_edges,
                       occupancy=occupancy, band_edges=band_edges,
                       band_occupancy=band_occ)

@@ -364,20 +364,17 @@ def ks_critical_value(n1: int, n2: int, alpha: float = 0.05) -> float:
 
 
 def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
-                          seeds: np.ndarray, s: float,
-                          lag: float | None = None) -> KSReport:
+                          seeds: np.ndarray, s: float, lag: float) -> KSReport:
     """KS test of law periodicity: ensemble values at time s vs s + lag.
 
-    ``lag`` defaults to the drift period.  With the default family the law
-    is tau-periodic, so the statistic at lag = tau stays below the 5%
-    critical value; at fractional lags with strong forcing it does not.
+    With the default family the law is tau-periodic, so the statistic at
+    lag = tau stays below the 5% critical value; at fractional lags with
+    strong forcing it does not.
     The ensemble is channel 1 of ``simulate_pair_ensemble(config, config, ...)``,
     bit for bit, drawn without channel 2.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 ensemble members")
-    if lag is None:
-        lag = config.drift.tau
     i = grid.index_of(s)
     j = grid.index_of(s + lag)
     values, _ = _pair_values(config, None, grid, seeds)

@@ -358,8 +358,9 @@ def potential_deviation(theta_grid: np.ndarray,
 
     Ubar takes its Lambda from the long-run moments ``stats``.  The
     frozen-time potential is evaluated at one post-burn-in reference
-    time per seed; the deviation is averaged over the theta grid and the
-    ensemble.  Needs at least 3 levels for the log-log slope.
+    time per seed, its noise drawn ``SEED_CHUNK`` seeds at a time; the
+    deviation is averaged over the theta grid and the ensemble.  Needs at
+    least 3 levels for the log-log slope.
     """
     if len(sigma_levels) < 3:
         raise SampleLengthError("need at least 3 sigma levels for a slope")
@@ -368,9 +369,13 @@ def potential_deviation(theta_grid: np.ndarray,
     tau = cfg1.drift.tau
     grid = grid_for_periods(tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
-    xi1 = x1[:, -1][:, None]
-    xi2 = x2[:, -1][:, None]
+    xi1 = np.empty((ensemble_n, 1))
+    xi2 = np.empty((ensemble_n, 1))
+    for lo in range(0, ensemble_n, SEED_CHUNK):
+        rows = slice(lo, lo + SEED_CHUNK)
+        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds[rows])
+        xi1[rows, 0], xi2[rows, 0] = x1[:, -1], x2[:, -1]
+        del x1, x2  # free this chunk before the next one is drawn
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
     devs = np.empty((len(sigma_levels), 3))

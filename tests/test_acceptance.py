@@ -24,7 +24,6 @@ from stochpend import (
     PathGrid,
     PathSample,
     PeriodicDriftSpec,
-    PhaseState,
     averaged_flow,
     chebyshev_consistency,
     classify_region,
@@ -130,7 +129,7 @@ def test_criterion_4_classical_limit(params):
     ok = kinds.get(0.0) == "stable" and kinds.get(round(np.pi, 6)) == "unstable"
     portrait = phase_portrait(lam, params)
     ok &= abs(portrait.separatrix_levels[0] - 1.0) <= 1e-9
-    traj = averaged_flow(PhaseState(0.01, 0.0), lam, params, 1e-3, 20000)
+    traj = averaged_flow((0.01, 0.0), lam, params, 1e-3, 20000)
     p = traj.p
     t = traj.grid.times()
     up = np.nonzero((p[:-1] < 0) & (p[1:] >= 0))[0]
@@ -217,7 +216,7 @@ def test_criterion_6_numerics_suite(params):
     ok &= np.abs(back - theta_dot).max() <= 1e-12
 
     # leapfrog drift over 1e4 steps at h = 1e-3
-    traj_avg = averaged_flow(PhaseState(0.1, 0.0), LambdaPoint(0.0, 0.0),
+    traj_avg = averaged_flow((0.1, 0.0), LambdaPoint(0.0, 0.0),
                              params, 1e-3, 10_000)
     drift_avg = np.abs(traj_avg.energy - traj_avg.energy[0]).max()
     ok &= drift_avg <= 1e-8
@@ -226,7 +225,7 @@ def test_criterion_6_numerics_suite(params):
     grid = PathGrid(0.0, 1e-3, 100_000)
     zeros = np.zeros(grid.n + 1)
     pair = (PathSample(grid, zeros), PathSample(grid, zeros))
-    traj = exact_flow(PhaseState(0.1, 0.0), pair, params,
+    traj = exact_flow((0.1, 0.0), pair, params,
                       NoiseAmplitudes(0.0, 0.0))
     drift_exact = np.abs(traj.energy - traj.energy[0]).max()
     ok &= drift_exact <= 1e-8
@@ -312,7 +311,7 @@ def test_criterion_11_concentration_inequality(params, calib):
     amps = NoiseAmplitudes(0.1, 0.1)
     grid = grid_for_periods(1.0, 10, 1000)
     pair = simulate_pair(*default_noise_pair(), grid, seed=MASTER_SEED)
-    traj = exact_flow(PhaseState(0.1, 0.0), pair, params, amps)
+    traj = exact_flow((0.1, 0.0), pair, params, amps)
     decomp = m1m2_decomposition(traj, pair, calib, params, amps, delta=0.05)
     rep = chebyshev_consistency(decomp)
     ok = rep.passed and rep.n_admissible >= 10_000

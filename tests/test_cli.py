@@ -112,15 +112,17 @@ def test_width1_overflow_exits_numeric(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_blowup_exits_numeric(tmp_path, capsys):
+@pytest.mark.parametrize("out", ["run", "nest/a/run"])
+def test_blowup_exits_numeric(tmp_path, capsys, out):
     cfg = {
         "noise": {"channel1": {"alpha": 3000.0}},
         "grid": {"h": 0.001, "horizon_periods": 3},
     }
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run_cli(tmp_path, "simulate", cfg)
+        code, out = run_cli(tmp_path, "simulate", cfg, out=out)
     assert code == EXIT_NUMERIC
     assert not out.exists()
+    assert not (tmp_path / "nest").exists()  # nor any directory the run created
     assert "numeric failure" in capsys.readouterr().err
 
 
@@ -332,7 +334,7 @@ DEFAULTS = {
 @pytest.mark.parametrize("command", ["simulate", "average", "atlas", "portrait",
                                      "verify", "poincare"])
 def test_defaults_pinned(command):
-    effective = json.dumps(RunConfig({}, command).effective(), sort_keys=True)
+    effective = json.dumps(RunConfig({}, command).values, sort_keys=True)
     assert effective == json.dumps(DEFAULTS, sort_keys=True)
 
 

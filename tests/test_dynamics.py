@@ -9,7 +9,6 @@ from stochpend import (
     PathGrid,
     PathSample,
     PendulumParams,
-    PhaseState,
     averaged_flow,
     averaged_hamiltonian,
     bob_embedding,
@@ -339,14 +338,14 @@ def test_averaged_equals_ensemble_mean_of_quadratic(params):
 def test_exact_flow_conserves_classical_energy(params):
     amps = NoiseAmplitudes(0.0, 0.0)
     grid = PathGrid(0.0, 1e-3, 20000)
-    traj = exact_flow(PhaseState(0.1, 0.0), zero_pair(grid), params, amps)
+    traj = exact_flow((0.1, 0.0), zero_pair(grid), params, amps)
     assert np.abs(traj.energy - traj.energy[0]).max() <= 1e-9
 
 
 def test_exact_flow_fixed_point_origin_is_exact(params):
     amps = NoiseAmplitudes(0.0, 0.0)
     grid = PathGrid(0.0, 1e-3, 5000)
-    traj = exact_flow(PhaseState(0.0, 0.0), zero_pair(grid), params, amps)
+    traj = exact_flow((0.0, 0.0), zero_pair(grid), params, amps)
     assert np.all(traj.theta == 0.0)
     assert np.all(traj.p == 0.0)
 
@@ -356,7 +355,7 @@ def test_exact_flow_inverted_fixed_point(params):
     # to that rounding over a short horizon
     amps = NoiseAmplitudes(0.0, 0.0)
     grid = PathGrid(0.0, 1e-3, 2000)
-    traj = exact_flow(PhaseState(np.pi, 0.0), zero_pair(grid), params, amps)
+    traj = exact_flow((np.pi, 0.0), zero_pair(grid), params, amps)
     assert np.abs(traj.theta - np.pi).max() <= 1e-13
     assert np.abs(traj.p).max() <= 1e-13
 
@@ -368,7 +367,7 @@ def test_exact_flow_energy_wander_shrinks_with_sigma(params):
     wander = []
     for s in (0.2, 0.1, 0.05):
         amps = NoiseAmplitudes(s, s)
-        traj = exact_flow(PhaseState(0.1, 0.0), pair, params, amps)
+        traj = exact_flow((0.1, 0.0), pair, params, amps)
         wander.append(np.abs(traj.energy - traj.energy[0]).max())
     assert wander[0] > wander[1] > wander[2]
     assert wander[2] < 0.05
@@ -381,7 +380,7 @@ def test_exact_flow_blowup_reports_index(params):
     pair = zero_pair(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            exact_flow(PhaseState(0.1, np.finfo(float).max / 4), pair, params, amps)
+            exact_flow((0.1, np.finfo(float).max / 4), pair, params, amps)
     assert err.value.step_index >= 1
 
 
@@ -402,8 +401,7 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
     for i, level in enumerate(levels):
         for j in range(2):
             th_ref, p_ref, _ = exact_flow_ensemble(th0[j], p0, x1[j], x2[j], grid, params,
-                                                   NoiseAmplitudes(*level),
-                                                   with_energy=False)
+                                                   NoiseAmplitudes(*level))
             assert np.array_equal(theta[:, i, j], th_ref)
             assert np.array_equal(p[:, i, j], p_ref)
 
@@ -465,13 +463,13 @@ def test_float_backend_non_finite_start_blows_up_at_step_one(theta0, p0, l):
 
 def test_averaged_flow_fixed_point(params):
     lam = LambdaPoint(0.0, 0.0)
-    traj = averaged_flow(PhaseState(0.0, 0.0), lam, params, 1e-3, 1000)
+    traj = averaged_flow((0.0, 0.0), lam, params, 1e-3, 1000)
     assert np.all(traj.theta == 0.0) and np.all(traj.p == 0.0)
 
 
 def test_averaged_flow_energy_drift(params):
     lam = LambdaPoint(0.0, 0.0)
-    traj = averaged_flow(PhaseState(0.1, 0.0), lam, params, 1e-3, 10000)
+    traj = averaged_flow((0.1, 0.0), lam, params, 1e-3, 10000)
     assert np.abs(traj.energy - traj.energy[0]).max() <= 1e-8
 
 
@@ -489,7 +487,7 @@ def measured_period(traj):
 
 def test_small_oscillation_period(params):
     lam = LambdaPoint(0.0, 0.0)
-    traj = averaged_flow(PhaseState(0.01, 0.0), lam, params, 1e-3, 20000)
+    traj = averaged_flow((0.01, 0.0), lam, params, 1e-3, 20000)
     period = measured_period(traj)
     assert abs(period - 2 * np.pi) / (2 * np.pi) < 0.01
 
@@ -497,7 +495,7 @@ def test_small_oscillation_period(params):
 def test_averaged_flow_in_double_well(params):
     # a point in the deeper structure keeps bounded energy drift too
     lam = LambdaPoint(0.5, 0.0)
-    traj = averaged_flow(PhaseState(np.pi / 3 + 0.1, 0.0), lam, params,
+    traj = averaged_flow((np.pi / 3 + 0.1, 0.0), lam, params,
                          1e-3, 20000)
     assert np.abs(traj.energy - traj.energy[0]).max() <= 1e-7
 
@@ -511,10 +509,11 @@ def test_embedding_rest_positions(params):
     grid = PathGrid(0.0, 1e-2, 10)
     pair = zero_pair(grid)
     from stochpend import Trajectory
-    traj = Trajectory(grid=grid, theta=np.zeros(11), p=np.zeros(11))
+    traj = Trajectory(grid=grid, theta=np.zeros(11), p=np.zeros(11), energy=np.zeros(11))
     emb = bob_embedding(traj, pair, params, amps)
     assert np.all(emb.x == 0.0) and np.all(emb.y == -params.l)
-    traj2 = Trajectory(grid=grid, theta=np.full(11, np.pi / 2), p=np.zeros(11))
+    traj2 = Trajectory(grid=grid, theta=np.full(11, np.pi / 2), p=np.zeros(11),
+                       energy=np.zeros(11))
     emb2 = bob_embedding(traj2, pair, params, amps)
     np.testing.assert_allclose(emb2.x, params.l, atol=1e-15)
     np.testing.assert_allclose(emb2.y, 0.0, atol=1e-15)
@@ -526,7 +525,7 @@ def test_embedding_trapezoid_exact_for_constant(params):
     c = 0.7
     const = PathSample(grid, np.full(grid.n + 1, c))
     from stochpend import Trajectory
-    traj = Trajectory(grid=grid, theta=np.zeros(21), p=np.zeros(21))
+    traj = Trajectory(grid=grid, theta=np.zeros(21), p=np.zeros(21), energy=np.zeros(21))
     emb = bob_embedding(traj, (const, const), params, amps)
     np.testing.assert_allclose(emb.x, c * grid.times(), rtol=1e-14)
 

@@ -66,12 +66,9 @@ def test_series_writers_match_value_formatting(tmp_path):
     write_pair_csv(tmp_path / "pair.csv", pair)
     assert (tmp_path / "pair.csv").read_bytes() == value_rows("t,xi1,xi2", zip(t, a, b))
     traj = Trajectory(grid, a, b, c)
-    write_trajectory_csv(tmp_path / "traj.csv", traj, energy_label="Hbar")
+    write_trajectory_csv(tmp_path / "traj.csv", traj)
     assert (tmp_path / "traj.csv").read_bytes() == \
-        value_rows("t,theta,p,Hbar", zip(t, a, b, c))
-    write_trajectory_csv(tmp_path / "bare.csv", Trajectory(grid, a, b))
-    assert (tmp_path / "bare.csv").read_bytes() == \
-        value_rows("t,theta,p,H", zip(t, a, b, [math.nan] * len(t)))
+        value_rows("t,theta,p,H", zip(t, a, b, c))
     emb = BobEmbedding(grid, a, c, b, b)
     write_embedding_csv(tmp_path / "emb.csv", emb)
     assert (tmp_path / "emb.csv").read_bytes() == value_rows("t,x,y", zip(t, a, c))
@@ -98,7 +95,8 @@ def test_grid_writers_keep_their_row_order(tmp_path):
     counts = np.array([[0.0, 3.0], [12.0, 1.0], [5.0, 0.0]])
     edges = np.zeros(1)
     write_histogram_csv(tmp_path / "hist.csv",
-                        FillReport(counts, theta_edges=edges, p_edges=edges, occupancy=0.5))
+                        FillReport(counts, theta_edges=edges, p_edges=edges, occupancy=0.5,
+                                   band_edges=edges, band_occupancy=edges))
     expected = "theta_bin,p_bin,count\n" + "".join(
         f"{i},{j},{int(counts[i, j])}\n" for i in range(3) for j in range(2))
     assert (tmp_path / "hist.csv").read_text() == expected

@@ -7,7 +7,6 @@ from stochpend import (
     NoiseAmplitudes,
     PathGrid,
     PathSample,
-    PhaseState,
     averaged_hamiltonian,
     cylinder_distance,
     equilibrium_concentration,
@@ -21,6 +20,7 @@ from stochpend import (
     wrap_angle,
 )
 from stochpend.bifurcation import Equilibrium
+from stochpend.poincare import FILL_BANDS
 from stochpend.rpsde import grid_for_periods, period_stride
 from stochpend.presets import default_noise_pair
 
@@ -32,7 +32,7 @@ def zero_pair(grid):
 
 def classical_libration(params, n_periods=10, spp=1000, theta0=0.5):
     grid = PathGrid(0.0, 1.0 / spp, n_periods * spp)
-    return exact_flow(PhaseState(theta0, 0.0), zero_pair(grid), params,
+    return exact_flow((theta0, 0.0), zero_pair(grid), params,
                       NoiseAmplitudes(0.0, 0.0))
 
 
@@ -56,7 +56,7 @@ def test_section_states_bitwise_equal(params):
 
 def test_section_of_constant_trajectory(params):
     grid = PathGrid(0.0, 0.01, 500)
-    traj = exact_flow(PhaseState(0.0, 0.0), zero_pair(grid), params,
+    traj = exact_flow((0.0, 0.0), zero_pair(grid), params,
                       NoiseAmplitudes(0.0, 0.0))
     sec = stroboscope(traj, tau=1.0)
     assert np.all(sec.theta == sec.theta[0])
@@ -90,16 +90,10 @@ def test_wrapped_and_raw_agree_mod_two_pi(params):
 # occupancy
 
 
-def test_fill_empty_ensemble():
-    rep = plane_fill_density([])
-    assert rep.occupancy == 0.0
-    assert rep.counts.sum() == 0
-
-
 def test_fill_deterministic_orbit_thin(params):
     traj = classical_libration(params, n_periods=200, spp=200)
     sec = stroboscope(traj, tau=1.0)
-    rep = plane_fill_density([sec], grid=(32, 32))
+    rep = plane_fill_density([sec], (32, 32), LambdaPoint(0.0, 0.0), params)
     # a libration orbit traces one closed curve: a thin band of cells
     assert 0.0 < rep.occupancy < 0.15
 
@@ -110,24 +104,22 @@ def test_fill_grows_with_noise(params):
     secs0, secs1 = [], []
     for seed in range(8):
         pair = simulate_pair(*cfg, grid, seed=seed)
-        t_noisy = exact_flow(PhaseState(0.5 + 0.01 * seed, 0.0), pair, params,
+        t_noisy = exact_flow((0.5 + 0.01 * seed, 0.0), pair, params,
                              NoiseAmplitudes(0.35, 0.35))
-        t_silent = exact_flow(PhaseState(0.5 + 0.01 * seed, 0.0), pair, params,
+        t_silent = exact_flow((0.5 + 0.01 * seed, 0.0), pair, params,
                               NoiseAmplitudes(0.0, 0.0))
         secs1.append(stroboscope(t_noisy, 1.0))
         secs0.append(stroboscope(t_silent, 1.0))
-    occ0 = plane_fill_density(secs0, grid=(32, 32)).occupancy
-    occ1 = plane_fill_density(secs1, grid=(32, 32)).occupancy
+    occ0 = plane_fill_density(secs0, (32, 32), LambdaPoint(0.0, 0.0), params).occupancy
+    occ1 = plane_fill_density(secs1, (32, 32), LambdaPoint(0.0, 0.0), params).occupancy
     assert occ1 > occ0
 
 
 def test_fill_energy_bands(params):
     traj = classical_libration(params, n_periods=50, spp=200)
     sec = stroboscope(traj, tau=1.0)
-    rep = plane_fill_density([sec], grid=(32, 32), lam=LambdaPoint(0.0, 0.0),
-                             params=params, bands=4)
-    assert rep.band_occupancy is not None
-    assert len(rep.band_occupancy) == 4
+    rep = plane_fill_density([sec], (32, 32), LambdaPoint(0.0, 0.0), params)
+    assert len(rep.band_occupancy) == FILL_BANDS
     assert np.all(rep.band_occupancy >= 0.0)
 
 
@@ -218,7 +210,7 @@ def test_probe_at_saddle_stays_fixed(params):
     # the saddle itself is a fixed point of the deterministic flow up to
     # the rounding of sin(pi)
     grid = PathGrid(0.0, 1e-3, 2000)
-    traj = exact_flow(PhaseState(np.pi, 0.0), zero_pair(grid), params,
+    traj = exact_flow((np.pi, 0.0), zero_pair(grid), params,
                       NoiseAmplitudes(0.0, 0.0))
     d = cylinder_distance(traj.theta, traj.p, np.pi, 0.0)
     assert d.max() <= 1e-6

@@ -287,7 +287,7 @@ def test_law_differs_at_half_period():
 def test_law_check_needs_two_members(ou_config):
     grid = grid_for_periods(1.0, 3, 100)
     with pytest.raises(ValueError):
-        law_periodicity_check(ou_config, grid, ensemble_seeds(0, 1), s=1.0)
+        law_periodicity_check(ou_config, grid, ensemble_seeds(0, 1), s=1.0, lag=1.0)
 
 
 def test_ensemble_rows_match_single(pair_config):

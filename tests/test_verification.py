@@ -8,12 +8,13 @@ from stochpend import (
     NoiseAmplitudes,
     NoiseChannelConfig,
     PeriodicDriftSpec,
-    PhaseState,
     SampleLengthError,
     calibration_stats,
     chebyshev_consistency,
+    equilibrium_concentration,
     exact_flow,
     exceedance_probability,
+    find_equilibria,
     hamiltonian_gap,
     lambda_from_stats,
     m1m2_decomposition,
@@ -45,7 +46,7 @@ def test_gap_vanishes_without_noise(params):
     grid = grid_for_periods(1.0, 3, 200)
     pair = simulate_pair(*cfg, grid, seed=4)
     amps = NoiseAmplitudes(0.0, 0.0)
-    traj = exact_flow(PhaseState(0.3, 0.2), pair, params, amps)
+    traj = exact_flow((0.3, 0.2), pair, params, amps)
     gaps = hamiltonian_gap(traj, pair, LambdaPoint(0.0, 0.0), params, amps)
     assert np.all(gaps == 0.0)
 
@@ -55,7 +56,7 @@ def test_gap_triangle_bound(params, quick_stats):
     amps = NoiseAmplitudes(0.3, 0.25)
     grid = grid_for_periods(1.0, 5, 200)
     pair = simulate_pair(*cfg, grid, seed=6)
-    traj = exact_flow(PhaseState(0.4, 0.0), pair, params, amps)
+    traj = exact_flow((0.4, 0.0), pair, params, amps)
     lam = lambda_from_stats(amps, quick_stats)
     gaps = hamiltonian_gap(traj, pair, lam, params, amps)
     S = noise_coupling(traj.theta, pair[0].values, pair[1].values, amps)
@@ -107,8 +108,7 @@ def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, see
     gaps = _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, theta0, p0)
     for i, level in enumerate(levels):
         amps = NoiseAmplitudes(*level)
-        th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps,
-                                       with_energy=False)
+        th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
         ref = np.abs(exact_hamiltonian(th, p, x1.T, x2.T, params, amps)
                      - averaged_hamiltonian(th, p, lams[i], params)).max(axis=0)
         np.testing.assert_allclose(gaps[i], ref, rtol=1e-12, atol=0.0)
@@ -203,7 +203,7 @@ def test_chebyshev_holds_on_default_family(params, quick_stats):
     amps = NoiseAmplitudes(0.1, 0.1)
     grid = grid_for_periods(1.0, 10, 1000)
     pair = simulate_pair(*default_noise_pair(), grid, seed=3)
-    traj = exact_flow(PhaseState(0.1, 0.0), pair, params, amps)
+    traj = exact_flow((0.1, 0.0), pair, params, amps)
     decomp = m1m2_decomposition(traj, pair, quick_stats, params, amps,
                                 delta=0.05)
     rep = chebyshev_consistency(decomp)
@@ -216,7 +216,7 @@ def test_m1m2_without_noise_keeps_full_threshold(params, quick_stats):
     amps = NoiseAmplitudes(0.0, 0.0)
     grid = grid_for_periods(1.0, 5, 200)
     pair = simulate_pair(*default_noise_pair(), grid, seed=8)
-    traj = exact_flow(PhaseState(1.0, 0.0), pair, params, amps)
+    traj = exact_flow((1.0, 0.0), pair, params, amps)
     assert np.abs(traj.p).max() / params.l**2 > 0.05  # |thetadot| > delta
     decomp = m1m2_decomposition(traj, pair, quick_stats, params, amps,
                                 delta=0.05)
@@ -231,7 +231,7 @@ def test_m1m2_without_noise_keeps_full_threshold(params, quick_stats):
 def test_m2_single_channel_weight(params, quick_stats, amps, moment):
     grid = grid_for_periods(1.0, 1, 100)
     pair = simulate_pair(*default_noise_pair(), grid, seed=8)
-    traj = exact_flow(PhaseState(0.1, 0.0), pair, params, amps)
+    traj = exact_flow((0.1, 0.0), pair, params, amps)
     decomp = m1m2_decomposition(traj, pair, quick_stats, params, amps,
                                 delta=0.05)
     assert decomp.m2 == pytest.approx(0.09 * getattr(quick_stats, moment),
@@ -243,7 +243,7 @@ def test_m1m2_dominates_hamiltonian_gap(params, quick_stats, convention):
     amps = NoiseAmplitudes(0.3, 0.25)
     grid = grid_for_periods(1.0, 5, 200)
     pair = simulate_pair(*default_noise_pair(), grid, seed=6)
-    traj = exact_flow(PhaseState(0.4, 0.0), pair, params, amps)
+    traj = exact_flow((0.4, 0.0), pair, params, amps)
     lam = lambda_from_stats(amps, quick_stats, convention)
     gaps = hamiltonian_gap(traj, pair, lam, params, amps)
     delta = float(np.median(gaps))
@@ -354,3 +354,32 @@ def test_deviation_needs_three_levels(params, quick_stats):
     with pytest.raises(SampleLengthError):
         potential_deviation(theta_grid, [(0.1, 0.1)], 50,
                             default_noise_pair(), stats=quick_stats)
+
+
+# ---------------------------------------------------------------------------
+# seed chunks
+
+
+def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
+    """Drawing the ensemble noise 7 seeds at a time (3 chunks of 20) gives
+    the bytes of drawing it all at once."""
+    pair = default_noise_pair()
+    levels = [(0.3, 0.3), (0.15, 0.15), (0.05, 0.05)]
+    theta_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    e0 = next(e for e in find_equilibria(LambdaPoint(0.0, 0.0), params) if e.kind == "stable")
+
+    def results():
+        exc = exceedance_probability(0.01, levels, 20, 2, pair, (0.1, 0.0), quick_stats,
+                                     params=params, steps_per_period=50,
+                                     burn_in_periods=2, master_seed=3)
+        dev = potential_deviation(theta_grid, levels, 20, pair, quick_stats, params=params,
+                                  burn_in_periods=2, steps_per_period=50, master_seed=3)
+        conc = equilibrium_concentration(e0, levels, 20, 2, pair, params=params,
+                                         steps_per_period=50, master_seed=3)
+        return [a.tobytes() for a in (exc.probs, exc.ci_half_widths, dev.mean_abs_dev,
+                                      dev.loglog_slope, conc.radii)]
+
+    whole = results()
+    monkeypatch.setattr("stochpend.verification.SEED_CHUNK", 7)
+    monkeypatch.setattr("stochpend.poincare.SEED_CHUNK", 7)
+    assert results() == whole

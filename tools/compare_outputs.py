@@ -9,9 +9,9 @@ it works in a temporary directory: nothing is written inside either tree.
 The cases cover all six commands: the four benchmark workloads of
 ``perfbench/workloads.py`` at ``--seed`` (default 0), a small ``portrait``,
 small configs that switch on every ``verify`` run and every ``poincare``
-run, and an ``average`` whose grid duration over tau is not a whole
-number in floating point.  ``--case`` (repeatable) runs only the cases
-named.
+run, ``verify`` and ``poincare`` ensembles of three seed chunks, and an
+``average`` whose grid duration over tau is not a whole number in
+floating point.  ``--case`` (repeatable) runs only the cases named.
 
 For each case the script prints both exit codes and, per output file, the
 SHA-256 from each tree.  It exits 0 when every case has the same exit code
@@ -67,6 +67,11 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["poincare-all-runs"] = ("poincare", dict(small, poincare={
         "run": ["concentration", "fill", "splitting", "sections"],
         "n_points": 6, "sections_exported": 2, "fill_grid": [16, 16]}))
+    # 1 100 seeds: the ensemble runs cross two SEED_CHUNK boundaries
+    chunked = dict(small, seeds={"master": seed, "ensemble": 1100})
+    out["verify-chunked"] = ("verify", dict(chunked, verify={
+        "run": ["exceedance", "deviation"]}))
+    out["poincare-chunked"] = ("poincare", dict(chunked, poincare={"run": ["concentration"]}))
     # 250 steps a period, yet h * n / tau is 44.99999999999999 for 45 periods
     out["average-short-period"] = ("average", {
         "noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "seeds": {"master": seed},
