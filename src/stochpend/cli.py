@@ -276,7 +276,11 @@ class RunConfig:
 
         if command in ("simulate", "average", "verify", "poincare"):
             self.steps_per_period = period_stride(tau, grid["h"])
-        verify, box = self.verify, self.atlas["box"]
+        verify, box, average = self.verify, self.atlas["box"], self.average
+        # one whole period per batch at least
+        if command == "average" and average["avg_periods"] < average["batches"]:
+            raise ConfigError(f"average.avg_periods must be >= average.batches = "
+                              f"{average['batches']}, got {average['avg_periods']}")
         if command == "verify" and "deviation" in verify["run"] \
                 and len(verify["sigma_levels"]) < 3:
             raise ConfigError("verify.deviation needs at least 3 sigma levels")
@@ -348,8 +352,8 @@ def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
     block, tau, convention = config.average, config.noise["tau"], config.noise["convention"]
     grid = grid_for_periods(tau, block["burn_in_periods"] + block["avg_periods"],
                             config.steps_per_period)
-    pair = simulate_pair(*config.pair, grid, seed=config.seeds["master"])
-    stats = estimate_ergodic_stats(pair, tau, burn_in_periods=block["burn_in_periods"],
+    stats = estimate_ergodic_stats(*config.pair, grid, config.seeds["master"], tau,
+                                   burn_in_periods=block["burn_in_periods"],
                                    batches=block["batches"])
     lam = lambda_from_stats(config.amps, stats, convention)
     write_json(rundir.path("ergodic_stats.json"), ergodic_summary(stats, lam, convention))

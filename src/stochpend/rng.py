@@ -17,6 +17,12 @@ memory beyond the output is one block of raw words.  Because Philox is
 counter-based, the blocked stream equals the one-shot formula
 ``ndtri((Philox(key).random_raw(n) >> 11) * 2**-53 + 2**-54)`` bit for bit.
 
+The stream is also resumable: ``standard_normals(seed, stream, n, start=m)``
+is values m .. m + n - 1 of it, bit for bit, without drawing the first m.
+Each Philox counter step gives four raw words, so the generator skips
+``m // 4`` steps and drops the ``m % 4`` words left before value m.  A long
+path can thus be drawn one span at a time.
+
 Identical (seed, stream) inputs reproduce identical variates bit for bit
 on every run of the same library versions; the scheme contains no global
 state and no platform-dependent sampling loop (no rejection steps).
@@ -63,10 +69,14 @@ def stream_key(seed: int, stream: int) -> tuple[int, int]:
 BLOCK = 1 << 15
 
 
-def _uniform_blocks(seed: int, stream: int, out: np.ndarray):
-    """Fill ``out`` with uniforms on (0, 1) block by block, yielding each block."""
+def _uniform_blocks(seed: int, stream: int, out: np.ndarray, start: int):
+    """Fill ``out`` with uniforms ``start`` .. of the stream block by block,
+    yielding each block."""
     k0, k1 = stream_key(seed, stream)
     bg = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
+    # four raw words per counter step
+    bg.advance(start // 4)
+    bg.random_raw(start % 4)
     for lo in range(0, len(out), BLOCK):
         seg = out[lo:lo + BLOCK]
         raw = bg.random_raw(len(seg))
@@ -80,14 +90,15 @@ def _uniform_blocks(seed: int, stream: int, out: np.ndarray):
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """``n`` doubles in the open interval (0, 1)."""
     out = np.empty(n)
-    for _ in _uniform_blocks(seed, stream, out):
+    for _ in _uniform_blocks(seed, stream, out, 0):
         pass
     return out
 
 
 def standard_normals(seed: int, stream: int, n: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """``n`` unit normals by quantile inversion, written into ``out`` if given.
+                     out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """Unit normals ``start`` .. ``start + n - 1`` of the stream by quantile
+    inversion, written into ``out`` if given.
 
     ``out`` is a float64 vector of length ``n`` (a view, such as one row of
     a path array, is fine); it is filled and returned.
@@ -96,7 +107,7 @@ def standard_normals(seed: int, stream: int, n: int,
         out = np.empty(n)
     elif out.shape != (n,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 vector of length {n}")
-    for seg in _uniform_blocks(seed, stream, out):
+    for seg in _uniform_blocks(seed, stream, out, start):
         ndtri(seg, out=seg)
     return out
 

@@ -25,19 +25,23 @@ fused form
               + beta sqrt(h) z_k,
 
 where z_k are the unit normals of the channel's stream (see
-:mod:`stochpend.rng`).  One generator serves :func:`simulate_pair_ensemble`
-and its one-seed view :func:`simulate_pair`.  It has
-:func:`stochpend.rng.standard_normals` write each seed's normals straight
-into columns 1..n of a (seeds, n + 1) array per channel (on a shared
-driver they are drawn once and copied to channel 2) and puts z0 in
-column 0.  Then each row is turned into its path in place, one block of
+:mod:`stochpend.rng`).  One generator serves :func:`simulate_pair_ensemble`,
+its one-seed view :func:`simulate_pair` and :func:`estimate_ergodic_stats`.
+It fills one span of nodes of one seed's paths at a time.
+:func:`stochpend.rng.standard_normals` writes the span's normals straight
+into a row per channel, starting at the span's place in the stream (on
+a shared driver they are drawn once and copied to channel 2); node 0
+holds z0.  Then each row is turned into its path in place, one block of
 :data:`stochpend.rng.BLOCK` nodes at a time: scale by beta sqrt(h), add
 the forcing, and run the recurrence as a compiled linear filter whose
-state is carried from block to block, so y_0 = z0 and
-y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
-step-by-step loop.  Peak memory is the output plus a few blocks, for
-the generator and for :func:`estimate_ergodic_stats`, which forms the
-products xi_i xi_j one batch at a time.
+state is carried from block to block and from span to span, so
+y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical
+to the literal step-by-step loop, however the path is cut into spans.
+The ensemble entry points fill whole rows of a (seeds, n + 1) array per
+channel, and their peak memory is the output plus a few blocks.
+:func:`estimate_ergodic_stats` draws the pair one batch at a time into
+two reused rows and reduces each batch before drawing the next, so its
+peak memory is three batches plus a few blocks, whatever the horizon.
 
 The forcing term and its time grid are built only when A != 0.  At
 A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
@@ -223,6 +227,36 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
+def _fill_span(cfgs: list[NoiseChannelConfig], seed: int, rows: list[np.ndarray],
+               grid: PathGrid, start: int, states: list[np.ndarray]) -> list[int]:
+    """Nodes ``start`` .. ``start + len(rows[c]) - 1`` of one seed's paths, in place.
+
+    Row c is channel c.  Each channel's normals are drawn into its row
+    (on a shared driver once, then copied), then :func:`_filter_row` turns
+    each row into the path, carrying its filter state in ``states[c]``
+    from the span before.  Returns each channel's first non-finite node,
+    or ``grid.n + 1``.
+    """
+    streams = [SHARED_STREAM if cfg.driver == SHARED else c
+               for c, cfg in enumerate(cfgs, start=1)]
+    first = max(start, 1) - start  # node 0 holds z0, not a normal
+    for c, stream in enumerate(streams):
+        z = rows[c][first:]
+        if c and stream == streams[0]:
+            z[:] = rows[0][first:]
+        else:
+            standard_normals(int(seed), stream, len(z), out=z, start=start + first - 1)
+    return [_filter_row(cfg, row, grid, start, state)
+            for cfg, row, state in zip(cfgs, rows, states)]
+
+
+def _check_finite(bad: list[int], grid: PathGrid) -> None:
+    """Raise :class:`BlowUpError` at channel 1's first non-finite node, else channel 2's."""
+    for node in bad:
+        if node <= grid.n:
+            raise BlowUpError(node, f"noise path non-finite at grid step {node}")
+
+
 def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
                  grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray | None]:
     """The one noise generator (see the module docstring).
@@ -233,48 +267,46 @@ def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
     other, so a traced call of either one counts its paths once.
     """
     cfgs = [cfg1] if cfg2 is None else [cfg1, cfg2]
-    streams = [SHARED_STREAM if cfg.driver == SHARED else c
-               for c, cfg in enumerate(cfgs, start=1)]
     values = [np.empty((len(seeds), grid.n + 1)) for _ in cfgs]
+    bad = [grid.n + 1] * len(cfgs)
     for i, s in enumerate(seeds):
-        for c, stream in enumerate(streams):
-            if c and stream == streams[0]:
-                values[c][i, 1:] = values[0][i, 1:]
-            else:
-                standard_normals(int(s), stream, grid.n, out=values[c][i, 1:])
-    for cfg, x in zip(cfgs, values):
-        bad = min((_filter_row(cfg, row, grid) for row in x), default=grid.n + 1)
-        if bad <= grid.n:
-            raise BlowUpError(bad, f"noise path non-finite at grid step {bad}")
+        found = _fill_span(cfgs, s, [x[i] for x in values], grid, 0,
+                           [np.zeros(1) for _ in cfgs])
+        bad = list(map(min, bad, found))
+    _check_finite(bad, grid)
     return values[0], (values[1] if cfg2 is not None else None)
 
 
-def _filter_row(cfg: NoiseChannelConfig, row: np.ndarray, grid: PathGrid) -> int:
-    """Turn normals z_k in ``row[1:]`` into the channel's path, in place.
+def _filter_row(cfg: NoiseChannelConfig, row: np.ndarray, grid: PathGrid,
+                start: int, state: np.ndarray) -> int:
+    """Turn the normals in ``row`` into nodes ``start`` .. of the channel's path, in place.
 
-    Block by block: scale by beta sqrt(h), add the forcing (only when
-    A != 0), then run the Euler recurrence as a linear filter whose state
-    is carried from block to block.  Returns the first grid node that is
-    not finite, or ``grid.n + 1`` if there is none.
+    ``row[i]`` is node ``start + i``; it holds the normal z_{start+i-1}, except
+    node 0, which is set to z0.  ``state`` is the filter state after node
+    ``start - 1`` (zeros at ``start`` 0) and is left as the state after the
+    row's last node, so the next span continues the path.  Block by block:
+    scale by beta sqrt(h), add the forcing (only when A != 0), then run
+    the Euler recurrence as a linear filter.  Returns the first grid node
+    that is not finite, or ``grid.n + 1`` if there is none.
     """
     d, h = cfg.drift, grid.h
     scale = cfg.beta * np.sqrt(h)
     b, a = [1.0], [1.0, -(1.0 - d.alpha * h)]
-    state = np.zeros(1)
-    row[0] = cfg.z0
+    if start == 0:
+        row[0] = cfg.z0
     for lo in range(0, len(row), BLOCK):
         seg = row[lo:lo + BLOCK]
-        first = max(lo, 1)  # node 0 holds z0, not a normal
+        first = max(lo, 1 - start)  # node 0 holds z0, not a normal
         u = seg[first - lo:]
         u *= scale
         if d.forcing_amp != 0:
-            t_k = grid.t0 + h * np.arange(first - 1, lo + len(seg) - 1)
+            t_k = grid.t0 + h * np.arange(start + first - 1, start + lo + len(seg) - 1)
             u += d.alpha * h * d.target(t_k)
-        seg[:], state = lfilter(b, a, seg, zi=state)
+        seg[:], state[:] = lfilter(b, a, seg, zi=state)
         finite = np.isfinite(seg)
         if not finite.all():
-            return lo + int(np.argmin(finite))
-    return len(row)
+            return start + lo + int(np.argmin(finite))
+    return grid.n + 1
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -302,21 +334,25 @@ def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
-def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
+def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
+                           grid: PathGrid, seed: int, tau: float,
                            burn_in_periods: int = 100, batches: int = 16) -> ErgodicStats:
     """Time averages of xi_i, xi_i^2 and xi_1 xi_2 with batch-means errors.
 
-    ``tau`` must be a multiple of the grid step.  The first
-    ``burn_in_periods`` whole periods are discarded; the rest of the path
-    is split into ``batches`` equal blocks.  The path must span at least
-    ``burn_in_periods + batches`` whole periods (one period per batch).
+    The averages are over the pair ``simulate_pair(cfg1, cfg2, grid, seed)``,
+    drawn one span at a time and never held whole.  ``tau`` must be a
+    multiple of the grid step.  The first ``burn_in_periods`` whole periods
+    are discarded, in spans of at most one batch; the rest of the path is
+    split into ``batches`` equal blocks, one span each, so that each batch
+    mean sees the same array as over the whole path.  The fewer than
+    ``batches`` nodes left at the end are drawn only to be checked for
+    blow-up.  The path must span at least ``burn_in_periods + batches``
+    whole periods (one period per batch).  Raises :class:`BlowUpError` at
+    the first non-finite node of the first span that has one, channel 1
+    before channel 2.
     """
     if batches < 8:
         raise ValueError(f"batches must be >= 8, got {batches}")
-    p1, p2 = pair
-    if p1.grid != p2.grid:
-        raise ValueError("paths must share one grid")
-    grid = p1.grid
     stride = period_stride(tau, grid.h)
     periods = grid.n // stride
     if periods < burn_in_periods + batches:
@@ -325,14 +361,21 @@ def estimate_ergodic_stats(pair: tuple[PathSample, PathSample], tau: float,
             f"need >= {burn_in_periods + batches} (burn-in + batches)")
     start = burn_in_periods * stride
     block = (grid.n + 1 - start) // batches
-    # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch;
-    # a product is formed for one batch at a time, never for the whole path
+    end = start + batches * block
+    # span edges: burn-in pieces, the batches, then the trailing nodes if any
+    edges = [*range(0, start, block), *range(start, end + 1, block)]
+    if end <= grid.n:
+        edges.append(grid.n + 1)
+    buf = np.empty((2, max(np.diff(edges))))
+    states = [np.zeros(1), np.zeros(1)]
+    # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch
     means = np.empty((5, batches))
-    for k in range(batches):
-        x1 = p1.values[start + k * block:start + (k + 1) * block]
-        x2 = p2.values[start + k * block:start + (k + 1) * block]
-        means[:, k] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
-                       np.mean(x2 * x2), np.mean(x1 * x2))
+    for lo, hi in zip(edges, edges[1:]):
+        x1, x2 = buf[:, :hi - lo]
+        _check_finite(_fill_span([cfg1, cfg2], seed, [x1, x2], grid, lo, states), grid)
+        if start <= lo < end:
+            means[:, (lo - start) // block] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
+                                               np.mean(x2 * x2), np.mean(x1 * x2))
     (mean1, se_mean1), (mean2, se_mean2), (c1, se_c1), (c2, se_c2), (c12, se_c12) = \
         map(_mean_and_se, means)
     return ErgodicStats(

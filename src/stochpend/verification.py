@@ -51,7 +51,6 @@ from .rpsde import (
     PathSample,
     estimate_ergodic_stats,
     grid_for_periods,
-    simulate_pair,
     simulate_pair_ensemble,
 )
 
@@ -127,9 +126,8 @@ def calibration_stats(pair_config: PairConfig, master_seed: int = 0,
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
     grid = grid_for_periods(tau, periods, steps_per_period)
-    pair = simulate_pair(cfg1, cfg2, grid, seed=splitmix64(master_seed))
-    return estimate_ergodic_stats(pair, tau, burn_in_periods=burn_in_periods,
-                                  batches=batches)
+    return estimate_ergodic_stats(cfg1, cfg2, grid, splitmix64(master_seed), tau,
+                                  burn_in_periods=burn_in_periods, batches=batches)
 
 
 def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],

@@ -241,9 +241,8 @@ def test_criterion_7_ergodic_oracle():
     cfg = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=1.0),
                              beta=float(np.sqrt(2.0)))
     grid = grid_for_periods(1.0, 10_100, 1000)
-    pair = simulate_pair(cfg, cfg, grid, seed=MASTER_SEED)
-    stats = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100,
-                                   batches=16)
+    stats = estimate_ergodic_stats(cfg, cfg, grid, MASTER_SEED, tau=1.0,
+                                   burn_in_periods=100, batches=16)
     ok = abs(stats.c1 - 1.0) <= 3 * stats.se_c1
     ok &= abs(stats.mean1) <= 3 * stats.se_mean1
     ok &= abs(stats.mean2) <= 3 * stats.se_mean2

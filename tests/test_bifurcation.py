@@ -351,7 +351,7 @@ def test_trace_time_average_matches_lambda_map(params):
     grid = grid_for_periods(1.0, 600, 300)
     pair = simulate_pair(cfg1, cfg2, grid, seed=23)
     from stochpend import estimate_ergodic_stats
-    stats = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100,
+    stats = estimate_ergodic_stats(cfg1, cfg2, grid, 23, tau=1.0, burn_in_periods=100,
                                    batches=16)
     trace = perturbed_lambda_trace(pair, amps)
     start = 100 * 300

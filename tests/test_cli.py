@@ -112,14 +112,17 @@ def test_width1_overflow_exits_numeric(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("out", ["run", "nest/a/run"])
-def test_blowup_exits_numeric(tmp_path, capsys, out):
+@pytest.mark.parametrize("command, out", [
+    ("simulate", "run"), ("simulate", "nest/a/run"),
+    ("average", "run"), ("average", "nest/a/run"),
+], ids=["run", "nest/a/run", "average-run", "average-nest/a/run"])
+def test_blowup_exits_numeric(tmp_path, capsys, command, out):
     cfg = {
         "noise": {"channel1": {"alpha": 3000.0}},
         "grid": {"h": 0.001, "horizon_periods": 3},
     }
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run_cli(tmp_path, "simulate", cfg, out=out)
+        code, out = run_cli(tmp_path, command, cfg, out=out)
     assert code == EXIT_NUMERIC
     assert not out.exists()
     assert not (tmp_path / "nest").exists()  # nor any directory the run created
@@ -156,10 +159,19 @@ def test_average_matches_ou_oracle(tmp_path):
     assert stats["lambda1"] == pytest.approx(0.0, abs=1e-12)  # equal channels
 
 
-def test_average_rejects_short_window(tmp_path):
-    cfg = {"average": {"burn_in_periods": 100, "avg_periods": 10, "batches": 16}}
-    code, _ = run_cli(tmp_path, "average", cfg)
-    assert code == EXIT_CONFIG
+def test_average_rejects_short_window(tmp_path, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noise drawn before the window was checked")
+    monkeypatch.setattr("stochpend.rpsde.standard_normals", no_draw)
+    for cfg in (
+        {"average": {"burn_in_periods": 100, "avg_periods": 10, "batches": 16}},
+        # fewer periods than the 16 default batches, on a path that would blow up
+        {"noise": {"channel1": {"alpha": 3000.0}},
+         "average": {"burn_in_periods": 2, "avg_periods": 5}},
+    ):
+        code, out = run_cli(tmp_path, "average", cfg)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

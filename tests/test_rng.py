@@ -76,6 +76,13 @@ def test_blocked_normals_equal_one_shot_formula(n):
     assert np.isnan(rows[0]).all() and np.isnan(rows[1, 0])
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4 * BLOCK - 2, 4 * BLOCK + 1, 4 * BLOCK + 3])
+@pytest.mark.parametrize("n", [1, BLOCK + 2])
+def test_normals_resume_at_any_start(m, n):
+    whole = standard_normals(17, 2, m + n)
+    assert standard_normals(17, 2, n, start=m).tobytes() == whole[m:].tobytes()
+
+
 def test_normals_out_must_match_n():
     with pytest.raises(ValueError):
         standard_normals(1, 0, 10, out=np.empty(9))

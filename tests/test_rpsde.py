@@ -186,8 +186,8 @@ def test_strong_order_monitor(ou_config):
 
 def test_ou_stationary_variance_oracle(ou_config):
     grid = grid_for_periods(1.0, 1200, 1000)
-    pair = simulate_pair(ou_config, ou_config, grid, seed=21)
-    st = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100, batches=16)
+    st = estimate_ergodic_stats(ou_config, ou_config, grid, 21, tau=1.0,
+                                burn_in_periods=100, batches=16)
     assert abs(st.c1 - 1.0) <= 3.0 * st.se_c1
     assert abs(st.mean1) <= 3.0 * st.se_mean1
     assert abs(st.mean2) <= 3.0 * st.se_mean2
@@ -198,15 +198,14 @@ def test_forced_channel_second_moment_oracle():
         drift=PeriodicDriftSpec(tau=1.0, alpha=1.0, forcing_amp=2.0),
         beta=1.0)
     grid = grid_for_periods(1.0, 2100, 500)
-    pair = simulate_pair(cfg, cfg, grid, seed=8)
-    st = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100, batches=16)
+    st = estimate_ergodic_stats(cfg, cfg, grid, 8, tau=1.0, burn_in_periods=100, batches=16)
     assert abs(st.c1 - cfg.stationary_second_moment()) <= 4.0 * st.se_c1
 
 
 def test_identical_channels_c12_equals_c1(ou_config):
     grid = grid_for_periods(1.0, 150, 200)
-    pair = simulate_pair(ou_config, ou_config, grid, seed=30)
-    st = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100, batches=16)
+    st = estimate_ergodic_stats(ou_config, ou_config, grid, 30, tau=1.0,
+                                burn_in_periods=100, batches=16)
     assert st.c12 == st.c1
 
 
@@ -214,19 +213,19 @@ def test_cauchy_schwarz_on_estimates(pair_config):
     cfg1, cfg2 = pair_config
     for seed in range(5):
         grid = grid_for_periods(1.0, 130, 200)
-        pair = simulate_pair(cfg1, cfg2, grid, seed=seed)
-        st = estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100,
+        st = estimate_ergodic_stats(cfg1, cfg2, grid, seed, tau=1.0, burn_in_periods=100,
                                     batches=16)
         assert st.c12**2 <= st.c1 * st.c2 * (1 + 1e-12)
 
 
 def test_insufficient_length_error(ou_config):
     grid = grid_for_periods(1.0, 50, 100)
-    pair = simulate_pair(ou_config, ou_config, grid, seed=1)
     with pytest.raises(SampleLengthError):
-        estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=100, batches=16)
+        estimate_ergodic_stats(ou_config, ou_config, grid, 1, tau=1.0, burn_in_periods=100,
+                               batches=16)
     with pytest.raises(ValueError):
-        estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=0, batches=4)
+        estimate_ergodic_stats(ou_config, ou_config, grid, 1, tau=1.0, burn_in_periods=0,
+                               batches=4)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +360,68 @@ def test_generator_peak_memory_within_twice_output(pair_config, driver):
     assert peak <= 2.0 * (x1.nbytes + x2.nbytes)
 
 
+def batch_means_of_paths(x1, x2, stride, burn_in_periods, batches):
+    """The batch-means estimate over two whole paths, one slice per batch."""
+    n = len(x1) - 1
+    start = burn_in_periods * stride
+    block = (n + 1 - start) // batches
+    means = np.empty((5, batches))
+    for k in range(batches):
+        a = x1[start + k * block:start + (k + 1) * block]
+        b = x2[start + k * block:start + (k + 1) * block]
+        means[:, k] = np.mean(a), np.mean(b), np.mean(a * a), np.mean(b * b), np.mean(a * b)
+    mean_se = [(float(m.mean()), float(m.std(ddof=1) / np.sqrt(batches))) for m in means]
+    return (*(m for m, _ in mean_se), *(se for _, se in mean_se),
+            burn_in_periods, n // stride - burn_in_periods)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(driver=st.sampled_from(["shared", "independent"]),
+       amp=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+       z0=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
+       h=st.floats(0.01, 0.2), stride=st.integers(1, 6),
+       # 0, or more periods than one batch holds
+       burn_in=st.one_of(st.just(0), st.integers(4, 8)),
+       batches=st.integers(8, 20), block_periods=st.integers(1, 3),
+       extra=st.integers(0, 5), trailing=st.integers(1, 19),
+       # generator blocks shorter than a span, so that spans cross them
+       block=st.sampled_from([BLOCK, 5, 16]))
+def test_streamed_stats_equal_batch_means_of_the_path(driver, amp, z0, h, stride, burn_in,
+                                                       batches, block_periods, extra,
+                                                       trailing, block):
+    tau = stride * h
+    cfg1 = NoiseChannelConfig(PeriodicDriftSpec(tau, 1.3, amp, 0.4), beta=0.5, z0=z0,
+                              driver=driver)
+    cfg2 = NoiseChannelConfig(PeriodicDriftSpec(tau, 2.0, amp / 2), beta=0.8, z0=-z0 / 3,
+                              driver=driver)
+    # a batch of block_periods whole periods plus `extra` nodes, and
+    # 1 .. batches - 1 nodes left over after the last batch
+    width = block_periods * stride + extra
+    trailing = 1 + (trailing - 1) % (batches - 1)
+    grid = PathGrid(0.0, h, burn_in * stride + batches * width + trailing - 1)
+    seed = 2**64 - 7
+    expected = batch_means_of_paths(literal_path(cfg1, grid, seed, 1),
+                                    literal_path(cfg2, grid, seed, 2),
+                                    stride, burn_in, batches)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rng.BLOCK", block)
+        mp.setattr("stochpend.rpsde.BLOCK", block)
+        stats = estimate_ergodic_stats(cfg1, cfg2, grid, seed, tau=tau,
+                                       burn_in_periods=burn_in, batches=batches)
+    assert dataclasses.astuple(stats) == expected
+
+
+def traced_peak(f, *args, **kwargs):
+    """``f``'s result and the peak of memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        result = f(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 @pytest.mark.parametrize("forcing_amp", [0.0, 1.5])
 def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing_amp):
     cfg1, cfg2 = (dataclasses.replace(c, driver="shared", drift=dataclasses.replace(
@@ -368,15 +429,19 @@ def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing
     grid = grid_for_periods(1.0, 17, 8192)
     assert grid.n >= 4 * BLOCK
     simulate_pair(cfg1, cfg2, PathGrid(0.0, 0.001, 10), seed=1)
-    tracemalloc.start()
-    try:
-        pair = simulate_pair(cfg1, cfg2, grid, seed=3)
-        estimate_ergodic_stats(pair, tau=1.0, burn_in_periods=1, batches=16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    output = sum(p.values.nbytes for p in pair)
-    assert peak <= output + 4 * BLOCK * 8
+    pair, peak = traced_peak(simulate_pair, cfg1, cfg2, grid, seed=3)
+    assert peak <= sum(p.values.nbytes for p in pair) + 4 * BLOCK * 8
+    # the streamed estimate holds a batch of each channel and one product of
+    # them, not the path: at a fixed batch length, more periods cost no memory
+    spp = 2 * BLOCK + 3
+    peaks = []
+    for batches in (8, 24):
+        grid = grid_for_periods(1.0, 1 + batches, spp)
+        _, peak = traced_peak(estimate_ergodic_stats, cfg1, cfg2, grid, 3, tau=1.0,
+                              burn_in_periods=1, batches=batches)
+        assert peak <= 3 * spp * 8 + 4 * BLOCK * 8
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 4096  # the batch means and span edges grow
 
 
 @pytest.mark.parametrize("unstable", [1, 2])
@@ -397,6 +462,32 @@ def test_generator_blowup_names_first_non_finite_node(pair_config, unstable):
     assert np.isfinite(rows[:, :first]).all()
     with pytest.raises(BlowUpError) as err:
         simulate_pair_ensemble(*cfgs, grid, seeds)
+    assert err.value.step_index == first
+
+
+@pytest.mark.parametrize("where", ["batch", "trailing"])
+def test_streamed_stats_blowup_names_first_non_finite_node(pair_config, where):
+    # as above: channel 2 overflows near node 1025, here in the middle of
+    # a batch or among the nodes after the last batch
+    h = 0.01
+    wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h),
+                              beta=1.0, driver="independent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = int(np.argmin(np.isfinite(literal_path(wild, PathGrid(0.0, h, 2000), 4, 2))))
+    assert 1000 < first < 1100
+    if where == "batch":
+        tau, n, batches = 1.0, 2000, 8
+    else:
+        # stride 1 and the last batch ending just before the first bad node
+        tau, n = h, first
+        batches = next(b for b in range(8, 20) if n % b != b - 1)
+        assert batches * ((n + 1) // batches) <= first
+    cfg1 = dataclasses.replace(pair_config[0], drift=dataclasses.replace(
+        pair_config[0].drift, tau=tau))
+    wild = dataclasses.replace(wild, drift=dataclasses.replace(wild.drift, tau=tau))
+    with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+        estimate_ergodic_stats(cfg1, wild, PathGrid(0.0, h, n), 4, tau=tau,
+                               burn_in_periods=0, batches=batches)
     assert err.value.step_index == first
 
 

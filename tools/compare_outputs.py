@@ -9,9 +9,10 @@ it works in a temporary directory: nothing is written inside either tree.
 The cases cover all six commands: the four benchmark workloads of
 ``perfbench/workloads.py`` at ``--seed`` (default 0), a small ``portrait``,
 small configs that switch on every ``verify`` run and every ``poincare``
-run, ``verify`` and ``poincare`` ensembles of three seed chunks, and an
+run, ``verify`` and ``poincare`` ensembles of three seed chunks, an
 ``average`` whose grid duration over tau is not a whole number in
-floating point.  ``--case`` (repeatable) runs only the cases named.
+floating point, and an ``average`` whose window leaves nodes after its
+last batch.  ``--case`` (repeatable) runs only the cases named.
 
 For each case the script prints both exit codes and, per output file, the
 SHA-256 from each tree.  It exits 0 when every case has the same exit code
@@ -76,6 +77,12 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["average-short-period"] = ("average", {
         "noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "seeds": {"master": seed},
         "average": {"burn_in_periods": 5, "avg_periods": 40}})
+    # the estimator draws the path in spans: here no burn-in span, nine batches
+    # of 411 nodes and 3 701 - 9 * 411 = 2 trailing nodes
+    out["average-streamed"] = ("average", {
+        "noise": {"driver": "independent", "channel1": {"forcing_amp": 0.5, "z0": 0.3}},
+        "grid": {"h": 0.01}, "seeds": {"master": seed},
+        "average": {"burn_in_periods": 0, "avg_periods": 37, "batches": 9}})
     return out
 
 
