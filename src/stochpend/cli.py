@@ -390,7 +390,9 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
     tau, convention = config.noise["tau"], config.noise["convention"]
     master, ensemble_n = config.seeds["master"], config.seeds["ensemble"]
     spp = config.steps_per_period
-    stats = calibration_stats(config.pair, master, steps_per_period=spp)
+    # the calibration path is long, so it is drawn only for the runs that read it
+    if {"exceedance", "deviation", "chebyshev"} & set(runs):
+        stats = calibration_stats(config.pair, master, steps_per_period=spp)
     if "exceedance" in runs:
         report = exceedance_probability(
             delta, levels, ensemble_n, horizon, config.pair, block["initial"],
@@ -430,8 +432,9 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
     tau, horizon = config.noise["tau"], config.grid["horizon_periods"]
     master = config.seeds["master"]
     spp = config.steps_per_period
-    stats = calibration_stats(config.pair, master, steps_per_period=spp)
-    lam = lambda_from_stats(config.amps, stats, config.noise["convention"])
+    if "fill" in runs or "splitting" in runs:
+        stats = calibration_stats(config.pair, master, steps_per_period=spp)
+        lam = lambda_from_stats(config.amps, stats, config.noise["convention"])
     if "concentration" in runs:
         theta_e = block["equilibrium_theta"]
         eqs = find_equilibria(LambdaPoint(0.0, 0.0), config.params)

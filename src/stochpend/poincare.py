@@ -38,13 +38,7 @@ from .dynamics import (
     wrap_angle,
 )
 from .rng import ensemble_seeds
-from .rpsde import (
-    SEED_CHUNK,
-    PairConfig,
-    grid_for_periods,
-    period_stride,
-    simulate_pair_ensemble,
-)
+from .rpsde import PairConfig, _noise_chunks, grid_for_periods, period_stride
 
 #: Equal averaged-energy bands over which the fill occupancy is also reported.
 FILL_BANDS = 8
@@ -150,12 +144,11 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
                    horizon_periods: int, steps_per_period: int) -> tuple[np.ndarray, np.ndarray]:
     """Section points (theta, p) of an ensemble; shape (levels, n_sections, m).
 
-    The noise of each ``SEED_CHUNK`` seeds is simulated once and drives
-    every sigma level; the levels run stacked in one batch, with sigma held
-    as (levels, 1) columns.
+    Each noise chunk of :func:`~stochpend.rpsde._noise_chunks` is drawn
+    once and drives every sigma level; the levels run stacked in one batch,
+    with sigma held as (levels, 1) columns.
     """
-    cfg1, cfg2 = pair_config
-    grid = grid_for_periods(cfg1.drift.tau, horizon_periods, steps_per_period)
+    grid = grid_for_periods(pair_config[0].drift.tau, horizon_periods, steps_per_period)
     amps = [NoiseAmplitudes(*s) for s in sigma_levels]
     sig = np.array([(a.sigma1, a.sigma2) for a in amps]).reshape(-1, 2)
     m = len(seeds)
@@ -163,17 +156,15 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     p0 = np.broadcast_to(p0, (m,))
     out_theta = np.empty((len(sig), horizon_periods + 1, m))
     out_p = np.empty_like(out_theta)
-    for lo in range(0, m, SEED_CHUNK):
-        sel = slice(lo, lo + SEED_CHUNK)
-        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds[sel])
-        shape = (len(sig), len(x1))
-        nodes = _rk4_nodes(np.broadcast_to(theta0[sel], shape), np.broadcast_to(p0[sel], shape),
-                           np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T),
-                           grid.h, params, sig[:, :1], sig[:, 1:])
+    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds):
+        shape = (len(sig), x1.shape[1])
+        nodes = _rk4_nodes(np.broadcast_to(theta0[rows], shape),
+                           np.broadcast_to(p0[rows], shape),
+                           x1, x2, grid.h, params, sig[:, :1], sig[:, 1:])
         for k, th, p, *_ in nodes:
             if k % steps_per_period == 0:
-                out_theta[:, k // steps_per_period, sel] = th
-                out_p[:, k // steps_per_period, sel] = p
+                out_theta[:, k // steps_per_period, rows] = th
+                out_p[:, k // steps_per_period, rows] = p
     return out_theta, out_p
 
 

@@ -38,7 +38,9 @@ state is carried from block to block and from span to span, so
 y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical
 to the literal step-by-step loop, however the path is cut into spans.
 The ensemble entry points fill whole rows of a (seeds, n + 1) array per
-channel, and their peak memory is the output plus a few blocks.
+channel, and their peak memory is the output plus a few blocks.  The
+ensemble experiments take the pair :data:`SEED_CHUNK` seeds at a time from
+one loop, :func:`_noise_chunks`, which hands the nodes over time-major.
 :func:`estimate_ergodic_stats` draws the pair one batch at a time into
 two reused rows and reduces each batch before drawing the next, so its
 peak memory is three batches plus a few blocks, whatever the horizon.
@@ -320,6 +322,20 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     grid node where any row is non-finite.
     """
     return _pair_values(cfg1, cfg2, grid, seeds)
+
+
+def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int = 0):
+    """The ensemble's noise pair, ``SEED_CHUNK`` seeds at a time.
+
+    Yields ``(rows, x1, x2)``: x1 and x2 hold nodes ``start`` .. ``grid.n`` of
+    ``seeds[rows]``, time-major and contiguous, one column per seed.
+    """
+    for lo in range(0, len(seeds), SEED_CHUNK):
+        rows = slice(lo, lo + SEED_CHUNK)
+        x1, x2 = simulate_pair_ensemble(*pair_config, grid, seeds[rows])
+        x1 = np.ascontiguousarray(x1[:, start:].T)
+        x2 = np.ascontiguousarray(x2[:, start:].T)
+        yield rows, x1, x2
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,

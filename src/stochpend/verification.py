@@ -45,13 +45,12 @@ from .dynamics import (
 from .errors import SampleLengthError
 from .rng import ensemble_seeds, splitmix64
 from .rpsde import (
-    SEED_CHUNK,
     ErgodicStats,
     PairConfig,
     PathSample,
+    _noise_chunks,
     estimate_ergodic_stats,
     grid_for_periods,
-    simulate_pair_ensemble,
 )
 
 
@@ -174,34 +173,28 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     """Fraction of seeds whose sup-gap over the horizon exceeds ``delta``.
 
     ``stats`` are the long-run noise moments (see :func:`calibration_stats`)
-    that set each level's Lambda.  Noise paths are simulated once per
-    ``SEED_CHUNK`` seeds (they do not depend on the coupling amplitudes)
-    and shared by all sigma levels, which run stacked in one batch, so the
-    level comparison is coupled.  Paths start ``burn_in_periods`` before
-    the horizon so the flow sees settled noise.  A blow-up at any level
-    raises :class:`BlowUpError` with its step.
+    that set each level's Lambda.  Each chunk of noise paths from
+    :func:`~stochpend.rpsde._noise_chunks` (they do not depend on the
+    coupling amplitudes) drives all sigma levels, stacked in one batch, so
+    the level comparison is coupled.  Paths start ``burn_in_periods``
+    before the horizon so the flow sees settled noise.  A blow-up at any
+    level raises :class:`BlowUpError` with its step.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if ensemble_n < 1:
         raise ValueError("ensemble_n must be >= 1")
-    cfg1, cfg2 = pair_config
-    tau = cfg1.drift.tau
+    tau = pair_config[0].drift.tau
     theta0, p0 = _as_state(initial)
     lams = [lambda_from_stats(NoiseAmplitudes(*s), stats, convention)
             for s in sigma_levels]
-    full_grid = grid_for_periods(tau, burn_in_periods + horizon_periods,
-                                 steps_per_period)
+    full_grid = grid_for_periods(tau, burn_in_periods + horizon_periods, steps_per_period)
     start = burn_in_periods * steps_per_period
     seeds = ensemble_seeds(master_seed, ensemble_n)
     sup_gaps = np.empty((len(sigma_levels), ensemble_n))
-    for lo in range(0, ensemble_n, SEED_CHUNK):
-        sel = seeds[lo:lo + SEED_CHUNK]
-        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, full_grid, sel)
-        x1 = np.ascontiguousarray(x1[:, start:].T)
-        x2 = np.ascontiguousarray(x2[:, start:].T)
-        sup_gaps[:, lo:lo + len(sel)] = _sup_gaps(
-            x1, x2, full_grid.h, params, sigma_levels, lams, theta0, p0)
+    for rows, x1, x2 in _noise_chunks(pair_config, full_grid, seeds, start):
+        sup_gaps[:, rows] = _sup_gaps(x1, x2, full_grid.h, params, sigma_levels,
+                                      lams, theta0, p0)
     probs = (sup_gaps > delta).mean(axis=1)
     ci = 1.96 * np.sqrt(probs * (1.0 - probs) / ensemble_n)
     return ExceedanceReport(delta=delta, sigma_levels=list(sigma_levels),
@@ -310,9 +303,12 @@ def moment_growth(pair_config: PairConfig, t_samples: np.ndarray,
     # index_of rejects times off the grid of [0, tau], up to rounding
     idx = np.array([grid.index_of(t) for t in t_samples])
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
-    v1 = amps.sigma1 * x1[:, idx]
-    v2 = amps.sigma2 * x2[:, idx]
+    # node-major, so each node's values lie contiguous and np.mean sums them pairwise
+    at1, at2 = np.empty((2, len(idx), ensemble_n))
+    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds):
+        at1[:, rows], at2[:, rows] = x1[idx], x2[idx]
+    v1 = amps.sigma1 * at1.T
+    v2 = amps.sigma2 * at2.T
     fourth1 = np.mean(v1**4, axis=0)
     fourth2 = np.mean(v2**4, axis=0)
     cross22 = np.mean(v1**2 * v2**2, axis=0)
@@ -355,25 +351,19 @@ def potential_deviation(theta_grid: np.ndarray,
     """Mean |Ubar - Utilde| (and theta-derivatives) per coupling level.
 
     Ubar takes its Lambda from the long-run moments ``stats``.  The
-    frozen-time potential is evaluated at one post-burn-in reference
-    time per seed, its noise drawn ``SEED_CHUNK`` seeds at a time; the
-    deviation is averaged over the theta grid and the ensemble.  Needs at
-    least 3 levels for the log-log slope.
+    frozen-time potential is evaluated at the last node of each seed's
+    burn-in, drawn by :func:`~stochpend.rpsde._noise_chunks`; the deviation
+    is averaged over the theta grid and the ensemble.  Needs at least 3
+    levels for the log-log slope.
     """
     if len(sigma_levels) < 3:
         raise SampleLengthError("need at least 3 sigma levels for a slope")
     theta_grid = np.asarray(theta_grid, dtype=float)
-    cfg1, cfg2 = pair_config
-    tau = cfg1.drift.tau
-    grid = grid_for_periods(tau, burn_in_periods, steps_per_period)
+    grid = grid_for_periods(pair_config[0].drift.tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    xi1 = np.empty((ensemble_n, 1))
-    xi2 = np.empty((ensemble_n, 1))
-    for lo in range(0, ensemble_n, SEED_CHUNK):
-        rows = slice(lo, lo + SEED_CHUNK)
-        x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, seeds[rows])
-        xi1[rows, 0], xi2[rows, 0] = x1[:, -1], x2[:, -1]
-        del x1, x2  # free this chunk before the next one is drawn
+    xi1, xi2 = np.empty((2, ensemble_n, 1))
+    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds, grid.n):
+        xi1[rows, 0], xi2[rows, 0] = x1[0], x2[0]
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
     devs = np.empty((len(sigma_levels), 3))

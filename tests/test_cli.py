@@ -516,6 +516,36 @@ def test_verify_moments_default_times_on_grid(tmp_path):
     assert np.all(np.isin(t, nodes))
 
 
+@pytest.mark.parametrize("command, block, written", [
+    ("verify", {"run": ["moments"]}, {"moments.json"}),
+    ("poincare", {"run": ["concentration"]}, {"concentration.json"}),
+])
+def test_runs_that_read_no_calibration_survive_its_blowup(tmp_path, command, block, written):
+    # alpha h = 2.001: the path grows by 1.001 a step, so the 2 000-period
+    # calibration path overflows while the 2-period ensemble stays finite
+    cfg = {"noise": {"channel1": {"alpha": 2001.0}},
+           "grid": {"h": 0.001, "horizon_periods": 2}, "seeds": {"ensemble": 4},
+           command: block}
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == EXIT_OK
+    assert {p.name for p in out.iterdir()} == written | {"manifest.json"}
+
+
+@pytest.mark.parametrize("command, block", [
+    ("verify", {"run": ["moments"]}),
+    ("poincare", {"run": ["concentration", "sections"], "sections_exported": 1}),
+])
+def test_calibration_drawn_only_for_runs_that_read_it(tmp_path, monkeypatch, command, block):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration drawn for runs that do not read it")
+
+    monkeypatch.setattr("stochpend.cli.calibration_stats", no_calibration)
+    cfg = {"grid": {"h": 0.01, "horizon_periods": 2}, "seeds": {"ensemble": 4},
+           command: block}
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # drawn configs: the CLI contract holds for any JSON input
 

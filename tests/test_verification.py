@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,12 @@ from stochpend import (
     moment_growth,
     noise_coupling,
     potential_deviation,
+    separatrix_splitting_probe,
     simulate_pair,
 )
 from stochpend.dynamics import averaged_hamiltonian, exact_flow_ensemble, exact_hamiltonian
 from stochpend.errors import BlowUpError
-from stochpend.rng import ensemble_seeds
+from stochpend.rng import BLOCK, ensemble_seeds
 from stochpend.rpsde import PathGrid, grid_for_periods, simulate_pair_ensemble
 from stochpend.verification import M1M2Decomposition, _sup_gaps
 from stochpend.presets import default_noise_pair
@@ -362,7 +365,7 @@ def test_deviation_needs_three_levels(params, quick_stats):
 
 def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     """Drawing the ensemble noise 7 seeds at a time (3 chunks of 20) gives
-    the bytes of drawing it all at once."""
+    the bytes of drawing it all at once, in every ensemble experiment."""
     pair = default_noise_pair()
     levels = [(0.3, 0.3), (0.15, 0.15), (0.05, 0.05)]
     theta_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -374,12 +377,39 @@ def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
                                      burn_in_periods=2, master_seed=3)
         dev = potential_deviation(theta_grid, levels, 20, pair, quick_stats, params=params,
                                   burn_in_periods=2, steps_per_period=50, master_seed=3)
+        mom = moment_growth(pair, np.linspace(0.0, 1.0, 11), 20, NoiseAmplitudes(0.3, 0.2),
+                            steps_per_period=50, master_seed=3)
         conc = equilibrium_concentration(e0, levels, 20, 2, pair, params=params,
                                          steps_per_period=50, master_seed=3)
+        split = separatrix_splitting_probe(LambdaPoint(0.0, 0.0), levels, 20, pair,
+                                           params=params, horizon_periods=2,
+                                           steps_per_period=50, master_seed=3)
+        moments = (mom.fourth1, mom.fourth2, mom.cross22, mom.cross31, mom.cross13)
         return [a.tobytes() for a in (exc.probs, exc.ci_half_widths, dev.mean_abs_dev,
-                                      dev.loglog_slope, conc.radii)]
+                                      dev.loglog_slope, *moments, *mom.residuals.values(),
+                                      conc.radii, split.spreads)]
 
     whole = results()
-    monkeypatch.setattr("stochpend.verification.SEED_CHUNK", 7)
-    monkeypatch.setattr("stochpend.poincare.SEED_CHUNK", 7)
+    monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", 7)
     assert results() == whole
+
+
+def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
+    """The ensemble's noise is held one chunk at a time: at 2 000 seeds
+    the peak is a few chunks of paths, not the whole ensemble."""
+    pair = default_noise_pair()
+    t = np.linspace(0.0, 1.0, 5)
+    spp, ensemble_n, chunk = 500, 2000, 100
+    monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+    moment_growth(pair, t, 2, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+    tracemalloc.start()
+    try:
+        moment_growth(pair, t, ensemble_n, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two chunks of both channels are held while the second is drawn and
+    # transposed; the filter adds a few blocks
+    one_chunk = 2 * chunk * (spp + 1) * 8
+    assert peak <= 3 * one_chunk + 4 * BLOCK * 8
+    assert 3 * one_chunk + 4 * BLOCK * 8 < ensemble_n * (spp + 1) * 8  # one channel

@@ -9,7 +9,8 @@ it works in a temporary directory: nothing is written inside either tree.
 The cases cover all six commands: the four benchmark workloads of
 ``perfbench/workloads.py`` at ``--seed`` (default 0), a small ``portrait``,
 small configs that switch on every ``verify`` run and every ``poincare``
-run, ``verify`` and ``poincare`` ensembles of three seed chunks, an
+run, ``verify`` and ``poincare`` ensembles of three seed chunks (every
+run that draws its noise chunk by chunk crosses a chunk boundary), an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, and an ``average`` whose window leaves nodes after its
 last batch.  ``--case`` (repeatable) runs only the cases named.
@@ -68,11 +69,12 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["poincare-all-runs"] = ("poincare", dict(small, poincare={
         "run": ["concentration", "fill", "splitting", "sections"],
         "n_points": 6, "sections_exported": 2, "fill_grid": [16, 16]}))
-    # 1 100 seeds: the ensemble runs cross two SEED_CHUNK boundaries
+    # 1 100 seeds: every ensemble run crosses two SEED_CHUNK boundaries
     chunked = dict(small, seeds={"master": seed, "ensemble": 1100})
     out["verify-chunked"] = ("verify", dict(chunked, verify={
-        "run": ["exceedance", "deviation"]}))
-    out["poincare-chunked"] = ("poincare", dict(chunked, poincare={"run": ["concentration"]}))
+        "run": ["exceedance", "deviation", "moments"]}))
+    out["poincare-chunked"] = ("poincare", dict(chunked, poincare={
+        "run": ["concentration", "splitting"], "n_points": 1100}))
     # 250 steps a period, yet h * n / tau is 44.99999999999999 for 45 periods
     out["average-short-period"] = ("average", {
         "noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "seeds": {"master": seed},
