@@ -12,7 +12,8 @@ and write one output directory per run:
 
 ``SCHEMA`` is the reference for every config field, its default and its
 bounds.  The whole config is checked before any output exists, whichever
-command runs.  Every run writes ``manifest.json`` (the checked
+command runs, and so are the limits between the fields of the command
+that runs.  Every run writes ``manifest.json`` (the checked
 configuration with defaults applied, plus a SHA-256 per data file) and
 prints it to stdout.
 Outputs are a pure function of (config, seed): rerunning a command
@@ -195,7 +196,8 @@ SCHEMA = {
     "atlas": {
         "samples": (512, _int(16)), "box": ((-1.0, 1.0, 0.0, 1.2), _numbers(4)),
         "step": (0.01, POSITIVE), "scan": (False, _flag),
-        # accepted and range-checked; equilibria are quartic roots, not grid roots
+        # reads nothing (equilibria are quartic roots, not grid roots); kept only
+        # because the benchmark's atlas-scan config sets it
         "scan_grid_n": (1024, _int(64)),
     },
     "portrait": {
@@ -216,7 +218,7 @@ SCHEMA = {
         "run": (("concentration",),
                 _subset(("concentration", "fill", "splitting", "sections"))),
         "sigma_levels": (((0.2, 0.2), (0.1, 0.1), (0.05, 0.05)), _levels),
-        "equilibrium_theta": (0.0, REAL), "n_points": (64, _int(2)),
+        "n_points": (64, _int(2)),
         "initial": INITIAL, "fill_grid": ((64, 64), _numbers(2, integer=True, ge=16)),
         "sections_exported": (4, _int(1)),
     },
@@ -282,13 +284,15 @@ class RunConfig:
             raise ConfigError(f"average.avg_periods must be >= average.batches = "
                               f"{average['batches']}, got {average['avg_periods']}")
         if command == "verify" and "deviation" in verify["run"] \
-                and len(verify["sigma_levels"]) < 3:
-            raise ConfigError("verify.deviation needs at least 3 sigma levels")
+                and sum(max(lv) > 0 for lv in verify["sigma_levels"]) < 3:
+            raise ConfigError("verify.deviation needs at least 3 sigma levels with a sigma > 0")
         # moment times are grid nodes of one period, which has spp + 1 of them
         if command == "verify" and "moments" in verify["run"] \
                 and verify["moment_times"] > self.steps_per_period + 1:
             raise ConfigError(f"verify.moment_times must be <= {self.steps_per_period + 1}, "
                               f"got {verify['moment_times']}")
+        if command == "verify" and "moments" in verify["run"] and seeds["ensemble"] < 2:
+            raise ConfigError(f"verify.moments needs seeds.ensemble >= 2, got {seeds['ensemble']}")
         if command == "atlas" and self.atlas["scan"] \
                 and not (box[0] < box[1] and box[2] < box[3]):
             raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
@@ -416,11 +420,7 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
         write_json(rundir.path("chebyshev.json"),
                    report_dict(chebyshev_consistency(decomp)))
     if "moments" in runs:
-        grid = grid_for_periods(tau, 1, spp)
-        idx = np.round(np.linspace(0, spp, block["moment_times"])).astype(int)
-        # tau / spp * spp may exceed tau by one ulp; the node is still tau
-        t_samples = np.minimum(grid.times()[idx], tau)
-        report = moment_growth(config.pair, t_samples, ensemble_n, config.amps,
+        report = moment_growth(config.pair, block["moment_times"], ensemble_n, config.amps,
                                steps_per_period=spp, master_seed=master)
         write_json(rundir.path("moments.json"), report_dict(report))
     return rundir.manifest("verify", config)
@@ -436,10 +436,9 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
         stats = calibration_stats(config.pair, master, steps_per_period=spp)
         lam = lambda_from_stats(config.amps, stats, config.noise["convention"])
     if "concentration" in runs:
-        theta_e = block["equilibrium_theta"]
-        eqs = find_equilibria(LambdaPoint(0.0, 0.0), config.params)
-        stable = [e for e in eqs if e.kind == "stable"]
-        e0 = min(stable, key=lambda e: abs(e.theta - theta_e))
+        # at Lambda = 0 the averaged potential -g l cos(theta) has one minimum
+        e0 = next(e for e in find_equilibria(LambdaPoint(0.0, 0.0), config.params)
+                  if e.kind == "stable")
         report = equilibrium_concentration(
             e0, levels, config.seeds["ensemble"], horizon, config.pair,
             params=config.params, steps_per_period=spp, master_seed=master)

@@ -165,6 +165,7 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
             if k % steps_per_period == 0:
                 out_theta[:, k // steps_per_period, rows] = th
                 out_p[:, k // steps_per_period, rows] = p
+        del x1, x2, nodes  # before the next chunk is drawn
     return out_theta, out_p
 
 

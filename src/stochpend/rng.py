@@ -13,7 +13,8 @@ seed and a small integer stream label.  The construction:
 
 Variates are generated in blocks of :data:`BLOCK` values, each one drawn,
 converted and inverted in place in the caller's output array, so the only
-memory beyond the output is one block of raw words.  Because Philox is
+memory beyond the output is one block of raw words.  The uniforms exist
+only inside that block; the module hands out normals.  Because Philox is
 counter-based, the blocked stream equals the one-shot formula
 ``ndtri((Philox(key).random_raw(n) >> 11) * 2**-53 + 2**-54)`` bit for bit.
 
@@ -69,32 +70,6 @@ def stream_key(seed: int, stream: int) -> tuple[int, int]:
 BLOCK = 1 << 15
 
 
-def _uniform_blocks(seed: int, stream: int, out: np.ndarray, start: int):
-    """Fill ``out`` with uniforms ``start`` .. of the stream block by block,
-    yielding each block."""
-    k0, k1 = stream_key(seed, stream)
-    bg = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
-    # four raw words per counter step
-    bg.advance(start // 4)
-    bg.random_raw(start % 4)
-    for lo in range(0, len(out), BLOCK):
-        seg = out[lo:lo + BLOCK]
-        raw = bg.random_raw(len(seg))
-        # 53 high bits -> (0, 1); the half-ulp offset excludes both endpoints.
-        raw >>= np.uint64(11)
-        np.multiply(raw, 2.0**-53, out=seg)
-        seg += 2.0**-54
-        yield seg
-
-
-def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """``n`` doubles in the open interval (0, 1)."""
-    out = np.empty(n)
-    for _ in _uniform_blocks(seed, stream, out, 0):
-        pass
-    return out
-
-
 def standard_normals(seed: int, stream: int, n: int,
                      out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """Unit normals ``start`` .. ``start + n - 1`` of the stream by quantile
@@ -107,7 +82,18 @@ def standard_normals(seed: int, stream: int, n: int,
         out = np.empty(n)
     elif out.shape != (n,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 vector of length {n}")
-    for seg in _uniform_blocks(seed, stream, out, start):
+    k0, k1 = stream_key(seed, stream)
+    bg = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
+    # four raw words per counter step
+    bg.advance(start // 4)
+    bg.random_raw(start % 4)
+    for lo in range(0, n, BLOCK):
+        seg = out[lo:lo + BLOCK]
+        raw = bg.random_raw(len(seg))
+        # 53 high bits -> (0, 1); the half-ulp offset excludes both endpoints.
+        raw >>= np.uint64(11)
+        np.multiply(raw, 2.0**-53, out=seg)
+        seg += 2.0**-54
         ndtri(seg, out=seg)
     return out
 

@@ -40,7 +40,8 @@ to the literal step-by-step loop, however the path is cut into spans.
 The ensemble entry points fill whole rows of a (seeds, n + 1) array per
 channel, and their peak memory is the output plus a few blocks.  The
 ensemble experiments take the pair :data:`SEED_CHUNK` seeds at a time from
-one loop, :func:`_noise_chunks`, which hands the nodes over time-major.
+one loop, :func:`_noise_chunks`, which hands the nodes over time-major
+and releases each chunk before it draws the next.
 :func:`estimate_ergodic_stats` draws the pair one batch at a time into
 two reused rows and reduces each batch before drawing the next, so its
 peak memory is three batches plus a few blocks, whatever the horizon.
@@ -70,7 +71,7 @@ INDEPENDENT = "independent"
 
 #: Wiener substream label for the shared driver.
 SHARED_STREAM = 0
-#: Seeds whose noise is held in memory at once by the ensemble experiments.
+#: Seeds per noise chunk of the ensemble experiments (see :func:`_noise_chunks`).
 SEED_CHUNK = 500
 #: Relative tolerance within which a time is a grid node.
 GRID_TOL = 1e-9
@@ -328,7 +329,8 @@ def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, st
     """The ensemble's noise pair, ``SEED_CHUNK`` seeds at a time.
 
     Yields ``(rows, x1, x2)``: x1 and x2 hold nodes ``start`` .. ``grid.n`` of
-    ``seeds[rows]``, time-major and contiguous, one column per seed.
+    ``seeds[rows]``, time-major and contiguous, one column per seed.  A
+    consumer drops them at the end of its loop body, before the next draw.
     """
     for lo in range(0, len(seeds), SEED_CHUNK):
         rows = slice(lo, lo + SEED_CHUNK)
@@ -336,6 +338,7 @@ def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, st
         x1 = np.ascontiguousarray(x1[:, start:].T)
         x2 = np.ascontiguousarray(x2[:, start:].T)
         yield rows, x1, x2
+        del x1, x2
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -412,13 +415,13 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def ks_critical_value(n1: int, n2: int, alpha: float = 0.05) -> float:
-    """Asymptotic two-sided critical value c(alpha) sqrt((n1+n2)/(n1 n2)).
+def ks_critical_value(n1: int, n2: int) -> float:
+    """Asymptotic two-sided 5% critical value c sqrt((n1+n2)/(n1 n2)).
 
-    c(alpha) = sqrt(-ln(alpha/2) / 2); for equal samples of size N this is
-    sqrt(-ln(alpha/2) / N).
+    c = sqrt(-ln(0.025) / 2); for equal samples of size N this is
+    sqrt(-ln(0.025) / N).
     """
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+    c = math.sqrt(-math.log(0.025) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 

@@ -10,8 +10,8 @@ The quantities verified here:
   and delta_hat = delta - |l thetadot S| - M_2 evaluated per sample (the
   threshold varies per sample, so the Markov form with the ratio inside
   the expectation is the inequality that holds verbatim);
-* growth bounds of the fourth and mixed noise moments over one period,
-  of the affine form sigma-power (t Chat + |z|-power);
+* growth bounds of the fourth and mixed noise moments at evenly spread
+  grid nodes of one period, of the affine form sigma-power (t Chat + |z|-power);
 * the deviation E|Ubar - Utilde| of the frozen-time potential from the
   averaged one (plus both theta-derivatives), whose log-log slope against
   max(sigma_1, sigma_2) verifies the advertised O(max sigma) decay.
@@ -112,11 +112,11 @@ class DeviationScaling:
     ensemble_n: int
 
 
-def calibration_stats(pair_config: PairConfig, master_seed: int = 0,
-                      periods: int = 2000, steps_per_period: int = 1000,
-                      burn_in_periods: int = 100, batches: int = 16) -> ErgodicStats:
+def calibration_stats(pair_config: PairConfig, master_seed: int,
+                      steps_per_period: int) -> ErgodicStats:
     """Long-run noise moments from a dedicated calibration path.
 
+    2 000 periods, of which the first 100 are discarded, in 16 batches.
     The moments do not depend on the coupling amplitudes, so one
     calibration serves every sigma level of an experiment.  The
     calibration seed is derived from the master seed by avalanche, keeping
@@ -124,9 +124,9 @@ def calibration_stats(pair_config: PairConfig, master_seed: int = 0,
     """
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
-    grid = grid_for_periods(tau, periods, steps_per_period)
+    grid = grid_for_periods(tau, 2000, steps_per_period)
     return estimate_ergodic_stats(cfg1, cfg2, grid, splitmix64(master_seed), tau,
-                                  burn_in_periods=burn_in_periods, batches=batches)
+                                  burn_in_periods=100, batches=16)
 
 
 def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],
@@ -195,6 +195,7 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     for rows, x1, x2 in _noise_chunks(pair_config, full_grid, seeds, start):
         sup_gaps[:, rows] = _sup_gaps(x1, x2, full_grid.h, params, sigma_levels,
                                       lams, theta0, p0)
+        del x1, x2  # before the next chunk is drawn
     probs = (sup_gaps > delta).mean(axis=1)
     ci = 1.96 * np.sqrt(probs * (1.0 - probs) / ensemble_n)
     return ExceedanceReport(delta=delta, sigma_levels=list(sigma_levels),
@@ -283,30 +284,36 @@ def _affine_domination_fit(t: np.ndarray, moments: np.ndarray,
     return lsq, dominating, residuals
 
 
-def moment_growth(pair_config: PairConfig, t_samples: np.ndarray,
+def moment_growth(pair_config: PairConfig, moment_times: int,
                   ensemble_n: int, amps: NoiseAmplitudes,
                   steps_per_period: int = 1000,
                   master_seed: int = 0) -> MomentBoundReport:
     """Empirical fourth/mixed moments on [0, tau] with affine-bound fits.
 
-    The bound forms are sigma_i^4 (t Chat_i + |z_i|^4) for the fourth
-    moments, sigma_1^2 sigma_2^2 (t Chat_12 + |z_1 z_2|) for the squared
-    cross moment, and 3 sigma_i^3 sigma_j (t Ctilde_ij + |z_i^3 z_j|) for
-    the cubic cross moments.
+    The moments are taken at ``moment_times`` (2 .. ``steps_per_period + 1``)
+    grid nodes of one period, evenly spread from 0 to tau.  The bound forms are
+    sigma_i^4 (t Chat_i + |z_i|^4) for the fourth moments,
+    sigma_1^2 sigma_2^2 (t Chat_12 + |z_1 z_2|) for the squared cross
+    moment, and 3 sigma_i^3 sigma_j (t Ctilde_ij + |z_i^3 z_j|) for the
+    cubic cross moments.
     """
     if ensemble_n < 2:
         raise ValueError("ensemble_n must be >= 2")
+    if not 2 <= moment_times <= steps_per_period + 1:
+        raise ValueError(f"moment_times must lie in 2 .. {steps_per_period + 1}, "
+                         f"got {moment_times}")
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
-    t_samples = np.asarray(t_samples, dtype=float)
     grid = grid_for_periods(tau, 1, steps_per_period)
-    # index_of rejects times off the grid of [0, tau], up to rounding
-    idx = np.array([grid.index_of(t) for t in t_samples])
+    idx = np.round(np.linspace(0, steps_per_period, moment_times)).astype(int)
+    # tau / spp * spp may exceed tau by one ulp; the node is still tau
+    t_samples = np.minimum(grid.times()[idx], tau)
     seeds = ensemble_seeds(master_seed, ensemble_n)
     # node-major, so each node's values lie contiguous and np.mean sums them pairwise
-    at1, at2 = np.empty((2, len(idx), ensemble_n))
+    at1, at2 = np.empty((2, moment_times, ensemble_n))
     for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds):
         at1[:, rows], at2[:, rows] = x1[idx], x2[idx]
+        del x1, x2  # before the next chunk is drawn
     v1 = amps.sigma1 * at1.T
     v2 = amps.sigma2 * at2.T
     fourth1 = np.mean(v1**4, axis=0)
@@ -364,6 +371,7 @@ def potential_deviation(theta_grid: np.ndarray,
     xi1, xi2 = np.empty((2, ensemble_n, 1))
     for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds, grid.n):
         xi1[rows, 0], xi2[rows, 0] = x1[0], x2[0]
+        del x1, x2  # before the next chunk is drawn
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
     devs = np.empty((len(sigma_levels), 3))

@@ -63,8 +63,7 @@ def report(number: str, description: str, passed: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def calib():
-    return calibration_stats(default_noise_pair(), MASTER_SEED,
-                             periods=2000, steps_per_period=1000)
+    return calibration_stats(default_noise_pair(), MASTER_SEED, steps_per_period=1000)
 
 
 # criterion 1 -----------------------------------------------------------------

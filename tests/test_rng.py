@@ -9,7 +9,6 @@ from stochpend.rng import (
     splitmix64,
     standard_normals,
     stream_key,
-    uniforms,
 )
 
 
@@ -38,8 +37,8 @@ def test_determinism_bitwise():
 
 
 def test_uniforms_open_interval():
-    u = uniforms(7, 0, 100000)
-    assert u.min() > 0.0 and u.max() < 1.0
+    # ndtri maps 0 and 1 to -inf and inf, so finite normals mean uniforms in (0, 1)
+    assert np.isfinite(standard_normals(7, 0, 100000)).all()
 
 
 def test_normals_distribution():

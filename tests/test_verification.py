@@ -36,8 +36,7 @@ from stochpend.presets import default_noise_pair
 
 @pytest.fixture(scope="module")
 def quick_stats():
-    return calibration_stats(default_noise_pair(), master_seed=0,
-                             periods=400, steps_per_period=400)
+    return calibration_stats(default_noise_pair(), master_seed=0, steps_per_period=400)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +268,9 @@ def test_moment_decay_oracle(params):
     cfg = NoiseChannelConfig(drift=drift, beta=1e-300, z0=1.0)
     amps = NoiseAmplitudes(0.5, 0.5)
     spp = 100
-    t = np.linspace(0.0, 1.0, 11)
-    rep = moment_growth((cfg, cfg), t, ensemble_n=16, amps=amps,
+    rep = moment_growth((cfg, cfg), 11, ensemble_n=16, amps=amps,
                         steps_per_period=spp, master_seed=0)
+    t = rep.t
     h = 1.0 / spp
     steps = np.round(t / h).astype(int)
     exact_discrete = 0.5**4 * (1.0 - h) ** (4 * steps)
@@ -284,10 +283,9 @@ def test_moment_decay_oracle(params):
 
 def test_moment_homogeneity_in_sigma(params):
     pair_cfg = default_noise_pair()
-    t = np.linspace(0.0, 1.0, 6)
-    small = moment_growth(pair_cfg, t, 200, NoiseAmplitudes(0.1, 0.1),
+    small = moment_growth(pair_cfg, 6, 200, NoiseAmplitudes(0.1, 0.1),
                           steps_per_period=100, master_seed=7)
-    large = moment_growth(pair_cfg, t, 200, NoiseAmplitudes(0.2, 0.2),
+    large = moment_growth(pair_cfg, 6, 200, NoiseAmplitudes(0.2, 0.2),
                           steps_per_period=100, master_seed=7)
     mask = small.fourth1 > 0
     np.testing.assert_allclose(large.fourth1[mask] / small.fourth1[mask], 16.0,
@@ -298,8 +296,7 @@ def test_moment_homogeneity_in_sigma(params):
 
 def test_moment_domination_residuals(params):
     pair_cfg = default_noise_pair()
-    t = np.linspace(0.0, 1.0, 9)
-    rep = moment_growth(pair_cfg, t, 500, NoiseAmplitudes(0.3, 0.2),
+    rep = moment_growth(pair_cfg, 9, 500, NoiseAmplitudes(0.3, 0.2),
                         steps_per_period=200, master_seed=2)
     for name, res in rep.residuals.items():
         assert np.all(np.isfinite(res))
@@ -309,9 +306,11 @@ def test_moment_domination_residuals(params):
 
 
 def test_moment_times_validated(params):
-    with pytest.raises(ValueError):
-        moment_growth(default_noise_pair(), np.array([0.0, 1.5]), 10,
-                      NoiseAmplitudes(0.1, 0.1))
+    # one period of 100 steps has 101 nodes, and the fits need two of them
+    for count in (1, 102):
+        with pytest.raises(ValueError, match="moment_times"):
+            moment_growth(default_noise_pair(), count, 10, NoiseAmplitudes(0.1, 0.1),
+                          steps_per_period=100)
 
 
 def test_moment_times_accept_every_node_of_their_grid():
@@ -320,9 +319,10 @@ def test_moment_times_accept_every_node_of_their_grid():
                              beta=0.5, z0=0.0)
     times = grid_for_periods(0.9, 1, 7).times()
     assert times[-1] > 0.9
-    rep = moment_growth((cfg, cfg), times, 4, NoiseAmplitudes(0.1, 0.1),
+    rep = moment_growth((cfg, cfg), len(times), 4, NoiseAmplitudes(0.1, 0.1),
                         steps_per_period=7)
     assert len(rep.fourth1) == 8 and np.all(np.isfinite(rep.fourth1))
+    assert rep.t.tolist() == [*times[:-1], 0.9]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
                                      burn_in_periods=2, master_seed=3)
         dev = potential_deviation(theta_grid, levels, 20, pair, quick_stats, params=params,
                                   burn_in_periods=2, steps_per_period=50, master_seed=3)
-        mom = moment_growth(pair, np.linspace(0.0, 1.0, 11), 20, NoiseAmplitudes(0.3, 0.2),
+        mom = moment_growth(pair, 11, 20, NoiseAmplitudes(0.3, 0.2),
                             steps_per_period=50, master_seed=3)
         conc = equilibrium_concentration(e0, levels, 20, 2, pair, params=params,
                                          steps_per_period=50, master_seed=3)
@@ -398,18 +398,35 @@ def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
     """The ensemble's noise is held one chunk at a time: at 2 000 seeds
     the peak is a few chunks of paths, not the whole ensemble."""
     pair = default_noise_pair()
-    t = np.linspace(0.0, 1.0, 5)
     spp, ensemble_n, chunk = 500, 2000, 100
     monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
-    moment_growth(pair, t, 2, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+    moment_growth(pair, 5, 2, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
     tracemalloc.start()
     try:
-        moment_growth(pair, t, ensemble_n, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+        moment_growth(pair, 5, ensemble_n, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two chunks of both channels are held while the second is drawn and
-    # transposed; the filter adds a few blocks
+    # a few chunks of both channels and a few filter blocks, far below the ensemble
     one_chunk = 2 * chunk * (spp + 1) * 8
     assert peak <= 3 * one_chunk + 4 * BLOCK * 8
     assert 3 * one_chunk + 4 * BLOCK * 8 < ensemble_n * (spp + 1) * 8  # one channel
+
+
+def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch):
+    """While chunk k + 1 is drawn and transposed, chunk k is no longer held:
+    the peak is the new chunk's two channels and one transposed copy."""
+    pair = default_noise_pair()
+    spp, burn_in, horizon, chunk = 100, 4, 20, 100
+    kwargs = dict(pair_config=pair, initial=(0.1, 0.0), stats=quick_stats,
+                  steps_per_period=spp, burn_in_periods=burn_in)
+    monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+    exceedance_probability(0.05, [(0.1, 0.1)], 2, horizon, **kwargs)
+    tracemalloc.start()
+    try:
+        exceedance_probability(0.05, [(0.1, 0.1)], 3 * chunk, horizon, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    channel_chunk = chunk * ((burn_in + horizon) * spp + 1) * 8
+    assert peak <= 3 * channel_chunk + 4 * BLOCK * 8

@@ -12,8 +12,9 @@ small configs that switch on every ``verify`` run and every ``poincare``
 run, ``verify`` and ``poincare`` ensembles of three seed chunks (every
 run that draws its noise chunk by chunk crosses a chunk boundary), an
 ``average`` whose grid duration over tau is not a whole number in
-floating point, and an ``average`` whose window leaves nodes after its
-last batch.  ``--case`` (repeatable) runs only the cases named.
+floating point, an ``average`` whose window leaves nodes after its last
+batch, and a ``verify`` of the moments whose last grid node lies one ulp
+past tau.  ``--case`` (repeatable) runs only the cases named.
 
 For each case the script prints both exit codes and, per output file, the
 SHA-256 from each tree.  It exits 0 when every case has the same exit code
@@ -85,6 +86,10 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
         "noise": {"driver": "independent", "channel1": {"forcing_amp": 0.5, "z0": 0.3}},
         "grid": {"h": 0.01}, "seeds": {"master": seed},
         "average": {"burn_in_periods": 0, "avg_periods": 37, "batches": 9}})
+    # 7 h exceeds tau = 0.9 by one ulp, so the last moment time is clamped to tau
+    out["verify-moments-ulp"] = ("verify", {
+        "noise": {"tau": 0.9}, "grid": {"h": 0.9 / 7}, "seeds": {"master": seed},
+        "verify": {"run": ["moments"], "moment_times": 8}})
     return out
 
 
