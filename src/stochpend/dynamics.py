@@ -265,17 +265,23 @@ def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2, cos, sin):
     return dtheta, dp, S, ct, st  # S, cos and sin give the node values
 
 
-def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
+def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
     """Classical RK4 on the noise grid; yields the state at every node.
 
-    ``xi1``/``xi2`` are time-major (``xi[k]`` is the noise at node k) and,
-    like the couplings ``s1``/``s2`` (scalars, or (levels, 1) columns that
-    stack several levels over one noise batch), broadcast against the
-    batch shape of ``theta``/``p``.  The noise is linearly interpolated in
-    each cell.  Yields ``(k, theta, p, S, cos theta, sin theta)`` for
-    k = 0 .. n; the right-hand side at node k + 1 is the next step's first
-    stage, so the node values cost no extra work.  Raises
-    :class:`BlowUpError` with the first step at which any row blows up.
+    ``tiles`` is an iterable of time-major noise tiles ``(xi1, xi2)``
+    (``xi[k]`` is the noise at the tile's row k) that together hold nodes
+    0 .. n: the first tile starts at node 0, and row 0 of each later tile
+    repeats the last row of the tile before, so that the steps across
+    tiles are the steps over one whole array.  Each tile is read before
+    the next is asked for, and the state (theta, p and the first stage)
+    is carried across.  The tiles, like the couplings ``s1``/``s2``
+    (scalars, or (levels, 1) columns that stack several levels over one
+    noise batch), broadcast against the batch shape of ``theta``/``p``.
+    The noise is linearly interpolated in each cell.  Yields
+    ``(k, theta, p, S, cos theta, sin theta)`` for k = 0 .. n; the
+    right-hand side at node k + 1 is the next step's first stage, so the
+    node values cost no extra work.  Raises :class:`BlowUpError` with the
+    first step at which any row blows up.
 
     The one right-hand side ``_rk4_rhs`` runs on one of two back-ends,
     chosen once per call by the batch shape.  A width-1 orbit (``theta``,
@@ -295,40 +301,52 @@ def _rk4_nodes(theta, p, xi1, xi2, h, params: PendulumParams, s1, s2):
     finiteness check fails (step 1 for a non-finite start).
     """
     l, g = params.l, params.g
+    tiles = iter(tiles)
+    xi1, xi2 = next(tiles)
     if np.shape(theta) == np.shape(p) == np.shape(s1) == np.shape(s2) == () \
             and np.ndim(xi1) == np.ndim(xi2) == 1:
         cos, sin, blowups = math.cos, math.sin, (ValueError, ZeroDivisionError)
         theta, p, s1, s2 = float(theta), float(p), float(s1), float(s2)
-        xi1, xi2 = xi1.tolist(), xi2.tolist()
+        rows = np.ndarray.tolist
 
         def finite(a, b):
             return math.isfinite(a) and math.isfinite(b)
     else:
         cos, sin, blowups = np.cos, np.sin, ()
 
+        def rows(xi):
+            return xi
+
         def finite(a, b):
             return np.isfinite(a).all() and np.isfinite(b).all()
-    k = 0
+    k = 0  # the node the current step starts from
     try:
+        xi1, xi2 = rows(xi1), rows(xi2)
         k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xi1[0], xi2[0], l, g, s1, s2, cos, sin)
         yield 0, theta, p, S, ct, st
-        for k in range(len(xi1) - 1):
-            xa1, xb1 = xi1[k], xi1[k + 1]
-            xa2, xb2 = xi2[k], xi2[k + 1]
-            xm1 = 0.5 * (xa1 + xb1)
-            xm2 = 0.5 * (xa2 + xb2)
-            k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
-                                    xm1, xm2, l, g, s1, s2, cos, sin)
-            k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p,
-                                    xm1, xm2, l, g, s1, s2, cos, sin)
-            k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p,
-                                    xb1, xb2, l, g, s1, s2, cos, sin)
-            theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if not finite(theta, p):
-                raise BlowUpError(k + 1)
-            k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
-            yield k + 1, theta, p, S, ct, st
+        while True:
+            for j in range(len(xi1) - 1):
+                xa1, xb1 = xi1[j], xi1[j + 1]
+                xa2, xb2 = xi2[j], xi2[j + 1]
+                xm1 = 0.5 * (xa1 + xb1)
+                xm2 = 0.5 * (xa2 + xb2)
+                k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
+                                        xm1, xm2, l, g, s1, s2, cos, sin)
+                k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p,
+                                        xm1, xm2, l, g, s1, s2, cos, sin)
+                k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p,
+                                        xb1, xb2, l, g, s1, s2, cos, sin)
+                theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+                p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                if not finite(theta, p):
+                    raise BlowUpError(k + 1)
+                k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
+                k += 1
+                yield k, theta, p, S, ct, st
+            tile = next(tiles, None)
+            if tile is None:
+                return
+            xi1, xi2 = map(rows, tile)
     except blowups:
         raise BlowUpError(k + 1) from None
 
@@ -357,7 +375,7 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     p = np.broadcast_to(np.asarray(p0, dtype=float), batch)
     out_theta = np.empty((grid.n + 1,) + batch)
     out_p = np.empty((grid.n + 1,) + batch)
-    nodes = _rk4_nodes(theta, p, xi1, xi2, grid.h, params, amps.sigma1, amps.sigma2)
+    nodes = _rk4_nodes(theta, p, [(xi1, xi2)], grid.h, params, amps.sigma1, amps.sigma2)
     for k, theta, p, *_ in nodes:
         out_theta[k] = theta
         out_p[k] = p

@@ -146,7 +146,8 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
 
     Each noise chunk of :func:`~stochpend.rpsde._noise_chunks` is drawn
     once and drives every sigma level; the levels run stacked in one batch,
-    with sigma held as (levels, 1) columns.
+    with sigma held as (levels, 1) columns.  The chunk is read one time
+    tile at a time, and only the section states are kept.
     """
     grid = grid_for_periods(pair_config[0].drift.tau, horizon_periods, steps_per_period)
     amps = [NoiseAmplitudes(*s) for s in sigma_levels]
@@ -156,16 +157,15 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     p0 = np.broadcast_to(p0, (m,))
     out_theta = np.empty((len(sig), horizon_periods + 1, m))
     out_p = np.empty_like(out_theta)
-    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds):
-        shape = (len(sig), x1.shape[1])
+    for rows, tiles in _noise_chunks(pair_config, grid, seeds):
+        shape = (len(sig), rows.stop - rows.start)
         nodes = _rk4_nodes(np.broadcast_to(theta0[rows], shape),
                            np.broadcast_to(p0[rows], shape),
-                           x1, x2, grid.h, params, sig[:, :1], sig[:, 1:])
+                           tiles, grid.h, params, sig[:, :1], sig[:, 1:])
         for k, th, p, *_ in nodes:
             if k % steps_per_period == 0:
                 out_theta[:, k // steps_per_period, rows] = th
                 out_p[:, k // steps_per_period, rows] = p
-        del x1, x2, nodes  # before the next chunk is drawn
     return out_theta, out_p
 
 

@@ -141,21 +141,22 @@ def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],
     return np.abs(h_exact - h_avg)
 
 
-def _sup_gaps(x1: np.ndarray, x2: np.ndarray, h: float, params: PendulumParams,
+def _sup_gaps(tiles, width: int, h: float, params: PendulumParams,
               sigma_levels: list[tuple[float, float]], lams: list[LambdaPoint],
               theta0: float, p0: float) -> np.ndarray:
-    """Running sup of |H - Hbar| per (level, noise row); shape (levels, m).
+    """Running sup of |H - Hbar| per (level, noise row); shape (levels, width).
 
-    ``x1``/``x2`` are time-major noise values of shape (n+1, m).  All
-    levels run as one stacked batch, with sigma and Lambda held as
-    (levels, 1) columns over the shared noise rows.
+    ``tiles`` yields time-major noise tiles of shape (rows, width), as
+    :func:`~stochpend.dynamics._rk4_nodes` reads them.  All levels run as
+    one stacked batch, with sigma and Lambda held as (levels, 1) columns
+    over the shared noise rows.
     """
     sig = np.array(sigma_levels, dtype=float).reshape(-1, 2)
     lam = np.array([(pt.lambda1, 2.0 * pt.lambda2) for pt in lams]).reshape(-1, 2)
-    shape = (len(sig), x1.shape[1])
+    shape = (len(sig), width)
     gap = np.zeros(shape)
     for _, theta, p, S, ct, st in _rk4_nodes(np.full(shape, theta0), np.full(shape, p0),
-                                             x1, x2, h, params, sig[:, :1], sig[:, 1:]):
+                                             tiles, h, params, sig[:, :1], sig[:, 1:]):
         step_gap = np.abs(S * (0.5 * S - p / params.l)
                           - (lam[:, :1] * (2.0 * ct * ct - 1.0) + lam[:, 1:] * (st * ct)))
         np.maximum(gap, step_gap, out=gap)
@@ -176,9 +177,13 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     that set each level's Lambda.  Each chunk of noise paths from
     :func:`~stochpend.rpsde._noise_chunks` (they do not depend on the
     coupling amplitudes) drives all sigma levels, stacked in one batch, so
-    the level comparison is coupled.  Paths start ``burn_in_periods``
-    before the horizon so the flow sees settled noise.  A blow-up at any
-    level raises :class:`BlowUpError` with its step.
+    the level comparison is coupled.  The chunk is read one time tile at a
+    time, and only the running sup-gaps are kept, so the memory does not
+    grow with the horizon.  Paths start ``burn_in_periods`` before the
+    horizon so the flow sees settled noise.  A blow-up at any level
+    raises :class:`BlowUpError` with its step; noise that is not finite
+    raises it at its node when its tile is drawn, so an orbit that blows
+    up in an earlier tile names the orbit's step.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -192,10 +197,9 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     start = burn_in_periods * steps_per_period
     seeds = ensemble_seeds(master_seed, ensemble_n)
     sup_gaps = np.empty((len(sigma_levels), ensemble_n))
-    for rows, x1, x2 in _noise_chunks(pair_config, full_grid, seeds, start):
-        sup_gaps[:, rows] = _sup_gaps(x1, x2, full_grid.h, params, sigma_levels,
-                                      lams, theta0, p0)
-        del x1, x2  # before the next chunk is drawn
+    for rows, tiles in _noise_chunks(pair_config, full_grid, seeds, start):
+        sup_gaps[:, rows] = _sup_gaps(tiles, rows.stop - rows.start, full_grid.h, params,
+                                      sigma_levels, lams, theta0, p0)
     probs = (sup_gaps > delta).mean(axis=1)
     ci = 1.96 * np.sqrt(probs * (1.0 - probs) / ensemble_n)
     return ExceedanceReport(delta=delta, sigma_levels=list(sigma_levels),
@@ -311,9 +315,12 @@ def moment_growth(pair_config: PairConfig, moment_times: int,
     seeds = ensemble_seeds(master_seed, ensemble_n)
     # node-major, so each node's values lie contiguous and np.mean sums them pairwise
     at1, at2 = np.empty((2, moment_times, ensemble_n))
-    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds):
-        at1[:, rows], at2[:, rows] = x1[idx], x2[idx]
-        del x1, x2  # before the next chunk is drawn
+    for rows, tiles in _noise_chunks(pair_config, grid, seeds):
+        k0 = 0  # the node of the tile's row 0
+        for x1, x2 in tiles:
+            here = np.flatnonzero((k0 <= idx) & (idx < k0 + len(x1)))
+            at1[here, rows], at2[here, rows] = x1[idx[here] - k0], x2[idx[here] - k0]
+            k0 += len(x1) - 1
     v1 = amps.sigma1 * at1.T
     v2 = amps.sigma2 * at2.T
     fourth1 = np.mean(v1**4, axis=0)
@@ -359,8 +366,9 @@ def potential_deviation(theta_grid: np.ndarray,
 
     Ubar takes its Lambda from the long-run moments ``stats``.  The
     frozen-time potential is evaluated at the last node of each seed's
-    burn-in, drawn by :func:`~stochpend.rpsde._noise_chunks`; the deviation
-    is averaged over the theta grid and the ensemble.  Needs at least 3
+    burn-in, the one node that :func:`~stochpend.rpsde._noise_chunks`
+    hands on after drawing the burn-in span by span; the deviation is
+    averaged over the theta grid and the ensemble.  Needs at least 3
     levels for the log-log slope.
     """
     if len(sigma_levels) < 3:
@@ -369,9 +377,9 @@ def potential_deviation(theta_grid: np.ndarray,
     grid = grid_for_periods(pair_config[0].drift.tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)
     xi1, xi2 = np.empty((2, ensemble_n, 1))
-    for rows, x1, x2 in _noise_chunks(pair_config, grid, seeds, grid.n):
-        xi1[rows, 0], xi2[rows, 0] = x1[0], x2[0]
-        del x1, x2  # before the next chunk is drawn
+    for rows, tiles in _noise_chunks(pair_config, grid, seeds, grid.n):
+        for x1, x2 in tiles:  # one tile, the last node
+            xi1[rows, 0], xi2[rows, 0] = x1[0], x2[0]
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
     devs = np.empty((len(sigma_levels), 3))

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
+from stochpend.presets import default_noise_pair
 from stochpend.rpsde import grid_for_periods
+from stochpend.verification import calibration_stats
 
 
 def run_cli(tmp_path, command, config, out="run", seed=None):
@@ -126,6 +128,24 @@ def test_blowup_exits_numeric(tmp_path, capsys, command, out):
     assert code == EXIT_NUMERIC
     assert not out.exists()
     assert not (tmp_path / "nest").exists()  # nor any directory the run created
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", ["moments", "exceedance"])
+def test_noise_overflow_in_a_late_tile_exits_numeric(tmp_path, capsys, monkeypatch, run):
+    # alpha h = 3: channel 1 doubles each step and overflows near node 1 025,
+    # in the seventeenth time tile of 64 nodes; the exceedance orbits blow up
+    # in an earlier tile, before that noise is drawn
+    stats = calibration_stats(default_noise_pair(), 0, steps_per_period=100)
+    monkeypatch.setattr("stochpend.cli.calibration_stats", lambda *args, **kwargs: stats)
+    monkeypatch.setattr("stochpend.rpsde._SPAN", 64)
+    cfg = {"noise": {"channel1": {"alpha": 6000.0}},
+           "grid": {"h": 0.0005, "horizon_periods": 1}, "seeds": {"ensemble": 4},
+           "verify": {"run": [run], "burn_in_periods": 0}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, "verify", cfg)
+    assert code == EXIT_NUMERIC
+    assert not out.exists()
     assert "numeric failure" in capsys.readouterr().err
 
 

@@ -395,7 +395,7 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
     th0 = theta0 + np.array([0.0, 0.25])
     shape = (len(levels), 2)
     sig = np.array(levels)
-    nodes = _rk4_nodes(np.broadcast_to(th0, shape), np.full(shape, p0), x1.T, x2.T,
+    nodes = _rk4_nodes(np.broadcast_to(th0, shape), np.full(shape, p0), [(x1.T, x2.T)],
                        grid.h, params, sig[:, :1], sig[:, 1:])
     theta, p = map(np.array, zip(*[(th, mom) for _, th, mom, *_ in nodes]))
     for i, level in enumerate(levels):
@@ -404,6 +404,35 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
                                                    NoiseAmplitudes(*level))
             assert np.array_equal(theta[:, i, j], th_ref)
             assert np.array_equal(p[:, i, j], p_ref)
+
+
+@pytest.mark.parametrize("seeds, levels", [(1, 0), (100, 4), (500, 4)],
+                         ids=["width-1", "width-400", "width-2000"])
+def test_tiles_step_as_one_array(params, seeds, levels):
+    """Nodes cut into tiles whose row 0 repeats the last row of the tile
+    before (a one-row first tile and a one-row later tile among them) give
+    the bytes of the whole array as one tile."""
+    grid = PathGrid(0.0, 0.01, 40)
+    x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
+                                                  ensemble_seeds(4, seeds)))
+    if levels:  # stacked levels over the noise rows, as the ensemble runs step them
+        sig = np.linspace(0.1, 0.4, 2 * levels).reshape(levels, 2)
+        shape = (levels, seeds)
+        start = (np.full(shape, 0.3), np.full(shape, -0.2), sig[:, :1], sig[:, 1:])
+    else:  # the float back-end
+        x1, x2 = x1[:, 0], x2[:, 0]
+        start = (0.3, -0.2, 0.25, 0.15)
+    theta0, p0, s1, s2 = start
+    edges = [0, 1, 8, 9, 9, 30, grid.n + 1]
+    tiles = [(x1[max(lo - 1, 0):hi], x2[max(lo - 1, 0):hi])
+             for lo, hi in zip(edges, edges[1:])]
+
+    def nodes(tiles):
+        return [[np.asarray(v).tobytes() for v in node]
+                for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2)]
+
+    assert nodes(tiles) == nodes([(x1, x2)])
+    assert len(nodes(tiles)) == grid.n + 1
 
 
 def _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps):

@@ -29,7 +29,7 @@ from stochpend import (
 from stochpend.dynamics import averaged_hamiltonian, exact_flow_ensemble, exact_hamiltonian
 from stochpend.errors import BlowUpError
 from stochpend.rng import BLOCK, ensemble_seeds
-from stochpend.rpsde import PathGrid, grid_for_periods, simulate_pair_ensemble
+from stochpend.rpsde import PathGrid, _noise_chunks, grid_for_periods, simulate_pair_ensemble
 from stochpend.verification import M1M2Decomposition, _sup_gaps
 from stochpend.presets import default_noise_pair
 
@@ -87,7 +87,7 @@ def test_sup_gap_coupled_monotonicity(params, quick_stats):
     x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, ensemble_seeds(0, 200))
     levels = [(0.1, 0.1), (0.05, 0.05)]
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats) for s in levels]
-    gaps = _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, 0.1, 0.0)
+    gaps = _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, 0.1, 0.0)
     sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
 
@@ -107,7 +107,7 @@ def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, see
     grid = PathGrid(0.0, 0.01, n)
     x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention) for s in levels]
-    gaps = _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, theta0, p0)
+    gaps = _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, theta0, p0)
     for i, level in enumerate(levels):
         amps = NoiseAmplitudes(*level)
         th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
@@ -133,7 +133,7 @@ def test_blowup_in_one_stacked_row_names_its_step(params, seed, n, data, sigma,
     lams = [LambdaPoint(0.0, 0.0)] * 2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            _sup_gaps(x1.T, x2.T, grid.h, params, levels, lams, 0.1, 0.0)
+            _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, 0.1, 0.0)
     assert err.value.step_index == step
 
 
@@ -365,7 +365,10 @@ def test_deviation_needs_three_levels(params, quick_stats):
 
 def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     """Drawing the ensemble noise 7 seeds at a time (3 chunks of 20) gives
-    the bytes of drawing it all at once, in every ensemble experiment."""
+    the bytes of drawing it all at once, in every ensemble experiment, and
+    so does drawing each chunk in time tiles of 7 nodes.  With burn-in
+    spans of 64 nodes as well, the 100-node burn-in is drawn as a full and
+    a short span, and the last tile of every horizon is short."""
     pair = default_noise_pair()
     levels = [(0.3, 0.3), (0.15, 0.15), (0.05, 0.05)]
     theta_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -392,6 +395,9 @@ def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     whole = results()
     monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", 7)
     assert results() == whole
+    monkeypatch.setattr("stochpend.rpsde._SPAN", 7)
+    monkeypatch.setattr("stochpend.rpsde.BLOCK", 64)
+    assert results() == whole
 
 
 def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
@@ -414,8 +420,8 @@ def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
 
 
 def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch):
-    """While chunk k + 1 is drawn and transposed, chunk k is no longer held:
-    the peak is the new chunk's two channels and one transposed copy."""
+    """While chunk k + 1 is drawn, chunk k is no longer held: the peak stays
+    within the bound of one chunk's two channels and a copy of one."""
     pair = default_noise_pair()
     spp, burn_in, horizon, chunk = 100, 4, 20, 100
     kwargs = dict(pair_config=pair, initial=(0.1, 0.0), stats=quick_stats,
@@ -430,3 +436,50 @@ def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch)
         tracemalloc.stop()
     channel_chunk = chunk * ((burn_in + horizon) * spp + 1) * 8
     assert peak <= 3 * channel_chunk + 4 * BLOCK * 8
+
+
+def test_exceedance_memory_does_not_grow_with_the_horizon(quick_stats, monkeypatch):
+    """Each chunk is drawn and integrated one time tile at a time, so doubling
+    the horizon moves the peak by less than one channel's tile."""
+    pair = default_noise_pair()
+    spp, chunk, span = 50, 20, 64
+    kwargs = dict(pair_config=pair, initial=(0.1, 0.0), stats=quick_stats,
+                  steps_per_period=spp, burn_in_periods=2)
+    monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+    monkeypatch.setattr("stochpend.rpsde._SPAN", span)
+    exceedance_probability(0.05, [(0.1, 0.1)], 2, 1, **kwargs)
+    peaks = []
+    for horizon in (6, 12):  # each several tiles long
+        tracemalloc.start()
+        try:
+            exceedance_probability(0.05, [(0.1, 0.1)], 2 * chunk, horizon, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_tile = (span + 1) * chunk * 8
+    assert abs(peaks[1] - peaks[0]) < one_tile
+
+
+def test_orbit_blowup_before_a_later_non_finite_noise_tile_names_its_step(params, quick_stats,
+                                                                          monkeypatch):
+    """Noise is checked one tile at a time, so an orbit that blows up before
+    the noise's first non-finite node raises at the orbit's step."""
+    # alpha h = 3: the path doubles each step and overflows near node 1 025
+    h = 0.01
+    wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h),
+                              beta=1.0, driver="independent")
+    pair = (wild, default_noise_pair()[1])
+    monkeypatch.setattr("stochpend.rpsde._SPAN", 64)
+    grid = grid_for_periods(1.0, 15, 100)
+    seeds = ensemble_seeds(3, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as noise:
+            for _, tiles in _noise_chunks(pair, grid, seeds):
+                for _ in tiles:
+                    pass
+        with pytest.raises(BlowUpError) as orbit:
+            exceedance_probability(0.05, [(0.5, 0.5)], 2, 15, pair, (0.1, 0.0),
+                                   quick_stats, params=params, steps_per_period=100,
+                                   burn_in_periods=0, master_seed=3)
+    assert 1000 < noise.value.step_index < 1100
+    assert orbit.value.step_index < noise.value.step_index - 64

@@ -10,7 +10,9 @@ The cases cover all six commands: the four benchmark workloads of
 ``perfbench/workloads.py`` at ``--seed`` (default 0), a small ``portrait``,
 small configs that switch on every ``verify`` run and every ``poincare``
 run, ``verify`` and ``poincare`` ensembles of three seed chunks (every
-run that draws its noise chunk by chunk crosses a chunk boundary), an
+run that draws its noise chunk by chunk crosses a chunk boundary),
+``verify`` and ``poincare`` ensembles whose horizon spans several time
+tiles of forced, independent noise channels, an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, an ``average`` whose window leaves nodes after its last
 batch, and a ``verify`` of the moments whose last grid node lies one ulp
@@ -76,6 +78,17 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
         "run": ["exceedance", "deviation", "moments"]}))
     out["poincare-chunked"] = ("poincare", dict(chunked, poincare={
         "run": ["concentration", "splitting"], "n_points": 1100}))
+    # 2 500 steps a period: the 3-period horizon is four time tiles of at most
+    # 2 048 nodes and one period of moments two; the 40 000-node burn-in is
+    # drawn as a full and a short span.  Both channels are forced and independent.
+    spans = {"noise": {"tau": 1.0, "driver": "independent",
+                       "channel1": {"forcing_amp": 0.5, "forcing_phase": 0.3},
+                       "channel2": {"forcing_amp": 0.2}},
+             "grid": {"h": 0.0004, "horizon_periods": 3},
+             "seeds": {"master": seed, "ensemble": 12}}
+    out["verify-spans"] = ("verify", dict(spans, verify={
+        "run": ["exceedance", "deviation", "moments"], "burn_in_periods": 16}))
+    out["poincare-spans"] = ("poincare", dict(spans, poincare={"run": ["concentration"]}))
     # 250 steps a period, yet h * n / tau is 44.99999999999999 for 45 periods
     out["average-short-period"] = ("average", {
         "noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "seeds": {"master": seed},
