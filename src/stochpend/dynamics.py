@@ -32,7 +32,9 @@ Lambda_2 = sigma_1 sigma_2 C_12 / 2 under both conventions.
 The exact flow treats the noise paths as an exogenous signal (a random
 ODE), integrated with a fixed-step classical Runge-Kutta scheme on the
 noise grid by one stepper, ``_rk4_nodes``, which every exact-flow caller
-shares.  It has one right-hand side, ``_rk4_rhs``, with two trig
+shares.  It reads the noise as consecutive disjoint time-major tiles (a
+whole path as one tile, an ensemble's noise one span at a time) and
+carries its state and the last node across them.  It has one right-hand side, ``_rk4_rhs``, with two trig
 back-ends chosen by the batch shape: a width-1 orbit (scalar state,
 couplings and 1-D noise) runs on Python floats with ``math.cos`` and
 ``math.sin``, every wider batch on arrays with ``np.cos`` and ``np.sin``.
@@ -58,6 +60,7 @@ presentation level.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -269,12 +272,13 @@ def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
     """Classical RK4 on the noise grid; yields the state at every node.
 
     ``tiles`` is an iterable of time-major noise tiles ``(xi1, xi2)``
-    (``xi[k]`` is the noise at the tile's row k) that together hold nodes
-    0 .. n: the first tile starts at node 0, and row 0 of each later tile
-    repeats the last row of the tile before, so that the steps across
-    tiles are the steps over one whole array.  Each tile is read before
-    the next is asked for, and the state (theta, p and the first stage)
-    is carried across.  The tiles, like the couplings ``s1``/``s2``
+    (``xi[k]`` is the noise at the tile's row k) that cut nodes 0 .. n
+    into consecutive disjoint pieces.  Each tile is read before the next
+    is asked for; the state (theta, p and the first stage) and a copy of
+    the tile's last node are carried across, so the steps across tiles
+    are the steps over one whole array, even when the next tile
+    overwrites the buffer the last one was a view of.  The tiles, like
+    the couplings ``s1``/``s2``
     (scalars, or (levels, 1) columns that stack several levels over one
     noise batch), broadcast against the batch shape of ``theta``/``p``.
     The noise is linearly interpolated in each cell.  Yields
@@ -321,13 +325,12 @@ def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
             return np.isfinite(a).all() and np.isfinite(b).all()
     k = 0  # the node the current step starts from
     try:
-        xi1, xi2 = rows(xi1), rows(xi2)
-        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xi1[0], xi2[0], l, g, s1, s2, cos, sin)
+        nodes = zip(rows(xi1), rows(xi2))
+        xa1, xa2 = next(nodes)
+        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xa1, xa2, l, g, s1, s2, cos, sin)
         yield 0, theta, p, S, ct, st
         while True:
-            for j in range(len(xi1) - 1):
-                xa1, xb1 = xi1[j], xi1[j + 1]
-                xa2, xb2 = xi2[j], xi2[j + 1]
+            for xb1, xb2 in nodes:
                 xm1 = 0.5 * (xa1 + xb1)
                 xm2 = 0.5 * (xa2 + xb2)
                 k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
@@ -341,12 +344,14 @@ def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
                 if not finite(theta, p):
                     raise BlowUpError(k + 1)
                 k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
+                xa1, xa2 = xb1, xb2
                 k += 1
                 yield k, theta, p, S, ct, st
+            xa1, xa2 = copy.copy(xa1), copy.copy(xa2)  # the next tile may overwrite them
             tile = next(tiles, None)
             if tile is None:
                 return
-            xi1, xi2 = map(rows, tile)
+            nodes = zip(*map(rows, tile))
     except blowups:
         raise BlowUpError(k + 1) from None
 

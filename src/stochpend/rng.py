@@ -12,9 +12,11 @@ seed and a small integer stream label.  The construction:
   (``scipy.special.ndtri``, Cephes rational approximation).
 
 Variates are generated in blocks of :data:`BLOCK` values, each one drawn,
-converted and inverted in place in the caller's output array, so the only
-memory beyond the output is one block of raw words.  The uniforms exist
-only inside that block; the module hands out normals.  Because Philox is
+converted and inverted in place in its block of raw words and then written
+once into the caller's output array (a strided view, such as one column of
+a time-major tile, costs one strided pass), so the only memory beyond the
+output is one block of raw words.  The uniforms exist only inside that
+block; the module hands out normals.  Because Philox is
 counter-based, the blocked stream equals the one-shot formula
 ``ndtri((Philox(key).random_raw(n) >> 11) * 2**-53 + 2**-54)`` bit for bit.
 
@@ -65,8 +67,8 @@ def stream_key(seed: int, stream: int) -> tuple[int, int]:
     return b, splitmix64(b)
 
 
-#: Values drawn per Philox call.  A block of raw words and one of doubles
-#: (256 KiB each) stay in a core's L2 cache while they are transformed.
+#: Values drawn per Philox call.  A block of raw words (256 KiB), turned
+#: into doubles in place, stays in a core's L2 cache while it is transformed.
 BLOCK = 1 << 15
 
 
@@ -92,9 +94,10 @@ def standard_normals(seed: int, stream: int, n: int,
         raw = bg.random_raw(len(seg))
         # 53 high bits -> (0, 1); the half-ulp offset excludes both endpoints.
         raw >>= np.uint64(11)
-        np.multiply(raw, 2.0**-53, out=seg)
-        seg += 2.0**-54
-        ndtri(seg, out=seg)
+        f = raw.view(np.float64)  # converted in the raw block, so ``out`` is written once
+        np.multiply(raw, 2.0**-53, out=f)
+        f += 2.0**-54
+        seg[:] = ndtri(f, out=f)
     return out
 
 

@@ -25,30 +25,26 @@ fused form
               + beta sqrt(h) z_k,
 
 where z_k are the unit normals of the channel's stream (see
-:mod:`stochpend.rng`).  One generator, :func:`_fill_span`, serves
-:func:`simulate_pair_ensemble`, its one-seed view :func:`simulate_pair`,
-:func:`estimate_ergodic_stats` and the ensemble experiments.  It fills
-one span of nodes of several seeds' paths, a (seeds, span) tile per
-channel.  :func:`stochpend.rng.standard_normals` writes each seed's
-normals straight into its row, starting at the span's place in the
+:mod:`stochpend.rng`).  Every path is drawn by one span loop,
+:func:`_spans`, in one layout: a time-major (span, seeds) tile per
+channel, one column per seed, in a buffer that is refilled span after
+span.  For each span :func:`stochpend.rng.standard_normals` writes each
+seed's normals into its column, starting at the span's place in the
 stream (on a shared driver they are drawn once and copied to channel 2);
-node 0 holds z0.  Then each tile is turned into its paths in place, one
-block of at most :data:`stochpend.rng.BLOCK` nodes at a time: scale by
+node 0 holds z0.  Then each tile is turned into its paths in place, in
+blocks of about :data:`stochpend.rng.BLOCK` values: scale by
 beta sqrt(h), add the forcing, and run the recurrence as a compiled
-linear filter along the rows, with one state per row carried from block
-to block and from span to span, so y_0 = z0 and
+linear filter down the columns, with one state per column carried from
+block to block and from span to span, so y_0 = z0 and
 y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
-step-by-step loop, however the paths are cut into spans.  The ensemble
-entry points fill the whole (seeds, n + 1) array per channel as one
-tile, and their peak memory is the output plus a few blocks.  The
-ensemble experiments take the pair from one loop, :func:`_noise_chunks`,
-:data:`SEED_CHUNK` seeds at a time and, within a chunk, one span of
-``_SPAN`` nodes at a time: each span is handed on as a time-major tile
-written into one reused buffer, so a consumer holds one tile of each
-channel, whatever the horizon.
-:func:`estimate_ergodic_stats` draws the pair one batch at a time into
-two reused rows and reduces each batch before drawing the next, so its
-peak memory is three batches plus a few blocks, whatever the horizon.
+step-by-step loop, however the paths are cut into spans.  Spans are
+disjoint: each holds its own nodes.
+:func:`simulate_pair_ensemble` and :func:`simulate_pair` fill the whole
+path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
+one batch at a time and reduces each batch before drawing the next.  The
+ensemble experiments take the pair from :func:`_noise_chunks`,
+:data:`SEED_CHUNK` seeds at a time and ``_SPAN`` nodes at a time, so a
+consumer holds one tile of each channel, whatever the horizon.
 
 The forcing term and its time grid are built only when A != 0.  At
 A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
@@ -236,27 +232,27 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
-def _fill_span(cfgs: list[NoiseChannelConfig], seeds, tiles: list[np.ndarray],
-               grid: PathGrid, start: int, states: list[np.ndarray]) -> list[int]:
+def _fill_span(cfgs: list[NoiseChannelConfig], seeds, tiles: np.ndarray,
+               grid: PathGrid, start: int, states: np.ndarray) -> list[int]:
     """Nodes ``start`` .. ``start + L - 1`` of the paths of ``seeds``, in place.
 
-    ``tiles[c]`` is channel c's (len(seeds), L) tile, one row per seed, and
-    ``states[c]`` its (len(seeds), 1) filter states.  Each seed's normals
-    are drawn into its row (on a shared driver once, then copied), then
-    :func:`_filter_tile` turns each tile into the paths, carrying the
-    states from the span before.  Returns each channel's first non-finite
-    node, or ``grid.n + 1``.
+    ``tiles[c]`` is channel c's time-major (L, len(seeds)) tile, one column
+    per seed, and ``states[c]`` its (1, len(seeds)) filter states.  Each
+    seed's normals are drawn into its column (on a shared driver once, then
+    copied), then :func:`_filter_tile` turns each tile into the paths,
+    carrying the states from the span before.  Returns each channel's first
+    non-finite node, or ``grid.n + 1``.
     """
     streams = [SHARED_STREAM if cfg.driver == SHARED else c
                for c, cfg in enumerate(cfgs, start=1)]
     first = max(start, 1) - start  # node 0 holds z0, not a normal
     for c, stream in enumerate(streams):
-        z = tiles[c][:, first:]
+        z = tiles[c][first:]
         if c and stream == streams[0]:
-            z[:] = tiles[0][:, first:]
+            z[:] = tiles[0][first:]
         else:
-            for row, seed in zip(z, seeds):
-                standard_normals(int(seed), stream, len(row), out=row, start=start + first - 1)
+            for col, seed in zip(z.T, seeds):
+                standard_normals(int(seed), stream, len(col), out=col, start=start + first - 1)
     return [_filter_tile(cfg, tile, grid, start, state)
             for cfg, tile, state in zip(cfgs, tiles, states)]
 
@@ -268,9 +264,28 @@ def _check_finite(bad: list[int], grid: PathGrid) -> None:
             raise BlowUpError(node, f"noise path non-finite at grid step {node}")
 
 
+def _spans(cfgs: list[NoiseChannelConfig], grid: PathGrid, seeds, edges: list[int],
+           buf: np.ndarray):
+    """The paths of ``seeds``, one span ``edges[j]`` .. ``edges[j + 1] - 1`` at a time.
+
+    Yields ``(lo, tiles)`` per span ``[lo, hi)``: ``tiles`` is
+    ``buf[:, :hi - lo]``, channel c's time-major (hi - lo, len(seeds)) tile
+    in ``tiles[c]``, refilled in place for the next span, so a consumer is
+    done with it by then.  ``buf`` has one channel per config and at least
+    as many rows as the longest span.  The filter states are carried from
+    span to span.  Raises :class:`BlowUpError` at the first non-finite node
+    of the first span that has one, channel 1 before channel 2.
+    """
+    states = np.zeros((len(cfgs), 1, len(seeds)))
+    for lo, hi in zip(edges, edges[1:]):
+        tiles = buf[:, :hi - lo]
+        _check_finite(_fill_span(cfgs, seeds, tiles, grid, lo, states), grid)
+        yield lo, tiles
+
+
 def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
                  grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every seed's whole paths, filled by :func:`_fill_span` as one tile per channel.
+    """Every seed's whole paths, time-major (n + 1, len(seeds)), as one span.
 
     With ``cfg2`` None only channel 1 is drawn and filtered; it is
     bit-identical to channel 1 of any pair, and None stands in for
@@ -278,52 +293,44 @@ def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
     other, so a traced call of either one counts its paths once.
     """
     cfgs = [cfg1] if cfg2 is None else [cfg1, cfg2]
-    values = [np.empty((len(seeds), grid.n + 1)) for _ in cfgs]
-    states = [np.zeros((len(seeds), 1)) for _ in cfgs]
-    _check_finite(_fill_span(cfgs, seeds, values, grid, 0, states), grid)
-    return values[0], (values[1] if cfg2 is not None else None)
+    buf = np.empty((len(cfgs), grid.n + 1, len(seeds)))
+    next(_spans(cfgs, grid, seeds, [0, grid.n + 1], buf))
+    return buf[0], (buf[1] if cfg2 is not None else None)
 
 
 def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
                  start: int, state: np.ndarray) -> int:
     """Turn the normals in ``tile`` into nodes ``start`` .. of the channel's paths, in place.
 
-    Row i is one seed's path: ``tile[i, j]`` is node ``start + j``; it holds
-    the normal z_{start+j-1}, except node 0, which is set to z0.
-    ``state[i]`` is row i's filter state after node ``start - 1`` (zeros at
-    ``start`` 0) and is left as the state after the tile's last node, so
-    the next span continues the path.  Block of at most ``BLOCK`` columns
-    by block: scale by beta sqrt(h), add the forcing (only when A != 0),
-    then run the Euler recurrence as a linear filter along the rows, as
-    many rows a call as keep its output near ``BLOCK`` values.  Returns
-    the first grid node at which some row is not finite, or ``grid.n + 1``
-    if there is none.
+    Column i is one seed's path: ``tile[j, i]`` is node ``start + j``; it
+    holds the normal z_{start+j-1}, except node 0, which is set to z0.
+    ``state[0, i]`` is column i's filter state after node ``start - 1``
+    (zeros at ``start`` 0) and is left as the state after the tile's last
+    node, so the next span continues the path.  Block of as many rows as
+    keep it near ``BLOCK`` values by block: scale by beta sqrt(h), add the
+    forcing (only when A != 0), then run the Euler recurrence as a linear
+    filter down the columns.  Returns the first grid node at which some
+    column is not finite, or ``grid.n + 1`` if there is none.
     """
     d, h = cfg.drift, grid.h
     scale = cfg.beta * np.sqrt(h)
     b, a = [1.0], [1.0, -(1.0 - d.alpha * h)]
     if start == 0:
-        tile[:, 0] = cfg.z0
-    cols = min(tile.shape[1], BLOCK)
-    group = max(1, BLOCK // cols)
-    bad = grid.n + 1
-    for lo in range(0, tile.shape[1], cols):
-        block = tile[:, lo:lo + cols]
+        tile[0] = cfg.z0
+    rows = max(1, BLOCK // tile.shape[1])
+    for lo in range(0, len(tile), rows):
+        block = tile[lo:lo + rows]
         first = max(lo, 1 - start)  # node 0 holds z0, not a normal
-        u = block[:, first - lo:]
+        u = block[first - lo:]
         u *= scale
         if d.forcing_amp != 0:
-            t_k = grid.t0 + h * np.arange(start + first - 1, start + lo + block.shape[1] - 1)
-            u += d.alpha * h * d.target(t_k)
-        for r in range(0, len(block), group):
-            seg = block[r:r + group]
-            seg[:], state[r:r + group] = lfilter(b, a, seg, axis=1, zi=state[r:r + group])
-            finite = np.isfinite(seg)
-            if not finite.all():
-                bad = min(bad, start + lo + int(np.argmin(finite.all(axis=0))))
-        if bad <= grid.n:
-            break
-    return bad
+            t_k = grid.t0 + h * np.arange(start + first - 1, start + lo + len(block) - 1)
+            u += (d.alpha * h * d.target(t_k))[:, None]
+        block[:], state[:] = lfilter(b, a, block, axis=0, zi=state)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            return start + lo + int(np.argmin(finite))
+    return grid.n + 1
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -333,10 +340,12 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     Row k of channel i depends only on ``cfg_i``, ``grid`` and
     ``seeds[k]``: it reads stream 0 on a shared driver and stream i on an
     independent one, so two shared channels with the same config and seed
-    produce identical paths.  Raises :class:`BlowUpError` at the first
-    grid node where any row is non-finite.
+    produce identical paths.  The results are transposed views of the
+    time-major paths.  Raises :class:`BlowUpError` at the first grid node
+    where any row is non-finite.
     """
-    return _pair_values(cfg1, cfg2, grid, seeds)
+    x1, x2 = _pair_values(cfg1, cfg2, grid, seeds)
+    return x1.T, x2.T
 
 
 def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int = 0):
@@ -344,62 +353,28 @@ def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, st
 
     Yields ``(rows, tiles)`` per chunk, ``rows`` the slice of ``seeds`` it
     holds.  ``tiles`` yields ``(x1, x2)``: nodes ``start`` .. ``grid.n`` of
-    the chunk's paths, time-major and contiguous, one column per seed, in
-    consecutive tiles of at most ``_SPAN + 1`` rows.  Row 0 of each tile
-    after the first repeats the last row of the tile before, because an
-    RK4 step reads both ends of its cell.  Every tile is a view of one
-    buffer that is refilled when the next tile is asked for, so a consumer
-    is done with a tile by then.  The nodes before ``start`` are drawn,
-    ``BLOCK`` nodes at a time, only to carry the streams and the filter
-    states forward.
+    the chunk's paths, time-major and contiguous, one column per seed, cut
+    into consecutive disjoint tiles of at most ``_SPAN`` rows.  Every tile
+    is a view of one buffer that is refilled when the next tile is asked
+    for, so a consumer is done with a tile by then.  The spans before
+    ``start`` (the burn-in) are drawn only to carry the streams and the
+    filter states forward.
     """
-    edges = [*range(0, start, BLOCK), *range(start, grid.n + 1, _SPAN), grid.n + 1]
-    tile_rows = min(_SPAN + 1, grid.n + 1 - start)
-    buf = np.empty((2, tile_rows * min(SEED_CHUNK, len(seeds))))
+    edges = [*range(0, start, _SPAN), *range(start, grid.n + 1, _SPAN), grid.n + 1]
+    span = min(_SPAN, grid.n + 1)
+    flat = np.empty(2 * span * min(SEED_CHUNK, len(seeds)))
     for lo in range(0, len(seeds), SEED_CHUNK):
         rows = slice(lo, min(lo + SEED_CHUNK, len(seeds)))
-        m = rows.stop - rows.start
-        tiles = buf[:, :tile_rows * m].reshape(2, tile_rows, m)
-        yield rows, _chunk_tiles(pair_config, grid, seeds[rows], edges, start, tiles)
-
-
-def _chunk_tiles(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray,
-                 edges: list[int], start: int, tiles: np.ndarray):
-    """One chunk's tiles for :func:`_noise_chunks`, filled into ``tiles``.
-
-    Each span ``edges[j]`` .. ``edges[j + 1] - 1`` is drawn a group of
-    seeds at a time into a seed-major scratch tile of about ``BLOCK``
-    values per channel, which the spans from ``start`` on copy, transposed,
-    into ``tiles``.  Raises :class:`BlowUpError` at the first non-finite
-    node of the first span that has one, channel 1 before channel 2.
-    """
-    m = len(seeds)
-    scratch = np.empty((2, max(BLOCK, _SPAN)))
-    states = np.zeros((2, m, 1))
-    held = 0  # leading rows of the next tile: the node repeated from the tile before
-    for lo, hi in zip(edges, edges[1:]):
-        group = max(1, BLOCK // (hi - lo))
-        bad = [grid.n + 1] * 2
-        for g in range(0, m, group):
-            cols = slice(g, min(g + group, m))
-            part = scratch[:, :(cols.stop - g) * (hi - lo)].reshape(2, -1, hi - lo)
-            found = _fill_span(pair_config, seeds[cols], part, grid, lo, states[:, cols])
-            bad = list(map(min, bad, found))
-            if lo >= start:
-                tiles[:, held:held + hi - lo, cols] = part.transpose(0, 2, 1)
-        _check_finite(bad, grid)
-        if lo >= start:
-            end = held + hi - lo
-            yield tiles[0, :end], tiles[1, :end]
-            tiles[:, 0] = tiles[:, end - 1]
-            held = 1
+        buf = flat[:2 * span * (rows.stop - lo)].reshape(2, span, -1)
+        spans = _spans(pair_config, grid, seeds[rows], edges, buf)
+        yield rows, (tiles for first, tiles in spans if first >= start)
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                   grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
     """One-seed view of :func:`simulate_pair_ensemble`: row 0 of each channel."""
     x1, x2 = _pair_values(cfg1, cfg2, grid, [seed])
-    return PathSample(grid=grid, values=x1[0]), PathSample(grid=grid, values=x2[0])
+    return PathSample(grid=grid, values=x1[:, 0]), PathSample(grid=grid, values=x2[:, 0])
 
 
 def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
@@ -439,15 +414,12 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     edges = [*range(0, start, block), *range(start, end + 1, block)]
     if end <= grid.n:
         edges.append(grid.n + 1)
-    buf = np.empty((2, 1, max(np.diff(edges))))
-    states = np.zeros((2, 1, 1))
+    buf = np.empty((2, max(np.diff(edges)), 1))
     # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch
     means = np.empty((5, batches))
-    for lo, hi in zip(edges, edges[1:]):
-        tiles = buf[:, :, :hi - lo]
-        _check_finite(_fill_span([cfg1, cfg2], [seed], tiles, grid, lo, states), grid)
+    for lo, tiles in _spans([cfg1, cfg2], grid, [seed], edges, buf):
         if start <= lo < end:
-            x1, x2 = tiles[:, 0]
+            x1, x2 = tiles[:, :, 0]
             means[:, (lo - start) // block] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
                                                np.mean(x2 * x2), np.mean(x1 * x2))
     (mean1, se_mean1), (mean2, se_mean2), (c1, se_c1), (c2, se_c2), (c12, se_c12) = \
@@ -495,6 +467,6 @@ def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
     i = grid.index_of(s)
     j = grid.index_of(s + lag)
     values, _ = _pair_values(config, None, grid, seeds)
-    stat = ks_statistic(values[:, i], values[:, j])
+    stat = ks_statistic(values[i], values[j])
     crit = ks_critical_value(len(seeds), len(seeds))
     return KSReport(statistic=stat, critical_value=crit, n=len(seeds), s=s, lag=lag)

@@ -320,7 +320,7 @@ def moment_growth(pair_config: PairConfig, moment_times: int,
         for x1, x2 in tiles:
             here = np.flatnonzero((k0 <= idx) & (idx < k0 + len(x1)))
             at1[here, rows], at2[here, rows] = x1[idx[here] - k0], x2[idx[here] - k0]
-            k0 += len(x1) - 1
+            k0 += len(x1)
     v1 = amps.sigma1 * at1.T
     v2 = amps.sigma2 * at2.T
     fourth1 = np.mean(v1**4, axis=0)

@@ -409,9 +409,10 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
 @pytest.mark.parametrize("seeds, levels", [(1, 0), (100, 4), (500, 4)],
                          ids=["width-1", "width-400", "width-2000"])
 def test_tiles_step_as_one_array(params, seeds, levels):
-    """Nodes cut into tiles whose row 0 repeats the last row of the tile
-    before (a one-row first tile and a one-row later tile among them) give
-    the bytes of the whole array as one tile."""
+    """Nodes cut into disjoint tiles (a one-row first tile, a one-row and an
+    empty later tile among them), each a view of one buffer that is
+    overwritten when the next tile is asked for, give the bytes of the
+    whole array as one tile."""
     grid = PathGrid(0.0, 0.01, 40)
     x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
                                                   ensemble_seeds(4, seeds)))
@@ -424,15 +425,20 @@ def test_tiles_step_as_one_array(params, seeds, levels):
         start = (0.3, -0.2, 0.25, 0.15)
     theta0, p0, s1, s2 = start
     edges = [0, 1, 8, 9, 9, 30, grid.n + 1]
-    tiles = [(x1[max(lo - 1, 0):hi], x2[max(lo - 1, 0):hi])
-             for lo, hi in zip(edges, edges[1:])]
+
+    def reused_tiles():
+        buf = np.empty((2, max(np.diff(edges))) + x1.shape[1:])
+        for lo, hi in zip(edges, edges[1:]):
+            buf.fill(np.nan)  # nothing of the tile before survives
+            buf[0, :hi - lo], buf[1, :hi - lo] = x1[lo:hi], x2[lo:hi]
+            yield buf[:, :hi - lo]
 
     def nodes(tiles):
         return [[np.asarray(v).tobytes() for v in node]
                 for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2)]
 
-    assert nodes(tiles) == nodes([(x1, x2)])
-    assert len(nodes(tiles)) == grid.n + 1
+    assert nodes(reused_tiles()) == nodes([(x1, x2)])
+    assert len(nodes(reused_tiles())) == grid.n + 1
 
 
 def _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps):

@@ -73,6 +73,12 @@ def test_blocked_normals_equal_one_shot_formula(n):
     assert got.base is rows
     assert rows[1, 1:].tobytes() == expected.tobytes()
     assert np.isnan(rows[0]).all() and np.isnan(rows[1, 0])
+    # into a column of a time-major tile (a stride of 24 bytes)
+    tile = np.full((n, 3), np.nan)
+    got = standard_normals(17, 2, n, out=tile[:, 1])
+    assert got.base is tile and got.strides == (24,)
+    assert tile[:, 1].tobytes() == expected.tobytes()
+    assert np.isnan(tile[:, [0, 2]]).all()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4 * BLOCK - 2, 4 * BLOCK + 1, 4 * BLOCK + 3])

@@ -22,7 +22,8 @@ from stochpend import (
     simulate_pair_ensemble,
 )
 from stochpend.errors import BlowUpError
-from stochpend.rpsde import _pair_values
+from stochpend.presets import default_noise_pair
+from stochpend.rpsde import _noise_chunks, _pair_values
 from stochpend.rng import BLOCK, ensemble_seeds, standard_normals
 
 
@@ -497,9 +498,11 @@ def test_one_channel_form_is_channel_one_of_the_pair(pair_config, driver):
     grid = PathGrid(0.0, 0.01, 300)
     seeds = ensemble_seeds(8, 4)
     alone, none = _pair_values(cfg1, None, grid, seeds)
-    x1, _ = simulate_pair_ensemble(cfg1, cfg2, grid, seeds)
+    x1, _ = _pair_values(cfg1, cfg2, grid, seeds)
     assert none is None
+    assert alone.shape == (grid.n + 1, len(seeds))  # time-major
     assert alone.tobytes() == x1.tobytes()
+    assert alone.T.tobytes() == simulate_pair_ensemble(cfg1, cfg2, grid, seeds)[0].tobytes()
 
 
 def test_law_check_draws_one_channel():
@@ -518,3 +521,80 @@ def test_law_check_draws_one_channel():
     assert peak <= 2 * channel
     x1, _ = simulate_pair_ensemble(cfg, cfg, grid, seeds)
     assert rep.statistic == ks_statistic(x1[:, 2000], x1[:, 2200])
+
+
+# ---------------------------------------------------------------------------
+# the ensemble's tile stream
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), where=st.sampled_from(["zero", "mid", "end"]),
+       span=st.integers(1, 9), chunk=st.integers(1, 4), block=st.integers(1, 40),
+       m=st.integers(1, 6), driver=st.sampled_from(["shared", "independent"]),
+       forced=st.booleans())
+# nine nodes in tiles of four: two full tiles and a one-node tile
+@example(n=8, where="zero", span=4, chunk=2, block=8, m=3, driver="independent", forced=True)
+# eight nodes in tiles of four: two exactly full tiles
+@example(n=7, where="zero", span=4, chunk=2, block=8, m=3, driver="shared", forced=False)
+def test_noise_chunk_tiles_concatenate_to_the_whole_paths(n, where, span, chunk, block, m,
+                                                          driver, forced):
+    """The disjoint tiles of each seed chunk, read in order, are nodes
+    ``start`` .. n of the whole-path ensemble, bit for bit, whatever the
+    span, chunk and block sizes."""
+    pair = tuple(dataclasses.replace(c, driver=driver) for c in default_noise_pair())
+    if forced:
+        pair = tuple(dataclasses.replace(c, drift=dataclasses.replace(
+            c.drift, forcing_amp=amp, forcing_phase=0.3)) for c, amp in zip(pair, (0.5, 0.2)))
+    grid = PathGrid(0.0, 0.01, n)
+    seeds = ensemble_seeds(5, m)
+    start = {"zero": 0, "mid": n // 2, "end": n}[where]
+    whole = simulate_pair_ensemble(*pair, grid, seeds)
+    got = np.full((2, m, n + 1 - start), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rpsde._SPAN", span)
+        mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+        mp.setattr("stochpend.rpsde.BLOCK", block)
+        for rows, tiles in _noise_chunks(pair, grid, seeds, start):
+            lengths = []
+            for x1, x2 in tiles:
+                k = sum(lengths)
+                got[0, rows, k:k + len(x1)], got[1, rows, k:k + len(x2)] = x1.T, x2.T
+                lengths.append(len(x1))
+            assert sum(lengths) == n + 1 - start
+            assert all(length == span for length in lengths[:-1])
+            assert 1 <= lengths[-1] <= span
+    for x, g in zip(whole, got):
+        assert g.tobytes() == x[:, start:].tobytes()
+
+
+@pytest.mark.parametrize("span, block", [(2048, BLOCK), (2048, 64), (100, 64)],
+                         ids=["one-tile", "small-blocks", "channel-2-tile-first"])
+def test_chunk_blowup_names_smallest_first_node_over_seeds(monkeypatch, span, block):
+    """Five seeds share each tile.  Channel 1 overflows first in seed 2, not
+    seed 0, and channel 2 earlier still.  Within one tile the smallest first
+    non-finite node of channel 1 over the seeds is raised; when channel 2's
+    lies in an earlier tile, that one is."""
+    # |1 - alpha h| = 2 and 2.05: the paths overflow near nodes 1 029 and 993
+    h = 0.01
+    wild1, wild2 = (NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=r / h),
+                                       beta=1.0, driver="independent") for r in (3.0, 3.05))
+    tame1, tame2 = default_noise_pair()
+    grid = PathGrid(0.0, h, 2000)
+    seeds = ensemble_seeds(2, 5)
+
+    def first_bad(cfg1, cfg2, seed):
+        with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+            simulate_pair(cfg1, cfg2, grid, int(seed))
+        return err.value.step_index
+
+    firsts1 = [first_bad(wild1, wild2, s) for s in seeds]  # channel 1 before channel 2
+    firsts2 = [first_bad(tame1, wild2, s) for s in seeds]
+    assert np.argmin(firsts1) != 0 and min(firsts2) < min(firsts1)
+    same_tile = min(firsts1) // span == min(firsts2) // span
+    monkeypatch.setattr("stochpend.rpsde._SPAN", span)
+    monkeypatch.setattr("stochpend.rpsde.BLOCK", block)
+    with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+        for _, tiles in _noise_chunks((wild1, wild2), grid, seeds):
+            for _ in tiles:
+                pass
+    assert err.value.step_index == (min(firsts1) if same_tile else min(firsts2))

@@ -366,9 +366,9 @@ def test_deviation_needs_three_levels(params, quick_stats):
 def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     """Drawing the ensemble noise 7 seeds at a time (3 chunks of 20) gives
     the bytes of drawing it all at once, in every ensemble experiment, and
-    so does drawing each chunk in time tiles of 7 nodes.  With burn-in
-    spans of 64 nodes as well, the 100-node burn-in is drawn as a full and
-    a short span, and the last tile of every horizon is short."""
+    so does drawing each chunk in spans of 7 nodes, filtered in blocks of
+    64 values: the 100-node burn-in then ends in a short span, and the
+    last tile of every horizon is short."""
     pair = default_noise_pair()
     levels = [(0.3, 0.3), (0.15, 0.15), (0.05, 0.05)]
     theta_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)

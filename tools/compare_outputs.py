@@ -12,7 +12,8 @@ small configs that switch on every ``verify`` run and every ``poincare``
 run, ``verify`` and ``poincare`` ensembles of three seed chunks (every
 run that draws its noise chunk by chunk crosses a chunk boundary),
 ``verify`` and ``poincare`` ensembles whose horizon spans several time
-tiles of forced, independent noise channels, an
+tiles of forced, independent noise channels, ``verify`` and ``poincare``
+ensembles whose burn-in and horizon end exactly on tile edges, an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, an ``average`` whose window leaves nodes after its last
 batch, and a ``verify`` of the moments whose last grid node lies one ulp
@@ -89,6 +90,15 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["verify-spans"] = ("verify", dict(spans, verify={
         "run": ["exceedance", "deviation", "moments"], "burn_in_periods": 16}))
     out["poincare-spans"] = ("poincare", dict(spans, poincare={"run": ["concentration"]}))
+    # h = 2**-11 at tau = 1: a period is exactly one 2 048-node span, so the
+    # 1-period burn-in is one full span, the 2-period horizon two full tiles
+    # and a one-node tile, and one period of moments a full and a one-node tile
+    span_edges = {"noise": {"tau": 1.0}, "grid": {"h": 2.0**-11, "horizon_periods": 2},
+                  "seeds": {"master": seed, "ensemble": 12}}
+    out["verify-span-edges"] = ("verify", dict(span_edges, verify={
+        "run": ["exceedance", "deviation", "moments"], "burn_in_periods": 1}))
+    out["poincare-span-edges"] = ("poincare", dict(span_edges,
+                                                   poincare={"run": ["concentration"]}))
     # 250 steps a period, yet h * n / tau is 44.99999999999999 for 45 periods
     out["average-short-period"] = ("average", {
         "noise": {"tau": 0.3}, "grid": {"h": 0.0012}, "seeds": {"master": seed},
