@@ -16,7 +16,6 @@ from .bifurcation import (
     gamma1_curve,
     gamma2_ray,
     numeric_bifurcation_scan,
-    perturbed_lambda_trace,
     phase_portrait,
 )
 from .dynamics import (

@@ -41,15 +41,12 @@ import numpy as np
 
 from .dynamics import (
     LambdaPoint,
-    NoiseAmplitudes,
     PendulumParams,
     averaged_hamiltonian,
     effective_potential,
     effective_potential_d2theta,
     effective_potential_dtheta,
-    instantaneous_lambda,
 )
-from .rpsde import PathSample
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -132,15 +129,6 @@ class PhasePortrait:
     hbar: np.ndarray              # shape (len(p), len(theta))
     equilibria: list[Equilibrium]
     separatrix_levels: list[float]
-
-
-@dataclass
-class LambdaTrace:
-    """Instantaneous effective-potential coefficients along a noise pair."""
-
-    times: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
 
 
 def _problem_scale(l1: np.ndarray, l2: np.ndarray, params: PendulumParams) -> np.ndarray:
@@ -318,18 +306,3 @@ def phase_portrait(lam: LambdaPoint, params: PendulumParams,
     return PhasePortrait(theta=theta, p=p, hbar=hbar, equilibria=eqs,
                          separatrix_levels=levels)
 
-
-def perturbed_lambda_trace(pair: tuple[PathSample, PathSample],
-                           amps: NoiseAmplitudes,
-                           convention: str = "derived") -> LambdaTrace:
-    """Instantaneous (Lambda_1, Lambda_2) read off the noise values.
-
-    Time-averaging the trace reproduces the coefficients obtained from
-    ergodic statistics; the scatter of the trace around that mean is the
-    random shift of the bifurcation point seen by the frozen-time system.
-    """
-    p1, p2 = pair
-    if p1.grid != p2.grid:
-        raise ValueError("paths must share one grid")
-    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps, convention)
-    return LambdaTrace(times=p1.grid.times(), lambda1=lambda1, lambda2=lambda2)

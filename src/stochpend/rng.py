@@ -20,11 +20,10 @@ block; the module hands out normals.  Because Philox is
 counter-based, the blocked stream equals the one-shot formula
 ``ndtri((Philox(key).random_raw(n) >> 11) * 2**-53 + 2**-54)`` bit for bit.
 
-The stream is also resumable: ``standard_normals(seed, stream, n, start=m)``
-is values m .. m + n - 1 of it, bit for bit, without drawing the first m.
-Each Philox counter step gives four raw words, so the generator skips
-``m // 4`` steps and drops the ``m % 4`` words left before value m.  A long
-path can thus be drawn one span at a time.
+The stream is carried: :func:`philox` builds a (seed, stream) pair's bit
+generator once, and each :func:`standard_normals` call draws the next
+values of it, so a long path drawn one span at a time reads the same
+values as in one call.
 
 Identical (seed, stream) inputs reproduce identical variates bit for bit
 on every run of the same library versions; the scheme contains no global
@@ -72,23 +71,23 @@ def stream_key(seed: int, stream: int) -> tuple[int, int]:
 BLOCK = 1 << 15
 
 
-def standard_normals(seed: int, stream: int, n: int,
-                     out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
-    """Unit normals ``start`` .. ``start + n - 1`` of the stream by quantile
-    inversion, written into ``out`` if given.
+def philox(seed: int, stream: int) -> np.random.Philox:
+    """The bit generator of the (seed, stream) pair, at the start of its stream."""
+    return np.random.Philox(key=np.array(stream_key(seed, stream), dtype=np.uint64))
 
-    ``out`` is a float64 vector of length ``n`` (a view, such as one row of
-    a path array, is fine); it is filled and returned.
+
+def standard_normals(bg: np.random.Philox, n: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The next ``n`` unit normals of ``bg``'s stream by quantile inversion,
+    written into ``out`` if given.
+
+    ``out`` is a float64 vector of length ``n`` (a view, such as one column
+    of a tile, is fine); it is filled and returned.
     """
     if out is None:
         out = np.empty(n)
     elif out.shape != (n,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 vector of length {n}")
-    k0, k1 = stream_key(seed, stream)
-    bg = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
-    # four raw words per counter step
-    bg.advance(start // 4)
-    bg.random_raw(start % 4)
     for lo in range(0, n, BLOCK):
         seg = out[lo:lo + BLOCK]
         raw = bg.random_raw(len(seg))

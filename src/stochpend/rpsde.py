@@ -28,14 +28,15 @@ where z_k are the unit normals of the channel's stream (see
 :mod:`stochpend.rng`).  Every path is drawn by one span loop,
 :func:`_spans`, in one layout: a time-major (span, seeds) tile per
 channel, one column per seed, in a buffer that is refilled span after
-span.  For each span :func:`stochpend.rng.standard_normals` writes each
-seed's normals into its column, starting at the span's place in the
-stream (on a shared driver they are drawn once and copied to channel 2);
-node 0 holds z0.  Then each tile is turned into its paths in place, in
-blocks of about :data:`stochpend.rng.BLOCK` values: scale by
-beta sqrt(h), add the forcing, and run the recurrence as a compiled
-linear filter down the columns, with one state per column carried from
-block to block and from span to span, so y_0 = z0 and
+span.  The loop carries all of a seed's state from span to span: its
+bit generators and its filter states.  For each span
+:func:`stochpend.rng.standard_normals` writes the next normals of each
+seed's stream into its column (on a shared driver they are drawn once and
+copied to channel 2); node 0 holds z0.  Then each tile is turned into its
+paths in place, in blocks of about :data:`stochpend.rng.BLOCK` values:
+scale by beta sqrt(h), add the forcing, and run the recurrence as a
+compiled linear filter down the columns, with one state per column
+carried from block to block and from span to span, so y_0 = z0 and
 y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
 step-by-step loop, however the paths are cut into spans.  Spans are
 disjoint: each holds its own nodes.
@@ -44,15 +45,14 @@ path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
 one batch at a time and reduces each batch before drawing the next.  The
 ensemble experiments take the pair from :func:`_noise_chunks`,
 :data:`SEED_CHUNK` seeds at a time and ``_SPAN`` nodes at a time, so a
-consumer holds one tile of each channel, whatever the horizon.
+consumer holds one tile of each channel, whatever the horizon;
+:func:`_noise_at` gathers the ensemble's values at a few nodes from it.
 
 The forcing term and its time grid are built only when A != 0.  At
 A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
 so skipping it changes no value, with one exception: where
 beta sqrt(h) z_k underflows to -0 (beta below about 1e-290), adding a +0
 term gave +0, and the skipped form keeps -0.
-:func:`law_periodicity_check` uses the generator's one-channel form,
-which draws and filters channel 1 only.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import BlowUpError, ConfigError, SampleLengthError
-from .rng import BLOCK, standard_normals
+from .rng import BLOCK, philox, standard_normals
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -232,85 +232,64 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
-def _fill_span(cfgs: list[NoiseChannelConfig], seeds, tiles: np.ndarray,
-               grid: PathGrid, start: int, states: np.ndarray) -> list[int]:
-    """Nodes ``start`` .. ``start + L - 1`` of the paths of ``seeds``, in place.
-
-    ``tiles[c]`` is channel c's time-major (L, len(seeds)) tile, one column
-    per seed, and ``states[c]`` its (1, len(seeds)) filter states.  Each
-    seed's normals are drawn into its column (on a shared driver once, then
-    copied), then :func:`_filter_tile` turns each tile into the paths,
-    carrying the states from the span before.  Returns each channel's first
-    non-finite node, or ``grid.n + 1``.
-    """
-    streams = [SHARED_STREAM if cfg.driver == SHARED else c
-               for c, cfg in enumerate(cfgs, start=1)]
-    first = max(start, 1) - start  # node 0 holds z0, not a normal
-    for c, stream in enumerate(streams):
-        z = tiles[c][first:]
-        if c and stream == streams[0]:
-            z[:] = tiles[0][first:]
-        else:
-            for col, seed in zip(z.T, seeds):
-                standard_normals(int(seed), stream, len(col), out=col, start=start + first - 1)
-    return [_filter_tile(cfg, tile, grid, start, state)
-            for cfg, tile, state in zip(cfgs, tiles, states)]
-
-
-def _check_finite(bad: list[int], grid: PathGrid) -> None:
-    """Raise :class:`BlowUpError` at channel 1's first non-finite node, else channel 2's."""
-    for node in bad:
-        if node <= grid.n:
-            raise BlowUpError(node, f"noise path non-finite at grid step {node}")
-
-
-def _spans(cfgs: list[NoiseChannelConfig], grid: PathGrid, seeds, edges: list[int],
-           buf: np.ndarray):
+def _spans(cfgs: PairConfig, grid: PathGrid, seeds, edges: list[int], buf: np.ndarray):
     """The paths of ``seeds``, one span ``edges[j]`` .. ``edges[j + 1] - 1`` at a time.
 
     Yields ``(lo, tiles)`` per span ``[lo, hi)``: ``tiles`` is
     ``buf[:, :hi - lo]``, channel c's time-major (hi - lo, len(seeds)) tile
     in ``tiles[c]``, refilled in place for the next span, so a consumer is
-    done with it by then.  ``buf`` has one channel per config and at least
-    as many rows as the longest span.  The filter states are carried from
-    span to span.  Raises :class:`BlowUpError` at the first non-finite node
-    of the first span that has one, channel 1 before channel 2.
+    done with it by then.  ``buf`` has two channels and at least as many
+    rows as the longest span.  Each seed's bit generators and filter states
+    are carried from span to span: every span draws the next normals of
+    each stream into its seed's column (on a shared driver once, then
+    copied), and :func:`_filter_tile` turns each tile into the paths.
+    Raises :class:`BlowUpError` at the first non-finite node of the first
+    span that has one, channel 1 before channel 2.
     """
-    states = np.zeros((len(cfgs), 1, len(seeds)))
+    streams = [SHARED_STREAM if cfg.driver == SHARED else c
+               for c, cfg in enumerate(cfgs, start=1)]
+    drawn = streams[:1] if streams[1] == streams[0] else streams
+    gens = [[philox(int(seed), stream) for seed in seeds] for stream in drawn]
+    states = np.zeros((2, 1, len(seeds)))
     for lo, hi in zip(edges, edges[1:]):
         tiles = buf[:, :hi - lo]
-        _check_finite(_fill_span(cfgs, seeds, tiles, grid, lo, states), grid)
+        z = tiles[:, max(lo, 1) - lo:]  # node 0 holds z0, not a normal
+        for zc, bgs in zip(z, gens):
+            for col, bg in zip(zc.T, bgs):
+                standard_normals(bg, len(col), out=col)
+        if len(gens) == 1:
+            z[1] = z[0]
+        for cfg, tile, state in zip(cfgs, tiles, states):
+            _filter_tile(cfg, tile, grid, lo, state)
         yield lo, tiles
 
 
-def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig | None,
-                 grid: PathGrid, seeds) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every seed's whole paths, time-major (n + 1, len(seeds)), as one span.
+def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
+                 grid: PathGrid, seeds) -> np.ndarray:
+    """Every seed's whole paths, time-major (2, n + 1, len(seeds)), as one span.
 
-    With ``cfg2`` None only channel 1 is drawn and filtered; it is
-    bit-identical to channel 1 of any pair, and None stands in for
-    channel 2.  Both public entry points call it directly, not each
-    other, so a traced call of either one counts its paths once.
+    Both public entry points call it directly, not each other, so a traced
+    call of either one counts its paths once.
     """
-    cfgs = [cfg1] if cfg2 is None else [cfg1, cfg2]
-    buf = np.empty((len(cfgs), grid.n + 1, len(seeds)))
-    next(_spans(cfgs, grid, seeds, [0, grid.n + 1], buf))
-    return buf[0], (buf[1] if cfg2 is not None else None)
+    buf = np.empty((2, grid.n + 1, len(seeds)))
+    next(_spans((cfg1, cfg2), grid, seeds, [0, grid.n + 1], buf))
+    return buf
 
 
 def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
-                 start: int, state: np.ndarray) -> int:
+                 start: int, state: np.ndarray) -> None:
     """Turn the normals in ``tile`` into nodes ``start`` .. of the channel's paths, in place.
 
     Column i is one seed's path: ``tile[j, i]`` is node ``start + j``; it
     holds the normal z_{start+j-1}, except node 0, which is set to z0.
     ``state[0, i]`` is column i's filter state after node ``start - 1``
     (zeros at ``start`` 0) and is left as the state after the tile's last
-    node, so the next span continues the path.  Block of as many rows as
-    keep it near ``BLOCK`` values by block: scale by beta sqrt(h), add the
-    forcing (only when A != 0), then run the Euler recurrence as a linear
-    filter down the columns.  Returns the first grid node at which some
-    column is not finite, or ``grid.n + 1`` if there is none.
+    node, so the next span continues the path.  The tile is processed in
+    blocks of ``max(1, BLOCK // seeds)`` rows, near ``BLOCK`` values each:
+    scale by beta sqrt(h), add the forcing (only when A != 0), then run
+    the Euler recurrence as a linear filter down the columns.  Raises
+    :class:`BlowUpError` at the first grid node at which some column is
+    not finite.
     """
     d, h = cfg.drift, grid.h
     scale = cfg.beta * np.sqrt(h)
@@ -329,8 +308,8 @@ def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
         block[:], state[:] = lfilter(b, a, block, axis=0, zi=state)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            return start + lo + int(np.argmin(finite))
-    return grid.n + 1
+            node = start + lo + int(np.argmin(finite))
+            raise BlowUpError(node, f"noise path non-finite at grid step {node}")
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -368,6 +347,25 @@ def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, st
         buf = flat[:2 * span * (rows.stop - lo)].reshape(2, span, -1)
         spans = _spans(pair_config, grid, seeds[rows], edges, buf)
         yield rows, (tiles for first, tiles in spans if first >= start)
+
+
+def _noise_at(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, nodes) -> np.ndarray:
+    """Both channels of the ensemble at grid ``nodes``, node-major (2, len(nodes), len(seeds)).
+
+    The values are gathered tile by tile from :func:`_noise_chunks`,
+    drawn from the smallest node on, so only one tile of each channel is
+    held, and each node's values lie contiguous.
+    """
+    nodes = np.asarray(nodes)
+    start = int(nodes.min())
+    at = np.empty((2, len(nodes), len(seeds)))
+    for rows, tiles in _noise_chunks(pair_config, grid, seeds, start):
+        k0 = start  # the node of the tile's row 0
+        for tile in tiles:
+            here = np.flatnonzero((k0 <= nodes) & (nodes < k0 + tile.shape[1]))
+            at[:, here, rows] = tile[:, nodes[here] - k0]
+            k0 += tile.shape[1]
+    return at
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -417,7 +415,7 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     buf = np.empty((2, max(np.diff(edges)), 1))
     # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch
     means = np.empty((5, batches))
-    for lo, tiles in _spans([cfg1, cfg2], grid, [seed], edges, buf):
+    for lo, tiles in _spans((cfg1, cfg2), grid, [seed], edges, buf):
         if start <= lo < end:
             x1, x2 = tiles[:, :, 0]
             means[:, (lo - start) // block] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
@@ -460,13 +458,12 @@ def law_periodicity_check(config: NoiseChannelConfig, grid: PathGrid,
     lag = tau stays below the 5% critical value; at fractional lags with
     strong forcing it does not.
     The ensemble is channel 1 of ``simulate_pair_ensemble(config, config, ...)``,
-    bit for bit, drawn without channel 2.
+    bit for bit, gathered tile by tile by :func:`_noise_at`.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 ensemble members")
-    i = grid.index_of(s)
-    j = grid.index_of(s + lag)
-    values, _ = _pair_values(config, None, grid, seeds)
-    stat = ks_statistic(values[i], values[j])
+    at_s, at_lag = _noise_at((config, config), grid, seeds,
+                             [grid.index_of(s), grid.index_of(s + lag)])[0]
+    stat = ks_statistic(at_s, at_lag)
     crit = ks_critical_value(len(seeds), len(seeds))
     return KSReport(statistic=stat, critical_value=crit, n=len(seeds), s=s, lag=lag)

@@ -48,6 +48,7 @@ from .rpsde import (
     ErgodicStats,
     PairConfig,
     PathSample,
+    _noise_at,
     _noise_chunks,
     estimate_ergodic_stats,
     grid_for_periods,
@@ -312,15 +313,8 @@ def moment_growth(pair_config: PairConfig, moment_times: int,
     idx = np.round(np.linspace(0, steps_per_period, moment_times)).astype(int)
     # tau / spp * spp may exceed tau by one ulp; the node is still tau
     t_samples = np.minimum(grid.times()[idx], tau)
-    seeds = ensemble_seeds(master_seed, ensemble_n)
     # node-major, so each node's values lie contiguous and np.mean sums them pairwise
-    at1, at2 = np.empty((2, moment_times, ensemble_n))
-    for rows, tiles in _noise_chunks(pair_config, grid, seeds):
-        k0 = 0  # the node of the tile's row 0
-        for x1, x2 in tiles:
-            here = np.flatnonzero((k0 <= idx) & (idx < k0 + len(x1)))
-            at1[here, rows], at2[here, rows] = x1[idx[here] - k0], x2[idx[here] - k0]
-            k0 += len(x1)
+    at1, at2 = _noise_at(pair_config, grid, ensemble_seeds(master_seed, ensemble_n), idx)
     v1 = amps.sigma1 * at1.T
     v2 = amps.sigma2 * at2.T
     fourth1 = np.mean(v1**4, axis=0)
@@ -366,20 +360,17 @@ def potential_deviation(theta_grid: np.ndarray,
 
     Ubar takes its Lambda from the long-run moments ``stats``.  The
     frozen-time potential is evaluated at the last node of each seed's
-    burn-in, the one node that :func:`~stochpend.rpsde._noise_chunks`
-    hands on after drawing the burn-in span by span; the deviation is
-    averaged over the theta grid and the ensemble.  Needs at least 3
-    levels for the log-log slope.
+    burn-in, which :func:`~stochpend.rpsde._noise_at` gathers after
+    drawing the burn-in span by span; the deviation is averaged over the
+    theta grid and the ensemble.  Needs at least 3 levels for the log-log
+    slope.
     """
     if len(sigma_levels) < 3:
         raise SampleLengthError("need at least 3 sigma levels for a slope")
     theta_grid = np.asarray(theta_grid, dtype=float)
     grid = grid_for_periods(pair_config[0].drift.tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    xi1, xi2 = np.empty((2, ensemble_n, 1))
-    for rows, tiles in _noise_chunks(pair_config, grid, seeds, grid.n):
-        for x1, x2 in tiles:  # one tile, the last node
-            xi1[rows, 0], xi2[rows, 0] = x1[0], x2[0]
+    xi1, xi2 = _noise_at(pair_config, grid, seeds, [grid.n])[:, 0, :, None]  # (seeds, 1) columns
     th = theta_grid[None, :]
     c2t, s2t = np.cos(2.0 * th), np.sin(2.0 * th)
     devs = np.empty((len(sigma_levels), 3))

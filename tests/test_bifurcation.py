@@ -18,11 +18,11 @@ from stochpend import (
     gamma2_ray,
     lambda_from_stats,
     numeric_bifurcation_scan,
-    perturbed_lambda_trace,
     phase_portrait,
     simulate_pair,
 )
 from stochpend import bifurcation
+from stochpend.dynamics import instantaneous_lambda
 from stochpend.rpsde import grid_for_periods
 from stochpend.presets import default_noise_pair
 from tests.test_dynamics import make_stats
@@ -340,31 +340,31 @@ def test_portrait_rejects_tiny_grid(params):
 def test_trace_zero_amplitude(params):
     cfg1, cfg2 = default_noise_pair()
     grid = grid_for_periods(1.0, 2, 100)
-    pair = simulate_pair(cfg1, cfg2, grid, seed=5)
-    trace = perturbed_lambda_trace(pair, NoiseAmplitudes(0.0, 0.0))
-    assert np.all(trace.lambda1 == 0.0) and np.all(trace.lambda2 == 0.0)
+    p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=5)
+    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, NoiseAmplitudes(0.0, 0.0))
+    assert np.all(lambda1 == 0.0) and np.all(lambda2 == 0.0)
 
 
 def test_trace_time_average_matches_lambda_map(params):
     cfg1, cfg2 = default_noise_pair()
     amps = NoiseAmplitudes(0.3, 0.2)
     grid = grid_for_periods(1.0, 600, 300)
-    pair = simulate_pair(cfg1, cfg2, grid, seed=23)
+    p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=23)
     from stochpend import estimate_ergodic_stats
     stats = estimate_ergodic_stats(cfg1, cfg2, grid, 23, tau=1.0, burn_in_periods=100,
                                    batches=16)
-    trace = perturbed_lambda_trace(pair, amps)
+    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps)
     start = 100 * 300
     lam = lambda_from_stats(amps, stats)
     se1 = 0.25 * (amps.sigma1**2 * stats.se_c1 + amps.sigma2**2 * stats.se_c2)
     se2 = 0.5 * amps.sigma1 * amps.sigma2 * stats.se_c12
-    assert abs(trace.lambda1[start:].mean() - lam.lambda1) <= max(3 * se1, 1e-9)
-    assert abs(trace.lambda2[start:].mean() - lam.lambda2) <= max(3 * se2, 1e-9)
+    assert abs(lambda1[start:].mean() - lam.lambda1) <= max(3 * se1, 1e-9)
+    assert abs(lambda2[start:].mean() - lam.lambda2) <= max(3 * se2, 1e-9)
 
 
 def test_trace_identical_channels_cancel(params, ou_config):
     amps = NoiseAmplitudes(0.4, 0.4)
     grid = grid_for_periods(1.0, 3, 100)
-    pair = simulate_pair(ou_config, ou_config, grid, seed=2)
-    trace = perturbed_lambda_trace(pair, amps)
-    assert np.all(trace.lambda1 == 0.0)
+    p1, p2 = simulate_pair(ou_config, ou_config, grid, seed=2)
+    lambda1, _ = instantaneous_lambda(p1.values, p2.values, amps)
+    assert np.all(lambda1 == 0.0)

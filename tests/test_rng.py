@@ -6,6 +6,7 @@ from scipy.special import ndtri
 from stochpend.rng import (
     BLOCK,
     ensemble_seeds,
+    philox,
     splitmix64,
     standard_normals,
     stream_key,
@@ -29,20 +30,20 @@ def test_stream_key_distinguishes_seed_and_stream():
 
 
 def test_determinism_bitwise():
-    a = standard_normals(42, 1, 1000)
-    b = standard_normals(42, 1, 1000)
+    a = standard_normals(philox(42, 1), 1000)
+    b = standard_normals(philox(42, 1), 1000)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, standard_normals(43, 1, 1000))
-    assert not np.array_equal(a, standard_normals(42, 2, 1000))
+    assert not np.array_equal(a, standard_normals(philox(43, 1), 1000))
+    assert not np.array_equal(a, standard_normals(philox(42, 2), 1000))
 
 
 def test_uniforms_open_interval():
     # ndtri maps 0 and 1 to -inf and inf, so finite normals mean uniforms in (0, 1)
-    assert np.isfinite(standard_normals(7, 0, 100000)).all()
+    assert np.isfinite(standard_normals(philox(7, 0), 100000)).all()
 
 
 def test_normals_distribution():
-    z = standard_normals(3, 0, 200000)
+    z = standard_normals(philox(3, 0), 200000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     # quantile inversion gives the right tails
@@ -66,16 +67,16 @@ def one_shot_normals(seed, stream, n):
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_blocked_normals_equal_one_shot_formula(n):
     expected = one_shot_normals(17, 2, n)
-    assert standard_normals(17, 2, n).tobytes() == expected.tobytes()
+    assert standard_normals(philox(17, 2), n).tobytes() == expected.tobytes()
     # into a strided view, such as one row of a path array past its z0 node
     rows = np.full((2, n + 1), np.nan)
-    got = standard_normals(17, 2, n, out=rows[1, 1:])
+    got = standard_normals(philox(17, 2), n, out=rows[1, 1:])
     assert got.base is rows
     assert rows[1, 1:].tobytes() == expected.tobytes()
     assert np.isnan(rows[0]).all() and np.isnan(rows[1, 0])
     # into a column of a time-major tile (a stride of 24 bytes)
     tile = np.full((n, 3), np.nan)
-    got = standard_normals(17, 2, n, out=tile[:, 1])
+    got = standard_normals(philox(17, 2), n, out=tile[:, 1])
     assert got.base is tile and got.strides == (24,)
     assert tile[:, 1].tobytes() == expected.tobytes()
     assert np.isnan(tile[:, [0, 2]]).all()
@@ -84,15 +85,21 @@ def test_blocked_normals_equal_one_shot_formula(n):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4 * BLOCK - 2, 4 * BLOCK + 1, 4 * BLOCK + 3])
 @pytest.mark.parametrize("n", [1, BLOCK + 2])
 def test_normals_resume_at_any_start(m, n):
-    whole = standard_normals(17, 2, m + n)
-    assert standard_normals(17, 2, n, start=m).tobytes() == whole[m:].tobytes()
+    """A carried generator resumes where its last draw stopped: m values and
+    then n equal m + n drawn at once, across ``BLOCK`` edges and off the
+    four words of a Philox counter step."""
+    whole = standard_normals(philox(17, 2), m + n)
+    bg = philox(17, 2)
+    head = standard_normals(bg, m)
+    tail = standard_normals(bg, n)
+    assert head.tobytes() + tail.tobytes() == whole.tobytes()
 
 
 def test_normals_out_must_match_n():
     with pytest.raises(ValueError):
-        standard_normals(1, 0, 10, out=np.empty(9))
+        standard_normals(philox(1, 0), 10, out=np.empty(9))
     with pytest.raises(ValueError):
-        standard_normals(1, 0, 10, out=np.empty(10, dtype=np.float32))
+        standard_normals(philox(1, 0), 10, out=np.empty(10, dtype=np.float32))
 
 
 def test_ensemble_seeds_fit_in_64_bits():

@@ -23,8 +23,8 @@ from stochpend import (
 )
 from stochpend.errors import BlowUpError
 from stochpend.presets import default_noise_pair
-from stochpend.rpsde import _noise_chunks, _pair_values
-from stochpend.rng import BLOCK, ensemble_seeds, standard_normals
+from stochpend.rpsde import _noise_chunks
+from stochpend.rng import BLOCK, ensemble_seeds, philox, standard_normals
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_strong_order_monitor(ou_config):
 
     gaps = {1: [], 2: [], 4: []}
     for seed in range(20):
-        dw = np.sqrt(horizon / n_fine) * standard_normals(seed, 0, n_fine)
+        dw = np.sqrt(horizon / n_fine) * standard_normals(philox(seed, 0), n_fine)
         ends = {}
         for factor in (1, 2, 4):
             dw_c = dw.reshape(-1, factor).sum(axis=1)
@@ -309,7 +309,7 @@ def test_ensemble_rows_match_single(pair_config):
 def literal_path(cfg, grid, seed, channel):
     """x_{k+1} = (alpha h A sin(2 pi t_k / tau + phi) + beta sqrt(h) z_k)
     + (1 - alpha h) x_k, one step at a time on the channel's stream."""
-    z = standard_normals(int(seed), 0 if cfg.driver == "shared" else channel, grid.n)
+    z = standard_normals(philox(int(seed), 0 if cfg.driver == "shared" else channel), grid.n)
     d, h = cfg.drift, grid.h
     target = d.target(grid.times())
     x = [cfg.z0]
@@ -492,35 +492,30 @@ def test_streamed_stats_blowup_names_first_non_finite_node(pair_config, where):
     assert err.value.step_index == first
 
 
-@pytest.mark.parametrize("driver", ["shared", "independent"])
-def test_one_channel_form_is_channel_one_of_the_pair(pair_config, driver):
-    cfg1, cfg2 = (dataclasses.replace(c, driver=driver) for c in pair_config)
-    grid = PathGrid(0.0, 0.01, 300)
-    seeds = ensemble_seeds(8, 4)
-    alone, none = _pair_values(cfg1, None, grid, seeds)
-    x1, _ = _pair_values(cfg1, cfg2, grid, seeds)
-    assert none is None
-    assert alone.shape == (grid.n + 1, len(seeds))  # time-major
-    assert alone.tobytes() == x1.tobytes()
-    assert alone.T.tobytes() == simulate_pair_ensemble(cfg1, cfg2, grid, seeds)[0].tobytes()
-
-
-def test_law_check_draws_one_channel():
+@pytest.mark.parametrize("lag, other", [(1.0, 2200), (-0.75, 1850)],
+                         ids=["positive-lag", "negative-lag"])
+def test_law_check_holds_tiles_not_the_ensemble(monkeypatch, lag, other):
+    """Tiles of 64 nodes by 128 seeds, not the 400 x 2 401 ensemble of one
+    channel, and the statistic of the two columns of the whole ensemble, in
+    the order (s, s + lag): at a negative lag the earlier node is gathered
+    too."""
     cfg = NoiseChannelConfig(
         drift=PeriodicDriftSpec(tau=1.0, alpha=1.0, forcing_amp=1.0), beta=0.5)
     grid = grid_for_periods(1.0, 12, 200)
     seeds = ensemble_seeds(7, 400)
+    x1, _ = simulate_pair_ensemble(cfg, cfg, grid, seeds)
+    monkeypatch.setattr("stochpend.rpsde._SPAN", 64)
+    monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", 128)
     law_periodicity_check(cfg, PathGrid(0.0, 0.01, 10), seeds[:2], s=0.0, lag=0.0)
     tracemalloc.start()
     try:
-        rep = law_periodicity_check(cfg, grid, seeds, s=10.0, lag=1.0)
+        rep = law_periodicity_check(cfg, grid, seeds, s=10.0, lag=lag)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    channel = len(seeds) * (grid.n + 1) * 8
-    assert peak <= 2 * channel
-    x1, _ = simulate_pair_ensemble(cfg, cfg, grid, seeds)
-    assert rep.statistic == ks_statistic(x1[:, 2000], x1[:, 2200])
+    assert peak < len(seeds) * (grid.n + 1) * 8
+    assert rep.lag == lag
+    assert rep.statistic == ks_statistic(x1[:, 2000], x1[:, other]) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,17 @@ tiles of forced, independent noise channels, ``verify`` and ``poincare``
 ensembles whose burn-in and horizon end exactly on tile edges, an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, an ``average`` whose window leaves nodes after its last
-batch, and a ``verify`` of the moments whose last grid node lies one ulp
-past tau.  ``--case`` (repeatable) runs only the cases named.
+batch, a ``verify`` of the moments whose last grid node lies one ulp
+past tau, and two ``verify`` runs whose noise overflows (one in the
+calibration path, one in an ensemble).  ``--case`` (repeatable) runs only
+the cases named.
 
-For each case the script prints both exit codes and, per output file, the
-SHA-256 from each tree.  It exits 0 when every case has the same exit code
-and the same files with the same bytes, 1 when anything differs, and 2 when
-a tree's package cannot be imported from its ``src``.
+For each case the script prints both exit codes, the last stderr line of a
+run that failed, and, per output file, the SHA-256 from each tree.  It
+exits 0 when every case has the same exit code, the same last stderr line
+on failure and the same files with the same bytes, and no failed run left
+a file; 1 when anything differs, and 2 when a tree's package cannot be
+imported from its ``src``.
 """
 
 from __future__ import annotations
@@ -113,6 +117,14 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["verify-moments-ulp"] = ("verify", {
         "noise": {"tau": 0.9}, "grid": {"h": 0.9 / 7}, "seeds": {"master": seed},
         "verify": {"run": ["moments"], "moment_times": 8}})
+    # at the default h = tau / 1000, 1 - alpha h is -2 and -2.5: channel 1
+    # overflows in the calibration path near node 1 030, and in the moments
+    # ensemble near node 780; both runs exit 3 and leave no file
+    out["verify-blowup"] = ("verify", {"noise": {"channel1": {"alpha": 3000.0}},
+                                       "seeds": {"master": seed, "ensemble": 12}})
+    out["verify-blowup-moments"] = ("verify", {
+        "noise": {"channel1": {"alpha": 3500.0}}, "seeds": {"master": seed, "ensemble": 12},
+        "verify": {"run": ["moments"]}})
     return out
 
 
@@ -155,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             case_dir.mkdir()
             cfg_path = case_dir / "config.json"
             cfg_path.write_text(json.dumps(config))
-            codes, files = {}, {}
+            codes, files, last = {}, {}, {}
             for label, tree in trees.items():
                 (case_dir / label).mkdir()
                 out = case_dir / label / "out"
@@ -164,10 +176,22 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{label} tree {tree}: {err.strip()}", file=sys.stderr)
                     return 2
                 files[label] = digests(out)
+                # the error of a failed run; a successful one prints timings
+                last[label] = (err.strip().splitlines() or [""])[-1] if codes[label] else ""
             same_code = codes["parent"] == codes["change"]
             print(f"{name} ({command}): exit {codes['parent']} / {codes['change']}"
                   f"{'' if same_code else '  DIFFERENT'}")
             same = same_code
+            for label in trees:
+                if codes[label] and files[label]:
+                    print(f"  LEFT FILES  {label} failed and left {sorted(files[label])}")
+                    same = False
+            if last["parent"] or last["change"]:
+                if last["parent"] == last["change"]:
+                    print(f"  identical  stderr  {last['parent']}")
+                else:
+                    print(f"  DIFFERENT  stderr  {last['parent']!r} != {last['change']!r}")
+                    same = False
             for fname in sorted(set(files["parent"]) | set(files["change"])):
                 a = files["parent"].get(fname, "missing")
                 b = files["change"].get(fname, "missing")
