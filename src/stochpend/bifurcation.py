@@ -117,7 +117,6 @@ class ScanResult:
     lambda2_corners: np.ndarray
     labels: np.ndarray            # corner labels, shape (n1, n2), values PI1/PI2/BOUNDARY
     boundary_cells: np.ndarray    # cell centers (k, 2)
-    step: float
 
 
 @dataclass
@@ -284,7 +283,7 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
     centers = np.column_stack([l1[ii] + 0.5 * step, l2[jj] + 0.5 * step])
     labels = np.array(_REGIONS, dtype=object)[codes]
     return ScanResult(lambda1_corners=l1, lambda2_corners=l2, labels=labels,
-                      boundary_cells=centers, step=step)
+                      boundary_cells=centers)
 
 
 def phase_portrait(lam: LambdaPoint, params: PendulumParams,

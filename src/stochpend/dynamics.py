@@ -124,13 +124,11 @@ class Trajectory:
 
 @dataclass
 class BobEmbedding:
-    """Cartesian bob position and velocity reconstructed from an orbit."""
+    """Cartesian bob position reconstructed from an orbit."""
 
     grid: PathGrid
     x: np.ndarray
     y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
 
 
 def wrap_angle(theta):
@@ -445,8 +443,4 @@ def bob_embedding(traj: Trajectory, pair: tuple[PathSample, PathSample],
     int2 = np.concatenate([[0.0], np.cumsum(0.5 * h * (p2.values[:-1] + p2.values[1:]))])
     x = l * np.sin(traj.theta) + amps.sigma1 * int1
     y = -l * np.cos(traj.theta) + amps.sigma2 * int2
-    theta_dot = velocity_from_momentum(traj.theta, traj.p, p1.values, p2.values,
-                                       params, amps)
-    vx = l * theta_dot * np.cos(traj.theta) + amps.sigma1 * p1.values
-    vy = l * theta_dot * np.sin(traj.theta) + amps.sigma2 * p2.values
-    return BobEmbedding(grid=traj.grid, x=x, y=y, vx=vx, vy=vy)
+    return BobEmbedding(grid=traj.grid, x=x, y=y)

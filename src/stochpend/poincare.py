@@ -63,8 +63,6 @@ class FillReport:
     """Occupancy of a phase-plane grid by section points."""
 
     counts: np.ndarray
-    theta_edges: np.ndarray
-    p_edges: np.ndarray
     occupancy: float
     band_edges: np.ndarray
     band_occupancy: np.ndarray
@@ -134,8 +132,7 @@ def plane_fill_density(sections: list[StroboscopicSection], grid: tuple[int, int
         sel = (energy >= band_edges[b]) & hi_inc
         cb, _, _ = np.histogram2d(theta[sel], p[sel], bins=[theta_edges, p_edges])
         band_occ[b] = (cb > 0).mean()
-    return FillReport(counts=counts, theta_edges=theta_edges, p_edges=p_edges,
-                      occupancy=occupancy, band_edges=band_edges,
+    return FillReport(counts=counts, occupancy=occupancy, band_edges=band_edges,
                       band_occupancy=band_occ)
 
 

@@ -26,10 +26,12 @@ fused form
 
 where z_k are the unit normals of the channel's stream (see
 :mod:`stochpend.rng`).  Every path is drawn by one span loop,
-:func:`_spans`, in one layout: a time-major (span, seeds) tile per
-channel, one column per seed, in a buffer that is refilled span after
-span.  The loop carries all of a seed's state from span to span: its
-bit generators and its filter states.  For each span
+:func:`_spans`, the one place that decides how a path is cut: its caller
+names the first node it wants and a span length, and the loop draws the
+spans before that node only to carry the state.  It holds one time-major
+(span, seeds) tile per channel, one column per seed, refilled span after
+span, and carries all of a seed's state from span to span: its bit
+generators and its filter states.  For each span
 :func:`stochpend.rng.standard_normals` writes the next normals of each
 seed's stream into its column (on a shared driver they are drawn once and
 copied to channel 2); node 0 holds z0.  Then each tile is turned into its
@@ -38,9 +40,11 @@ scale by beta sqrt(h), add the forcing, and run the recurrence as a
 compiled linear filter down the columns, with one state per column
 carried from block to block and from span to span, so y_0 = z0 and
 y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
-step-by-step loop, however the paths are cut into spans.  Spans are
-disjoint: each holds its own nodes.
-:func:`simulate_pair_ensemble` and :func:`simulate_pair` fill the whole
+step-by-step loop, however the paths are cut into spans.  A draw fails
+with :class:`BlowUpError` at the first node where either channel is
+non-finite, whatever the cut; an ensemble drawn in seed chunks fails
+within the first chunk that has such a node.
+:func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
 path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
 one batch at a time and reduces each batch before drawing the next.  The
 ensemble experiments take the pair from :func:`_noise_chunks`,
@@ -232,25 +236,29 @@ def drift_eval(spec: PeriodicDriftSpec, t, x):
     return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
 
 
-def _spans(cfgs: PairConfig, grid: PathGrid, seeds, edges: list[int], buf: np.ndarray):
-    """The paths of ``seeds``, one span ``edges[j]`` .. ``edges[j + 1] - 1`` at a time.
+def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int):
+    """The paths of ``seeds`` from node ``start`` on, ``span`` nodes at a time.
 
-    Yields ``(lo, tiles)`` per span ``[lo, hi)``: ``tiles`` is
-    ``buf[:, :hi - lo]``, channel c's time-major (hi - lo, len(seeds)) tile
-    in ``tiles[c]``, refilled in place for the next span, so a consumer is
-    done with it by then.  ``buf`` has two channels and at least as many
-    rows as the longest span.  Each seed's bit generators and filter states
-    are carried from span to span: every span draws the next normals of
-    each stream into its seed's column (on a shared driver once, then
-    copied), and :func:`_filter_tile` turns each tile into the paths.
-    Raises :class:`BlowUpError` at the first non-finite node of the first
-    span that has one, channel 1 before channel 2.
+    Yields, per span of nodes ``lo`` .. ``hi - 1``, the (2, hi - lo,
+    len(seeds)) view of one time-major tile, channel c's in ``tiles[c]``,
+    one column per seed.  The spans start at ``start`` and every ``span``
+    nodes after it; the tile is refilled in place for the next span, so a
+    consumer is done with it by then.  The spans before ``start`` (cut
+    every ``span`` nodes from 0) are drawn only to carry the state and are
+    never yielded.  Each seed's bit generators and filter states are
+    carried from span to span: every span draws the next normals of each
+    stream into its seed's column (on a shared driver once, then copied),
+    and :func:`_filter_tile` turns each tile into the paths.  Raises
+    :class:`BlowUpError` at the first node where either channel of some
+    seed is non-finite, wherever the cut falls.
     """
     streams = [SHARED_STREAM if cfg.driver == SHARED else c
                for c, cfg in enumerate(cfgs, start=1)]
     drawn = streams[:1] if streams[1] == streams[0] else streams
     gens = [[philox(int(seed), stream) for seed in seeds] for stream in drawn]
     states = np.zeros((2, 1, len(seeds)))
+    buf = np.empty((2, min(span, grid.n + 1), len(seeds)))
+    edges = [*range(0, start, span), *range(start, grid.n + 1, span), grid.n + 1]
     for lo, hi in zip(edges, edges[1:]):
         tiles = buf[:, :hi - lo]
         z = tiles[:, max(lo, 1) - lo:]  # node 0 holds z0, not a normal
@@ -259,25 +267,16 @@ def _spans(cfgs: PairConfig, grid: PathGrid, seeds, edges: list[int], buf: np.nd
                 standard_normals(bg, len(col), out=col)
         if len(gens) == 1:
             z[1] = z[0]
-        for cfg, tile, state in zip(cfgs, tiles, states):
-            _filter_tile(cfg, tile, grid, lo, state)
-        yield lo, tiles
-
-
-def _pair_values(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
-                 grid: PathGrid, seeds) -> np.ndarray:
-    """Every seed's whole paths, time-major (2, n + 1, len(seeds)), as one span.
-
-    Both public entry points call it directly, not each other, so a traced
-    call of either one counts its paths once.
-    """
-    buf = np.empty((2, grid.n + 1, len(seeds)))
-    next(_spans((cfg1, cfg2), grid, seeds, [0, grid.n + 1], buf))
-    return buf
+        bad = [node for cfg, tile, state in zip(cfgs, tiles, states)
+               if (node := _filter_tile(cfg, tile, grid, lo, state)) is not None]
+        if bad:
+            raise BlowUpError(min(bad), f"noise path non-finite at grid step {min(bad)}")
+        if lo >= start:
+            yield tiles
 
 
 def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
-                 start: int, state: np.ndarray) -> None:
+                 start: int, state: np.ndarray) -> int | None:
     """Turn the normals in ``tile`` into nodes ``start`` .. of the channel's paths, in place.
 
     Column i is one seed's path: ``tile[j, i]`` is node ``start + j``; it
@@ -287,9 +286,9 @@ def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
     node, so the next span continues the path.  The tile is processed in
     blocks of ``max(1, BLOCK // seeds)`` rows, near ``BLOCK`` values each:
     scale by beta sqrt(h), add the forcing (only when A != 0), then run
-    the Euler recurrence as a linear filter down the columns.  Raises
-    :class:`BlowUpError` at the first grid node at which some column is
-    not finite.
+    the Euler recurrence as a linear filter down the columns.  Returns
+    the first grid node at which some column is not finite, and stops
+    there, or None.
     """
     d, h = cfg.drift, grid.h
     scale = cfg.beta * np.sqrt(h)
@@ -308,8 +307,8 @@ def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
         block[:], state[:] = lfilter(b, a, block, axis=0, zi=state)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            node = start + lo + int(np.argmin(finite))
-            raise BlowUpError(node, f"noise path non-finite at grid step {node}")
+            return start + lo + int(np.argmin(finite))
+    return None
 
 
 def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
@@ -320,10 +319,11 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     ``seeds[k]``: it reads stream 0 on a shared driver and stream i on an
     independent one, so two shared channels with the same config and seed
     produce identical paths.  The results are transposed views of the
-    time-major paths.  Raises :class:`BlowUpError` at the first grid node
-    where any row is non-finite.
+    time-major paths, drawn as one span of :func:`_spans`.  Raises
+    :class:`BlowUpError` at the first grid node where either channel of
+    any row is non-finite.
     """
-    x1, x2 = _pair_values(cfg1, cfg2, grid, seeds)
+    x1, x2 = next(_spans((cfg1, cfg2), grid, seeds, 0, grid.n + 1))
     return x1.T, x2.T
 
 
@@ -331,22 +331,15 @@ def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, st
     """The ensemble's noise pair, ``SEED_CHUNK`` seeds by ``_SPAN`` nodes at a time.
 
     Yields ``(rows, tiles)`` per chunk, ``rows`` the slice of ``seeds`` it
-    holds.  ``tiles`` yields ``(x1, x2)``: nodes ``start`` .. ``grid.n`` of
-    the chunk's paths, time-major and contiguous, one column per seed, cut
-    into consecutive disjoint tiles of at most ``_SPAN`` rows.  Every tile
-    is a view of one buffer that is refilled when the next tile is asked
-    for, so a consumer is done with a tile by then.  The spans before
-    ``start`` (the burn-in) are drawn only to carry the streams and the
-    filter states forward.
+    holds and ``tiles`` the chunk's :func:`_spans` from ``start`` on: it
+    yields ``(x1, x2)``, nodes ``start`` .. ``grid.n`` of the chunk's
+    paths, time-major, one column per seed, in consecutive disjoint tiles
+    of at most ``_SPAN`` rows.  A :class:`BlowUpError` names the first
+    non-finite node of the first chunk that has one.
     """
-    edges = [*range(0, start, _SPAN), *range(start, grid.n + 1, _SPAN), grid.n + 1]
-    span = min(_SPAN, grid.n + 1)
-    flat = np.empty(2 * span * min(SEED_CHUNK, len(seeds)))
     for lo in range(0, len(seeds), SEED_CHUNK):
         rows = slice(lo, min(lo + SEED_CHUNK, len(seeds)))
-        buf = flat[:2 * span * (rows.stop - lo)].reshape(2, span, -1)
-        spans = _spans(pair_config, grid, seeds[rows], edges, buf)
-        yield rows, (tiles for first, tiles in spans if first >= start)
+        yield rows, _spans(pair_config, grid, seeds[rows], start, _SPAN)
 
 
 def _noise_at(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, nodes) -> np.ndarray:
@@ -365,13 +358,14 @@ def _noise_at(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, nodes)
             here = np.flatnonzero((k0 <= nodes) & (nodes < k0 + tile.shape[1]))
             at[:, here, rows] = tile[:, nodes[here] - k0]
             k0 += tile.shape[1]
+        del tile  # free this chunk's tile before the next chunk draws its own
     return at
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                   grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
     """One-seed view of :func:`simulate_pair_ensemble`: row 0 of each channel."""
-    x1, x2 = _pair_values(cfg1, cfg2, grid, [seed])
+    x1, x2 = next(_spans((cfg1, cfg2), grid, [seed], 0, grid.n + 1))
     return PathSample(grid=grid, values=x1[:, 0]), PathSample(grid=grid, values=x2[:, 0])
 
 
@@ -388,14 +382,13 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     The averages are over the pair ``simulate_pair(cfg1, cfg2, grid, seed)``,
     drawn one span at a time and never held whole.  ``tau`` must be a
     multiple of the grid step.  The first ``burn_in_periods`` whole periods
-    are discarded, in spans of at most one batch; the rest of the path is
-    split into ``batches`` equal blocks, one span each, so that each batch
-    mean sees the same array as over the whole path.  The fewer than
-    ``batches`` nodes left at the end are drawn only to be checked for
-    blow-up.  The path must span at least ``burn_in_periods + batches``
-    whole periods (one period per batch).  Raises :class:`BlowUpError` at
-    the first non-finite node of the first span that has one, channel 1
-    before channel 2.
+    are discarded; the rest of the path is split into ``batches`` equal
+    blocks, one span each, so that each batch mean sees the same array as
+    over the whole path.  The fewer than ``batches`` nodes left at the end
+    are drawn only to be checked for blow-up.  The path must span at least
+    ``burn_in_periods + batches`` whole periods (one period per batch).
+    Raises :class:`BlowUpError` at the first node where either channel is
+    non-finite.
     """
     if batches < 8:
         raise ValueError(f"batches must be >= 8, got {batches}")
@@ -407,19 +400,13 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
             f"need >= {burn_in_periods + batches} (burn-in + batches)")
     start = burn_in_periods * stride
     block = (grid.n + 1 - start) // batches
-    end = start + batches * block
-    # span edges: burn-in pieces, the batches, then the trailing nodes if any
-    edges = [*range(0, start, block), *range(start, end + 1, block)]
-    if end <= grid.n:
-        edges.append(grid.n + 1)
-    buf = np.empty((2, max(np.diff(edges)), 1))
     # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch
     means = np.empty((5, batches))
-    for lo, tiles in _spans((cfg1, cfg2), grid, [seed], edges, buf):
-        if start <= lo < end:
+    for k, tiles in enumerate(_spans((cfg1, cfg2), grid, [seed], start, block)):
+        if k < batches:  # the spans after the last batch hold the trailing nodes
             x1, x2 = tiles[:, :, 0]
-            means[:, (lo - start) // block] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
-                                               np.mean(x2 * x2), np.mean(x1 * x2))
+            means[:, k] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
+                           np.mean(x2 * x2), np.mean(x1 * x2))
     (mean1, se_mean1), (mean2, se_mean2), (c1, se_c1), (c2, se_c2), (c12, se_c12) = \
         map(_mean_and_se, means)
     return ErgodicStats(

@@ -152,7 +152,7 @@ def test_noise_overflow_in_a_late_tile_exits_numeric(tmp_path, capsys, monkeypat
 def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError("Unable to allocate 7.11 PiB for an array")
-    monkeypatch.setattr("stochpend.rpsde._pair_values", no_memory)
+    monkeypatch.setattr("stochpend.rpsde._spans", no_memory)
     code, out = run_cli(tmp_path, "simulate", BASE)
     assert code == EXIT_NUMERIC
     assert not out.exists()

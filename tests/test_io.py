@@ -69,7 +69,7 @@ def test_series_writers_match_value_formatting(tmp_path):
     write_trajectory_csv(tmp_path / "traj.csv", traj)
     assert (tmp_path / "traj.csv").read_bytes() == \
         value_rows("t,theta,p,H", zip(t, a, b, c))
-    emb = BobEmbedding(grid, a, c, b, b)
+    emb = BobEmbedding(grid, a, c)
     write_embedding_csv(tmp_path / "emb.csv", emb)
     assert (tmp_path / "emb.csv").read_bytes() == value_rows("t,x,y", zip(t, a, c))
 
@@ -86,7 +86,7 @@ def test_grid_writers_keep_their_row_order(tmp_path):
     labels = np.array([["PI1", "PI2", "BOUNDARY"], ["PI2", "PI2", "PI1"]], dtype=object)
     l1, l2 = np.array([-0.1, 0.3]), np.array([0.0, 0.2, 1.0 / 3.0])
     write_scan_csv(tmp_path / "scan.csv",
-                   ScanResult(l1, l2, labels, boundary_cells=np.empty((0, 2)), step=0.1))
+                   ScanResult(l1, l2, labels, boundary_cells=np.empty((0, 2))))
     expected = "lambda1,lambda2,label\n" + "".join(
         f"{format(a, '.17g')},{format(b, '.17g')},{labels[i, j]}\n"
         for i, a in enumerate(l1) for j, b in enumerate(l2))
@@ -95,8 +95,8 @@ def test_grid_writers_keep_their_row_order(tmp_path):
     counts = np.array([[0.0, 3.0], [12.0, 1.0], [5.0, 0.0]])
     edges = np.zeros(1)
     write_histogram_csv(tmp_path / "hist.csv",
-                        FillReport(counts, theta_edges=edges, p_edges=edges, occupancy=0.5,
-                                   band_edges=edges, band_occupancy=edges))
+                        FillReport(counts, occupancy=0.5, band_edges=edges,
+                                   band_occupancy=edges))
     expected = "theta_bin,p_bin,count\n" + "".join(
         f"{i},{j},{int(counts[i, j])}\n" for i in range(3) for j in range(2))
     assert (tmp_path / "hist.csv").read_text() == expected

@@ -562,18 +562,14 @@ def test_noise_chunk_tiles_concatenate_to_the_whole_paths(n, where, span, chunk,
         assert g.tobytes() == x[:, start:].tobytes()
 
 
-@pytest.mark.parametrize("span, block", [(2048, BLOCK), (2048, 64), (100, 64)],
-                         ids=["one-tile", "small-blocks", "channel-2-tile-first"])
-def test_chunk_blowup_names_smallest_first_node_over_seeds(monkeypatch, span, block):
-    """Five seeds share each tile.  Channel 1 overflows first in seed 2, not
-    seed 0, and channel 2 earlier still.  Within one tile the smallest first
-    non-finite node of channel 1 over the seeds is raised; when channel 2's
-    lies in an earlier tile, that one is."""
+def _chunk_blowup(span, block, chunk, driver):
+    """The first non-finite node of each wild channel for each seed of the
+    first chunk, and the node at which that chunk's noise fails."""
     # |1 - alpha h| = 2 and 2.05: the paths overflow near nodes 1 029 and 993
     h = 0.01
     wild1, wild2 = (NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=r / h),
-                                       beta=1.0, driver="independent") for r in (3.0, 3.05))
-    tame1, tame2 = default_noise_pair()
+                                       beta=1.0, driver=driver) for r in (3.0, 3.05))
+    tame = dataclasses.replace(default_noise_pair()[0], driver="independent")
     grid = PathGrid(0.0, h, 2000)
     seeds = ensemble_seeds(2, 5)
 
@@ -582,14 +578,39 @@ def test_chunk_blowup_names_smallest_first_node_over_seeds(monkeypatch, span, bl
             simulate_pair(cfg1, cfg2, grid, int(seed))
         return err.value.step_index
 
-    firsts1 = [first_bad(wild1, wild2, s) for s in seeds]  # channel 1 before channel 2
-    firsts2 = [first_bad(tame1, wild2, s) for s in seeds]
-    assert np.argmin(firsts1) != 0 and min(firsts2) < min(firsts1)
-    same_tile = min(firsts1) // span == min(firsts2) // span
-    monkeypatch.setattr("stochpend.rpsde._SPAN", span)
-    monkeypatch.setattr("stochpend.rpsde.BLOCK", block)
-    with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
-        for _, tiles in _noise_chunks((wild1, wild2), grid, seeds):
-            for _ in tiles:
-                pass
-    assert err.value.step_index == (min(firsts1) if same_tile else min(firsts2))
+    # each wild channel beside a tame one that reads a stream of its own
+    firsts = [[first_bad(wild1, tame, s) for s in seeds[:chunk]],
+              [first_bad(tame, wild2, s) for s in seeds[:chunk]]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rpsde._SPAN", span)
+        mp.setattr("stochpend.rpsde.BLOCK", block)
+        mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+        with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+            for _, tiles in _noise_chunks((wild1, wild2), grid, seeds):
+                for _ in tiles:
+                    pass
+    return firsts, err.value.step_index
+
+
+@pytest.mark.parametrize("span, block, driver", [(2048, BLOCK, "independent"), (2048, 64, "shared"),
+                                                 (100, 64, "independent")],
+                         ids=["one-tile", "small-blocks", "channel-2-tile-first"])
+def test_chunk_blowup_names_smallest_first_node_over_seeds(span, block, driver):
+    """Five seeds share each tile.  Channel 1 overflows first in seed 2, not
+    seed 0, and channel 2 earlier still, in the same tile or an earlier one.
+    The smallest first non-finite node over both channels and the seeds is
+    raised."""
+    firsts, got = _chunk_blowup(span, block, 5, driver)
+    assert np.argmin(firsts[0]) != 0 and min(firsts[1]) < min(firsts[0])
+    assert got == min(firsts[1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(span=st.integers(1, 2100), block=st.one_of(st.just(BLOCK), st.integers(1, 64)),
+       chunk=st.integers(1, 5), driver=st.sampled_from(["shared", "independent"]))
+def test_chunk_blowup_holds_for_any_span_block_and_chunk(span, block, chunk, driver):
+    """A chunk's noise fails at the smallest first non-finite node over
+    both channels and all its seeds, whatever the span, the block and the
+    driver: the first chunk holds seeds 0 .. chunk - 1."""
+    firsts, got = _chunk_blowup(span, block, chunk, driver)
+    assert got == min(map(min, firsts))

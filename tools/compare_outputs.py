@@ -17,8 +17,9 @@ ensembles whose burn-in and horizon end exactly on tile edges, an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, an ``average`` whose window leaves nodes after its last
 batch, a ``verify`` of the moments whose last grid node lies one ulp
-past tau, and two ``verify`` runs whose noise overflows (one in the
-calibration path, one in an ensemble).  ``--case`` (repeatable) runs only
+past tau, and three ``verify`` runs whose noise overflows (channel 1 in
+the calibration path and in an ensemble, channel 2 in the calibration
+path).  ``--case`` (repeatable) runs only
 the cases named.
 
 For each case the script prints both exit codes, the last stderr line of a
@@ -125,6 +126,9 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["verify-blowup-moments"] = ("verify", {
         "noise": {"channel1": {"alpha": 3500.0}}, "seeds": {"master": seed, "ensemble": 12},
         "verify": {"run": ["moments"]}})
+    # as verify-blowup, but channel 2 overflows in the calibration path
+    out["verify-blowup-channel2"] = ("verify", {"noise": {"channel2": {"alpha": 3000.0}},
+                                                "seeds": {"master": seed, "ensemble": 12}})
     return out
 
 
