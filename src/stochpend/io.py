@@ -14,10 +14,12 @@ through :func:`report_dict`; every other file has a function of its own.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bifurcation import AtlasCurves, PhasePortrait, ScanResult
@@ -136,10 +138,12 @@ def write_atlas_json(path, atlas: AtlasCurves) -> None:
 
 
 def run_manifest(command: str, effective_config: dict, files: list[Path]) -> dict:
-    """A run's command, version and checked config, and a SHA-256 per data file."""
+    """The command, package and library versions, checked config and a SHA-256 per data file."""
     return {
         "command": command,
         "version": __version__,
+        "libraries": {"python": "%d.%d.%d" % sys.version_info[:3],
+                      "numpy": np.__version__, "scipy": scipy.__version__},
         "effective_config": effective_config,
         "outputs": {p.name: sha256_of(p) for p in files},
     }

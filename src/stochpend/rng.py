@@ -26,8 +26,9 @@ values of it, so a long path drawn one span at a time reads the same
 values as in one call.
 
 Identical (seed, stream) inputs reproduce identical variates bit for bit
-on every run of the same library versions; the scheme contains no global
-state and no platform-dependent sampling loop (no rejection steps).
+on every run of the same library versions (checked with scipy 1.17.1 and
+numpy 2.4.6; every ``manifest.json`` names them); the scheme contains no
+global state and no platform-dependent sampling loop (no rejection steps).
 
 Stream labels used by :mod:`stochpend.rpsde`:
 

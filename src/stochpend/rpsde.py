@@ -36,14 +36,17 @@ generators and its filter states.  For each span
 seed's stream into its column (on a shared driver they are drawn once and
 copied to channel 2); node 0 holds z0.  Then each tile is turned into its
 paths in place, in blocks of about :data:`stochpend.rng.BLOCK` values:
-scale by beta sqrt(h), add the forcing, and run the recurrence as a
-compiled linear filter down the columns, with one state per column
-carried from block to block and from span to span, so y_0 = z0 and
-y_{k+1} = u_k + (1 - alpha h) y_k.  This is bit-identical to the literal
-step-by-step loop, however the paths are cut into spans.  A draw fails
-with :class:`BlowUpError` at the first node where either channel is
-non-finite, whatever the cut; an ensemble drawn in seed chunks fails
-within the first chunk that has such a node.
+scale by beta sqrt(h), add the forcing, and run the recurrence down the
+columns in ``scipy.signal._sigtools._linear_filter``, the compiled kernel
+that ``lfilter`` hands it to with the same arguments.  That extension is
+loaded by file, since importing ``scipy.signal`` pulls in scipy.stats,
+optimize and more, about 1 s; with no such file, ``lfilter`` runs it.
+One state per column is carried from block to block and from span to
+span, so y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is
+bit-identical to the literal step-by-step loop, however the paths are cut
+into spans.  A draw fails with :class:`BlowUpError` at the first node
+where either channel is non-finite, whatever the cut; an ensemble drawn
+in seed chunks fails within the first chunk that has such a node.
 :func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
 path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
 one batch at a time and reduces each batch before drawing the next.  The
@@ -62,10 +65,13 @@ term gave +0, and the skipped form keeps -0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.signal import lfilter
+import scipy
 
 from .errors import BlowUpError, ConfigError, SampleLengthError
 from .rng import BLOCK, philox, standard_normals
@@ -81,6 +87,21 @@ SEED_CHUNK = 500
 _SPAN = 2048
 #: Relative tolerance within which a time is a grid node.
 GRID_TOL = 1e-9
+
+
+def _load_linear_filter():
+    """The filter kernel ``(b, a, x, axis, zi) -> (y, zf)``, or ``lfilter`` (module docstring)."""
+    spec = PathFinder.find_spec("scipy.signal._sigtools",
+                                [os.path.join(path, "signal") for path in scipy.__path__])
+    if spec is None:
+        from scipy.signal import lfilter
+        return lfilter
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
 
 
 @dataclass(frozen=True)
@@ -292,7 +313,7 @@ def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
     """
     d, h = cfg.drift, grid.h
     scale = cfg.beta * np.sqrt(h)
-    b, a = [1.0], [1.0, -(1.0 - d.alpha * h)]
+    b, a = np.ones(1), np.array([1.0, -(1.0 - d.alpha * h)])  # as lfilter passes them
     if start == 0:
         tile[0] = cfg.z0
     rows = max(1, BLOCK // tile.shape[1])
@@ -304,7 +325,7 @@ def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
         if d.forcing_amp != 0:
             t_k = grid.t0 + h * np.arange(start + first - 1, start + lo + len(block) - 1)
             u += (d.alpha * h * d.target(t_k))[:, None]
-        block[:], state[:] = lfilter(b, a, block, axis=0, zi=state)
+        block[:], state[:] = _linear_filter(b, a, block, 0, state)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             return start + lo + int(np.argmin(finite))

@@ -322,7 +322,7 @@ def test_report_json_keys_pinned(tmp_path, command):
     code, out = run_cli(tmp_path, command, cfg)
     assert code == EXIT_OK
     written = {p.name: set(json.loads(p.read_text())) for p in out.glob("*.json")}
-    manifest_keys = {"command", "version", "effective_config", "outputs"}
+    manifest_keys = {"command", "version", "libraries", "effective_config", "outputs"}
     assert written == {**REPORT_KEYS[command], "manifest.json": manifest_keys}
 
 

@@ -1,11 +1,17 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from importlib.machinery import PathFinder
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.signal import lfilter
 
 from stochpend import (
     NoiseChannelConfig,
@@ -23,7 +29,8 @@ from stochpend import (
 )
 from stochpend.errors import BlowUpError
 from stochpend.presets import default_noise_pair
-from stochpend.rpsde import _noise_chunks
+from stochpend import rpsde
+from stochpend.rpsde import _filter_tile, _load_linear_filter, _noise_chunks, _spans
 from stochpend.rng import BLOCK, ensemble_seeds, philox, standard_normals
 
 
@@ -614,3 +621,100 @@ def test_chunk_blowup_holds_for_any_span_block_and_chunk(span, block, chunk, dri
     driver: the first chunk holds seeds 0 .. chunk - 1."""
     firsts, got = _chunk_blowup(span, block, chunk, driver)
     assert got == min(map(min, firsts))
+
+
+# ---------------------------------------------------------------------------
+# the recurrence kernel
+
+
+def _through(kernel, draw):
+    """``draw()`` with ``kernel`` as the recurrence kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rpsde._linear_filter", kernel)
+        return draw()
+
+
+@pytest.mark.parametrize("m", [1, 500], ids=["1-seed", "500-seeds"])
+@pytest.mark.parametrize("forcing_amp", [0.0, 0.7], ids=["A=0", "A!=0"])
+@pytest.mark.parametrize("driver", ["shared", "independent"])
+def test_kernel_matches_lfilter_bit_for_bit(driver, forcing_amp, m):
+    """The loaded kernel and ``scipy.signal.lfilter`` give the same tiles and
+    carried filter states, bit for bit, with the state carried across
+    blocks (``BLOCK`` 8, so a block holds 8 rows or one) and across spans
+    of 17 nodes, from a burn-in start."""
+    pair = tuple(dataclasses.replace(c, driver=driver, drift=dataclasses.replace(
+        c.drift, forcing_amp=forcing_amp, forcing_phase=0.3)) for c in default_noise_pair())
+    grid = PathGrid(0.1, 0.01, 60)
+    seeds = ensemble_seeds(3, m)
+
+    def draw():
+        tiles = [t.copy() for t in _spans(pair, grid, seeds, 5, 17)]
+        z = np.random.default_rng(1).standard_normal((grid.n + 1, m))
+        state, states = np.zeros((1, m)), []
+        for lo in range(0, grid.n + 1, 17):
+            assert _filter_tile(pair[0], z[lo:lo + 17], grid, lo, state) is None
+            states.append(state.copy())
+        return [x.tobytes() for x in (*tiles, z, *states)]
+
+    assert rpsde._linear_filter is not lfilter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rpsde.BLOCK", 8)
+        assert _through(rpsde._linear_filter, draw) == _through(lfilter, draw)
+
+
+@pytest.mark.parametrize("driver", ["shared", "independent"])
+def test_kernel_and_lfilter_name_the_same_blowup_node(pair_config, driver):
+    # alpha h = 3, so |1 - alpha h| = 2 and channel 2 overflows near node 1025
+    h = 0.01
+    wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h),
+                              beta=1.0, driver=driver)
+    grid = PathGrid(0.0, h, 2000)
+
+    def draw():
+        with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+            simulate_pair_ensemble(pair_config[0], wild, grid, ensemble_seeds(3, 3))
+        return err.value.step_index
+
+    node = _through(rpsde._linear_filter, draw)
+    assert 1000 < node < 1100 and node == _through(lfilter, draw)
+
+
+def test_loader_falls_back_to_lfilter_without_the_kernel_file(monkeypatch, pair_config):
+    """Where the finder sees no ``_sigtools`` file the loader returns
+    ``lfilter``, and the noise keeps its bytes; otherwise it returns the
+    kernel that a later ``import scipy.signal`` uses too."""
+    lfilter_kernel = sys.modules["scipy.signal._signaltools"]._sigtools._linear_filter
+    assert _load_linear_filter() is rpsde._linear_filter is lfilter_kernel
+    monkeypatch.setattr(PathFinder, "find_spec", lambda *args, **kwargs: None)
+    fallback = _load_linear_filter()
+    monkeypatch.undo()
+    assert fallback is lfilter
+    grid, seeds = PathGrid(0.0, 0.01, 300), ensemble_seeds(4, 7)
+
+    def draw():
+        return [x.tobytes() for x in simulate_pair_ensemble(*pair_config, grid, seeds)]
+
+    assert _through(fallback, draw) == _through(rpsde._linear_filter, draw)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """``import stochpend.cli`` never runs ``scipy/signal/__init__.py`` (about
+    1 s); a later ``scipy.signal`` import works and its ``lfilter`` matches
+    the kernel on one block."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import stochpend.cli",
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'",
+        "from stochpend.rpsde import _linear_filter",
+        "from scipy.signal import lfilter",
+        "x = np.random.default_rng(0).standard_normal((64, 500))",
+        "b, a, zi = np.ones(1), np.array([1.0, -0.99]), np.zeros((1, 500))",
+        "want, got = lfilter(b, a, x, axis=0, zi=zi), _linear_filter(b, a, x, 0, zi)",
+        "assert [w.tobytes() for w in want] == [g.tobytes() for g in got]",
+    ])
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
