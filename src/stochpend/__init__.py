@@ -11,10 +11,10 @@ from .bifurcation import (
     BOUNDARY,
     PI1,
     PI2,
+    Gamma2Ray,
     classify_region,
     find_equilibria,
     gamma1_curve,
-    gamma2_ray,
     numeric_bifurcation_scan,
     phase_portrait,
 )

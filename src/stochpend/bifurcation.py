@@ -95,7 +95,7 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class Gamma2Ray:
-    """The ray {Lambda_1 > min_lambda1, Lambda_2 = 0}."""
+    """Equal-well-depth ray {Lambda_1 > min_lambda1, Lambda_2 = 0}; 0.25 for l = g = 1."""
 
     min_lambda1: float = 0.25
 
@@ -250,13 +250,8 @@ def gamma1_curve(samples: int) -> np.ndarray:
     return np.column_stack([ct**3 / 2.0 - 3.0 * ct / 4.0, st**3 / 2.0])
 
 
-def gamma2_ray() -> Gamma2Ray:
-    """Equal-well-depth ray {Lambda_1 > 0.25, Lambda_2 = 0} (l = g = 1)."""
-    return Gamma2Ray()
-
-
 def atlas_curves(samples: int = 512) -> AtlasCurves:
-    return AtlasCurves(gamma1=gamma1_curve(samples), gamma2=gamma2_ray())
+    return AtlasCurves(gamma1=gamma1_curve(samples), gamma2=Gamma2Ray())
 
 
 def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
@@ -271,8 +266,10 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    n1 = int(round((lambda1_range[1] - lambda1_range[0]) / step)) + 1
-    n2 = int(round((lambda2_range[1] - lambda2_range[0]) / step)) + 1
+    cells = [(hi - lo) / step for lo, hi in (lambda1_range, lambda2_range)]
+    if not np.isfinite(cells).all():
+        raise ValueError(f"step {step} gives infinitely many corners")
+    n1, n2 = (int(round(c)) + 1 for c in cells)
     l1 = lambda1_range[0] + step * np.arange(n1)
     l2 = lambda2_range[0] + step * np.arange(n2)
     codes = _regions(np.repeat(l1, n2), np.tile(l2, n1), params).reshape(n1, n2)

@@ -14,8 +14,8 @@ and write one output directory per run:
 bounds.  The whole config is checked before any output exists, whichever
 command runs, and so are the limits between the fields of the command
 that runs.  Every run writes ``manifest.json`` (the checked
-configuration with defaults applied, plus a SHA-256 per data file) and
-prints it to stdout.
+configuration with defaults applied, plus a SHA-256 per data file) last,
+through the run directory like every other file, and prints it to stdout.
 Outputs are a pure function of (config, seed): rerunning a command
 reproduces every byte.  ``--seed`` overrides the master seed from the
 config.
@@ -293,10 +293,14 @@ class RunConfig:
                               f"got {verify['moment_times']}")
         if command == "verify" and "moments" in verify["run"] and seeds["ensemble"] < 2:
             raise ConfigError(f"verify.moments needs seeds.ensemble >= 2, got {seeds['ensemble']}")
-        if command == "atlas" and self.atlas["scan"] \
-                and not (box[0] < box[1] and box[2] < box[3]):
-            raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
-                              f"with min < max on each axis, got {box}")
+        if command == "atlas" and self.atlas["scan"]:
+            step = self.atlas["step"]
+            if not (box[0] < box[1] and box[2] < box[3]):
+                raise ConfigError("atlas.box must be [l1_min, l1_max, l2_min, l2_max] "
+                                  f"with min < max on each axis, got {box}")
+            if not np.isfinite([(box[1] - box[0]) / step, (box[3] - box[2]) / step]).all():
+                raise ConfigError(f"atlas.step = {step} is too small for atlas.box = {box}: "
+                                  "the scan would have infinitely many corners")
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +331,12 @@ class RunDir:
             except OSError:  # not empty: something else was written there
                 break
 
-    def manifest(self, command: str, config: RunConfig) -> dict:
-        manifest = run_manifest(command, config.values, self.files)
-        write_json(self.out / "manifest.json", manifest)
-        return manifest
-
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_simulate(config: RunConfig, rundir: RunDir) -> None:
     tau = config.noise["tau"]
     grid = grid_for_periods(tau, config.grid["horizon_periods"], config.steps_per_period)
     pair = simulate_pair(*config.pair, grid, seed=config.seeds["master"])
@@ -349,34 +348,30 @@ def cmd_simulate(config: RunConfig, rundir: RunDir) -> dict:
     if config.simulate["section"]:
         sec = stroboscope(traj, tau)
         write_section_csv(rundir.path("section.csv"), sec)
-    return rundir.manifest("simulate", config)
 
 
-def cmd_average(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_average(config: RunConfig, rundir: RunDir) -> None:
     block, tau, convention = config.average, config.noise["tau"], config.noise["convention"]
     grid = grid_for_periods(tau, block["burn_in_periods"] + block["avg_periods"],
                             config.steps_per_period)
-    stats = estimate_ergodic_stats(*config.pair, grid, config.seeds["master"], tau,
+    stats = estimate_ergodic_stats(*config.pair, grid, config.seeds["master"],
                                    burn_in_periods=block["burn_in_periods"],
                                    batches=block["batches"])
     lam = lambda_from_stats(config.amps, stats, convention)
     write_json(rundir.path("ergodic_stats.json"), ergodic_summary(stats, lam, convention))
-    return rundir.manifest("average", config)
 
 
-def cmd_atlas(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_atlas(config: RunConfig, rundir: RunDir) -> None:
     """Analytic curves, and with ``scan`` the numeric scan of ``box``."""
     block = config.atlas
     write_atlas_json(rundir.path("atlas.json"), atlas_curves(block["samples"]))
     if block["scan"]:
-        l1_min, l1_max, l2_min, l2_max = block["box"]
-        scan = numeric_bifurcation_scan((l1_min, l1_max), (l2_min, l2_max),
-                                        block["step"], config.params)
+        box = block["box"]
+        scan = numeric_bifurcation_scan(box[:2], box[2:], block["step"], config.params)
         write_scan_csv(rundir.path("scan.csv"), scan)
-    return rundir.manifest("atlas", config)
 
 
-def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_portrait(config: RunConfig, rundir: RunDir) -> None:
     block = config.portrait
     portrait = phase_portrait(
         LambdaPoint(block["lambda1"], block["lambda2"]), config.params,
@@ -384,10 +379,9 @@ def cmd_portrait(config: RunConfig, rundir: RunDir) -> dict:
         p_range=(block["p_min"], block["p_max"]), grid=tuple(block["grid"]))
     write_portrait_csv(rundir.path("portrait.csv"), portrait)
     write_json(rundir.path("portrait_meta.json"), portrait_sidecar(portrait))
-    return rundir.manifest("portrait", config)
 
 
-def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_verify(config: RunConfig, rundir: RunDir) -> None:
     block = config.verify
     runs, levels, delta = block["run"], block["sigma_levels"], block["delta"]
     burn_in, horizon = block["burn_in_periods"], config.grid["horizon_periods"]
@@ -423,10 +417,9 @@ def cmd_verify(config: RunConfig, rundir: RunDir) -> dict:
         report = moment_growth(config.pair, block["moment_times"], ensemble_n, config.amps,
                                steps_per_period=spp, master_seed=master)
         write_json(rundir.path("moments.json"), report_dict(report))
-    return rundir.manifest("verify", config)
 
 
-def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
+def cmd_poincare(config: RunConfig, rundir: RunDir) -> None:
     block = config.poincare
     runs, levels = block["run"], block["sigma_levels"]
     tau, horizon = config.noise["tau"], config.grid["horizon_periods"]
@@ -463,7 +456,6 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> dict:
             lam, levels, block["n_points"], config.pair, params=config.params,
             horizon_periods=horizon, steps_per_period=spp, master_seed=master)
         write_json(rundir.path("splitting.json"), splitting_summary(report))
-    return rundir.manifest("poincare", config)
 
 
 _COMMANDS = {
@@ -500,7 +492,10 @@ def main(argv: list[str] | None = None) -> int:
             raw = json.load(fh)
         config = RunConfig(raw, args.command, seed=args.seed)
         rundir = RunDir(out)
-        manifest = _COMMANDS[args.command](config, rundir)
+        _COMMANDS[args.command](config, rundir)
+        # hashed before it is registered, so its outputs leave it out
+        manifest = run_manifest(args.command, config.values, rundir.files)
+        write_json(rundir.path("manifest.json"), manifest)
     # ValueError: ConfigError, SampleLengthError, a config file that is not UTF-8
     # JSON, or a value a library rejected; RecursionError: a config nested too
     # deep to parse; OSError: an unreadable config or an unwritable --out.

@@ -1,7 +1,7 @@
 """Stroboscopic (Poincare) sections of the noise-driven pendulum.
 
-The driving noise has period tau in law, so the natural discrete-time
-picture samples orbits at t = 0 mod tau.  Sections are taken exactly on
+The driving noise has period tau in law, so a section holds the states
+of an orbit at t = n tau, n = 0, 1, ...  They are taken exactly on
 trajectory grid nodes -- tau must be an integer multiple of the step h,
 enforced rather than interpolated -- so section states are bitwise equal
 to the corresponding trajectory states.
@@ -46,10 +46,8 @@ FILL_BANDS = 8
 
 @dataclass
 class StroboscopicSection:
-    """Orbit states at integer multiples of the noise period."""
+    """Orbit states at t = n tau, n = 0, 1, ..., tau being the noise period."""
 
-    tau: float
-    times: np.ndarray
     theta: np.ndarray            # unwrapped, bitwise equal to trajectory states
     p: np.ndarray
 
@@ -93,9 +91,7 @@ class SplittingReport:
 def stroboscope(traj: Trajectory, tau: float) -> StroboscopicSection:
     """Section of a trajectory at t = t0 + n tau, exactly on grid nodes."""
     k = period_stride(tau, traj.grid.h)
-    times = traj.grid.times()[::k]
-    return StroboscopicSection(tau=tau, times=times,
-                               theta=traj.theta[::k], p=traj.p[::k])
+    return StroboscopicSection(theta=traj.theta[::k], p=traj.p[::k])
 
 
 def cylinder_distance(theta_a, p_a, theta_b, p_b) -> np.ndarray:
@@ -121,19 +117,13 @@ def plane_fill_density(sections: list[StroboscopicSection], grid: tuple[int, int
     p = np.concatenate([s.p for s in sections])
     theta_edges = np.linspace(-np.pi, np.pi, grid[0] + 1)
     p_edges = np.linspace(-3.0, 3.0, grid[1] + 1)
-    counts, _, _ = np.histogram2d(theta, p, bins=[theta_edges, p_edges])
-    occupancy = float((counts > 0).mean())
     energy = averaged_hamiltonian(theta, p, lam, params)
     band_edges = np.linspace(energy.min(), energy.max(), FILL_BANDS + 1)
-    band_occ = np.empty(FILL_BANDS)
-    for b in range(FILL_BANDS):
-        hi_inc = energy <= band_edges[b + 1] if b == FILL_BANDS - 1 \
-            else energy < band_edges[b + 1]
-        sel = (energy >= band_edges[b]) & hi_inc
-        cb, _, _ = np.histogram2d(theta[sel], p[sel], bins=[theta_edges, p_edges])
-        band_occ[b] = (cb > 0).mean()
-    return FillReport(counts=counts, occupancy=occupancy, band_edges=band_edges,
-                      band_occupancy=band_occ)
+    # one pass over (band, theta, p) cells; the last bin of each axis is closed above
+    cells, _ = np.histogramdd((energy, theta, p), bins=[band_edges, theta_edges, p_edges])
+    counts = cells.sum(axis=0)
+    return FillReport(counts=counts, occupancy=float((counts > 0).mean()),
+                      band_edges=band_edges, band_occupancy=(cells > 0).mean(axis=(1, 2)))
 
 
 def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, float]],

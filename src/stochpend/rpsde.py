@@ -396,24 +396,25 @@ def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
 
 
 def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
-                           grid: PathGrid, seed: int, tau: float,
+                           grid: PathGrid, seed: int,
                            burn_in_periods: int = 100, batches: int = 16) -> ErgodicStats:
     """Time averages of xi_i, xi_i^2 and xi_1 xi_2 with batch-means errors.
 
     The averages are over the pair ``simulate_pair(cfg1, cfg2, grid, seed)``,
-    drawn one span at a time and never held whole.  ``tau`` must be a
-    multiple of the grid step.  The first ``burn_in_periods`` whole periods
-    are discarded; the rest of the path is split into ``batches`` equal
-    blocks, one span each, so that each batch mean sees the same array as
-    over the whole path.  The fewer than ``batches`` nodes left at the end
-    are drawn only to be checked for blow-up.  The path must span at least
+    drawn one span at a time and never held whole.  The period is channel
+    1's tau, ``cfg1.drift.tau``, which must be a multiple of the grid step.
+    The first ``burn_in_periods`` whole periods are discarded; the rest of
+    the path is split into ``batches`` equal blocks, one span each, so that
+    each batch mean sees the same array as over the whole path.  The fewer
+    than ``batches`` nodes left at the end are drawn only to be checked
+    for blow-up.  The path must span at least
     ``burn_in_periods + batches`` whole periods (one period per batch).
     Raises :class:`BlowUpError` at the first node where either channel is
     non-finite.
     """
     if batches < 8:
         raise ValueError(f"batches must be >= 8, got {batches}")
-    stride = period_stride(tau, grid.h)
+    stride = period_stride(cfg1.drift.tau, grid.h)
     periods = grid.n // stride
     if periods < burn_in_periods + batches:
         raise SampleLengthError(

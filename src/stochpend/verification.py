@@ -74,7 +74,6 @@ class M1M2Decomposition:
     m1_samples: np.ndarray
     m2: float
     delta_hat: np.ndarray
-    delta: float
 
 
 @dataclass
@@ -123,10 +122,8 @@ def calibration_stats(pair_config: PairConfig, master_seed: int,
     calibration seed is derived from the master seed by avalanche, keeping
     it disjoint from the ensemble seeds master, master+1, ...
     """
-    cfg1, cfg2 = pair_config
-    tau = cfg1.drift.tau
-    grid = grid_for_periods(tau, 2000, steps_per_period)
-    return estimate_ergodic_stats(cfg1, cfg2, grid, splitmix64(master_seed), tau,
+    grid = grid_for_periods(pair_config[0].drift.tau, 2000, steps_per_period)
+    return estimate_ergodic_stats(*pair_config, grid, splitmix64(master_seed),
                                   burn_in_periods=100, batches=16)
 
 
@@ -241,8 +238,7 @@ def m1m2_decomposition(traj: Trajectory, pair: tuple[PathSample, PathSample],
     S = noise_coupling(traj.theta, x1, x2, amps)
     theta_dot = velocity_from_momentum(traj.theta, traj.p, x1, x2, params, amps)
     delta_hat = delta - np.abs(params.l * theta_dot * S) - m2
-    return M1M2Decomposition(m1_samples=m1, m2=float(m2),
-                             delta_hat=delta_hat, delta=delta)
+    return M1M2Decomposition(m1_samples=m1, m2=float(m2), delta_hat=delta_hat)
 
 
 def chebyshev_consistency(decomp: M1M2Decomposition) -> ChebyshevReport:

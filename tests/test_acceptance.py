@@ -18,6 +18,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from stochpend import (
+    Gamma2Ray,
     LambdaPoint,
     NoiseAmplitudes,
     NoiseChannelConfig,
@@ -34,7 +35,6 @@ from stochpend import (
     exceedance_probability,
     find_equilibria,
     gamma1_curve,
-    gamma2_ray,
     hamiltonian_partials,
     law_periodicity_check,
     m1m2_decomposition,
@@ -76,7 +76,7 @@ def test_criterion_1_curve_anchors():
                             (np.pi / 2, (0.0, 0.5))]:
         i = int(np.argmin(np.abs(t - t_val)))
         ok &= abs(curve[i, 0] - e1) <= 1e-12 and abs(curve[i, 1] - e2) <= 1e-12
-    ray = gamma2_ray()
+    ray = Gamma2Ray()
     ok &= ray.contains(LambdaPoint(0.25 + 1e-9, 0.0))
     ok &= not ray.contains(LambdaPoint(0.25, 0.0))
     report("1", "curve anchors at (0.25,0), (-0.25,0), (0,0.5); "
@@ -240,7 +240,7 @@ def test_criterion_7_ergodic_oracle():
     cfg = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=1.0),
                              beta=float(np.sqrt(2.0)))
     grid = grid_for_periods(1.0, 10_100, 1000)
-    stats = estimate_ergodic_stats(cfg, cfg, grid, MASTER_SEED, tau=1.0,
+    stats = estimate_ergodic_stats(cfg, cfg, grid, MASTER_SEED,
                                    burn_in_periods=100, batches=16)
     ok = abs(stats.c1 - 1.0) <= 3 * stats.se_c1
     ok &= abs(stats.mean1) <= 3 * stats.se_mean1

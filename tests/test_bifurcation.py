@@ -7,6 +7,7 @@ from stochpend import (
     BOUNDARY,
     PI1,
     PI2,
+    Gamma2Ray,
     LambdaPoint,
     NoiseAmplitudes,
     PendulumParams,
@@ -15,7 +16,6 @@ from stochpend import (
     effective_potential_dtheta,
     find_equilibria,
     gamma1_curve,
-    gamma2_ray,
     lambda_from_stats,
     numeric_bifurcation_scan,
     phase_portrait,
@@ -251,7 +251,7 @@ def test_gamma1_requires_enough_samples():
 
 
 def test_gamma2_membership():
-    ray = gamma2_ray()
+    ray = Gamma2Ray()
     assert ray.contains(LambdaPoint(0.3, 0.0))
     assert not ray.contains(LambdaPoint(0.25, 0.0))   # strict inequality
     assert not ray.contains(LambdaPoint(0.3, 0.01))
@@ -293,6 +293,13 @@ def test_scan_mirrors_under_lambda2_flip(params):
     a = set(map(tuple, np.round(up.boundary_cells, 9)))
     b = set(map(tuple, np.round(mirrored, 9)))
     assert a == b
+
+
+@pytest.mark.parametrize("lambda1_range, step", [((-1e308, 1e308), 0.1), ((0.0, 0.4), 5e-324)],
+                         ids=["range-overflows", "step-subnormal"])
+def test_scan_with_infinitely_many_corners_raises(params, lambda1_range, step):
+    with pytest.raises(ValueError, match="infinitely many corners"):
+        numeric_bifurcation_scan(lambda1_range, (0.0, 0.4), step, params)
 
 
 def test_scan_over_many_chunks_matches_per_point_labels(params):
@@ -351,7 +358,7 @@ def test_trace_time_average_matches_lambda_map(params):
     grid = grid_for_periods(1.0, 600, 300)
     p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=23)
     from stochpend import estimate_ergodic_stats
-    stats = estimate_ergodic_stats(cfg1, cfg2, grid, 23, tau=1.0, burn_in_periods=100,
+    stats = estimate_ergodic_stats(cfg1, cfg2, grid, 23, burn_in_periods=100,
                                    batches=16)
     lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps)
     start = 100 * 300

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochpend import cli
 from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from stochpend.presets import default_noise_pair
 from stochpend.rpsde import grid_for_periods
@@ -391,6 +392,37 @@ def test_unwritable_out_exits_config(tmp_path, capsys, out):
     assert "config error" in capsys.readouterr().err
 
 
+def test_failed_manifest_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # the disk fills up while manifest.json is written: the partial manifest
+    # goes with every other file and directory the run created
+    write_json = cli.write_json
+
+    def full_disk(path, payload):
+        if Path(path).name != "manifest.json":
+            return write_json(path, payload)
+        Path(path).write_text("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("stochpend.cli.write_json", full_disk)
+    code, out = run_cli(tmp_path, "atlas", {"atlas": {"samples": 16}}, out="out/run")
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("box, step", [
+    ([-1e308, 1e308, 0.0, 0.4], 0.1),
+    ([0.0, 0.4, 0.0, 0.4], 5e-324),
+], ids=["box-span-overflows", "step-subnormal"])
+def test_atlas_scan_with_infinitely_many_corners_exits_config(tmp_path, capsys, box, step):
+    code, out = run_cli(tmp_path, "atlas", {"atlas": {"scan": True, "box": box, "step": step}})
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "atlas.step" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, text", [
     ("simulate", '{"noise": {"sigma1": 1e400}}'),
     ("simulate", '{"pendulum": {"l": 1e400}}'),
@@ -692,8 +724,9 @@ BLOCKS = {
     "average": _block(burn_in_periods=st.integers(0, 3), avg_periods=st.integers(8, 20),
                       batches=st.integers(8, 12)),
     "atlas": _block(samples=st.integers(16, 64),
-                    box=st.sampled_from([[0.0, 0.4, 0.0, 0.4], [0.4, 0.0, 0.0, 0.4]]),
-                    step=st.sampled_from([0.1, 0.2]), scan=st.booleans(),
+                    box=st.sampled_from([[0.0, 0.4, 0.0, 0.4], [0.4, 0.0, 0.0, 0.4],
+                                         [-1e308, 1e308, 0.0, 0.4]]),
+                    step=st.sampled_from([0.1, 0.2, 5e-324]), scan=st.booleans(),
                     scan_grid_n=st.integers(64, 256)),
     "portrait": _block(lambda1=st.sampled_from([-0.2, 0.0, 0.5]),
                        lambda2=st.sampled_from([0.0, 1]),

@@ -101,8 +101,7 @@ def test_grid_writers_keep_their_row_order(tmp_path):
         f"{i},{j},{int(counts[i, j])}\n" for i in range(3) for j in range(2))
     assert (tmp_path / "hist.csv").read_text() == expected
 
-    sec = StroboscopicSection(tau=1.0, times=np.arange(3.0),
-                              theta=np.array([0.1, 4.0, -0.0]), p=np.array([1.0, -2.5, 1e-300]))
+    sec = StroboscopicSection(theta=np.array([0.1, 4.0, -0.0]), p=np.array([1.0, -2.5, 1e-300]))
     write_section_csv(tmp_path / "sec.csv", sec)
     expected = "n,theta_wrapped,p\n" + "".join(
         f"{n},{format(th, '.17g')},{format(mom, '.17g')}\n"

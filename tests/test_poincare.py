@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochpend import (
     ConfigError,
@@ -7,6 +9,7 @@ from stochpend import (
     NoiseAmplitudes,
     PathGrid,
     PathSample,
+    PendulumParams,
     averaged_hamiltonian,
     cylinder_distance,
     equilibrium_concentration,
@@ -20,7 +23,7 @@ from stochpend import (
     wrap_angle,
 )
 from stochpend.bifurcation import Equilibrium
-from stochpend.poincare import FILL_BANDS
+from stochpend.poincare import FILL_BANDS, StroboscopicSection
 from stochpend.rpsde import grid_for_periods, period_stride
 from stochpend.presets import default_noise_pair
 
@@ -43,8 +46,7 @@ def classical_libration(params, n_periods=10, spp=1000, theta0=0.5):
 def test_section_counting(params):
     traj = classical_libration(params, n_periods=10, spp=100)
     sec = stroboscope(traj, tau=1.0)
-    assert len(sec.times) == 11
-    np.testing.assert_allclose(sec.times, np.arange(11.0), atol=1e-12)
+    assert len(sec.theta) == len(sec.p) == 11
 
 
 def test_section_states_bitwise_equal(params):
@@ -121,6 +123,54 @@ def test_fill_energy_bands(params):
     rep = plane_fill_density([sec], (32, 32), LambdaPoint(0.0, 0.0), params)
     assert len(rep.band_occupancy) == FILL_BANDS
     assert np.all(rep.band_occupancy >= 0.0)
+
+
+def fill_per_band(sections, grid, lam, params):
+    """The fill as one histogram2d overall and one per energy band, the last band closed."""
+    theta = np.concatenate([s.theta_wrapped for s in sections])
+    p = np.concatenate([s.p for s in sections])
+    theta_edges = np.linspace(-np.pi, np.pi, grid[0] + 1)
+    p_edges = np.linspace(-3.0, 3.0, grid[1] + 1)
+    counts, _, _ = np.histogram2d(theta, p, bins=[theta_edges, p_edges])
+    energy = averaged_hamiltonian(theta, p, lam, params)
+    band_edges = np.linspace(energy.min(), energy.max(), FILL_BANDS + 1)
+    band_occ = np.empty(FILL_BANDS)
+    for b in range(FILL_BANDS):
+        below = energy <= band_edges[b + 1] if b == FILL_BANDS - 1 \
+            else energy < band_edges[b + 1]
+        sel = (energy >= band_edges[b]) & below
+        cb, _, _ = np.histogram2d(theta[sel], p[sel], bins=[theta_edges, p_edges])
+        band_occ[b] = (cb > 0).mean()
+    return counts, float((counts > 0).mean()), band_edges, band_occ
+
+
+# At Lambda = 0 and l = g = 1, theta in {0, pi} and a whole p put Hbar =
+# p^2 / 2 -+ 1 on a multiple of 1/2, so band edges are often hit exactly.
+_STATE = st.tuples(st.one_of(st.sampled_from([0.0, np.pi, -np.pi]), st.floats(-10.0, 10.0)),
+                   st.one_of(st.integers(-5, 5).map(float), st.floats(-5.0, 5.0)))
+_SECTIONS = st.lists(st.lists(_STATE, min_size=1, max_size=30), min_size=1, max_size=3)
+# theta = 0: Hbar -1, -1/2, 1, 7 (|p| > 3); theta = pi: Hbar 1 and 3.  The
+# band edges are -1, 0, ..., 7, so five points lie on an edge.
+_ON_EDGES = [[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, -4.0)], [(np.pi, 0.0), (-np.pi, 2.0)]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(states=_SECTIONS, grid=st.tuples(st.integers(16, 24), st.integers(16, 24)),
+       lam=st.sampled_from([LambdaPoint(0.0, 0.0), LambdaPoint(0.3, -0.2)]))
+@example(states=_ON_EDGES, grid=(16, 16), lam=LambdaPoint(0.0, 0.0))
+@example(states=[[(np.pi, 3.5)]], grid=(16, 16), lam=LambdaPoint(0.0, 0.0))
+# equal energies: all band edges coincide
+@example(states=[[(0.3, 1.0)] * 4, [(0.3, 1.0)]], grid=(17, 16), lam=LambdaPoint(0.0, 0.0))
+def test_fill_one_pass_equals_per_band_histograms(states, grid, lam):
+    sections = [StroboscopicSection(theta=np.array([t for t, _ in sec]),
+                                    p=np.array([p for _, p in sec])) for sec in states]
+    rep = plane_fill_density(sections, grid, lam, PendulumParams(1.0, 1.0))
+    counts, occupancy, band_edges, band_occ = fill_per_band(sections, grid, lam,
+                                                            PendulumParams(1.0, 1.0))
+    assert rep.counts.dtype == counts.dtype and rep.counts.tobytes() == counts.tobytes()
+    assert rep.occupancy.hex() == occupancy.hex()
+    assert rep.band_edges.tobytes() == band_edges.tobytes()
+    assert rep.band_occupancy.tobytes() == band_occ.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_strong_order_monitor(ou_config):
 
 def test_ou_stationary_variance_oracle(ou_config):
     grid = grid_for_periods(1.0, 1200, 1000)
-    st = estimate_ergodic_stats(ou_config, ou_config, grid, 21, tau=1.0,
+    st = estimate_ergodic_stats(ou_config, ou_config, grid, 21,
                                 burn_in_periods=100, batches=16)
     assert abs(st.c1 - 1.0) <= 3.0 * st.se_c1
     assert abs(st.mean1) <= 3.0 * st.se_mean1
@@ -206,13 +206,13 @@ def test_forced_channel_second_moment_oracle():
         drift=PeriodicDriftSpec(tau=1.0, alpha=1.0, forcing_amp=2.0),
         beta=1.0)
     grid = grid_for_periods(1.0, 2100, 500)
-    st = estimate_ergodic_stats(cfg, cfg, grid, 8, tau=1.0, burn_in_periods=100, batches=16)
+    st = estimate_ergodic_stats(cfg, cfg, grid, 8, burn_in_periods=100, batches=16)
     assert abs(st.c1 - cfg.stationary_second_moment()) <= 4.0 * st.se_c1
 
 
 def test_identical_channels_c12_equals_c1(ou_config):
     grid = grid_for_periods(1.0, 150, 200)
-    st = estimate_ergodic_stats(ou_config, ou_config, grid, 30, tau=1.0,
+    st = estimate_ergodic_stats(ou_config, ou_config, grid, 30,
                                 burn_in_periods=100, batches=16)
     assert st.c12 == st.c1
 
@@ -221,7 +221,7 @@ def test_cauchy_schwarz_on_estimates(pair_config):
     cfg1, cfg2 = pair_config
     for seed in range(5):
         grid = grid_for_periods(1.0, 130, 200)
-        st = estimate_ergodic_stats(cfg1, cfg2, grid, seed, tau=1.0, burn_in_periods=100,
+        st = estimate_ergodic_stats(cfg1, cfg2, grid, seed, burn_in_periods=100,
                                     batches=16)
         assert st.c12**2 <= st.c1 * st.c2 * (1 + 1e-12)
 
@@ -229,10 +229,10 @@ def test_cauchy_schwarz_on_estimates(pair_config):
 def test_insufficient_length_error(ou_config):
     grid = grid_for_periods(1.0, 50, 100)
     with pytest.raises(SampleLengthError):
-        estimate_ergodic_stats(ou_config, ou_config, grid, 1, tau=1.0, burn_in_periods=100,
+        estimate_ergodic_stats(ou_config, ou_config, grid, 1, burn_in_periods=100,
                                batches=16)
     with pytest.raises(ValueError):
-        estimate_ergodic_stats(ou_config, ou_config, grid, 1, tau=1.0, burn_in_periods=0,
+        estimate_ergodic_stats(ou_config, ou_config, grid, 1, burn_in_periods=0,
                                batches=4)
 
 
@@ -414,7 +414,7 @@ def test_streamed_stats_equal_batch_means_of_the_path(driver, amp, z0, h, stride
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("stochpend.rng.BLOCK", block)
         mp.setattr("stochpend.rpsde.BLOCK", block)
-        stats = estimate_ergodic_stats(cfg1, cfg2, grid, seed, tau=tau,
+        stats = estimate_ergodic_stats(cfg1, cfg2, grid, seed,
                                        burn_in_periods=burn_in, batches=batches)
     assert dataclasses.astuple(stats) == expected
 
@@ -445,7 +445,7 @@ def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing
     peaks = []
     for batches in (8, 24):
         grid = grid_for_periods(1.0, 1 + batches, spp)
-        _, peak = traced_peak(estimate_ergodic_stats, cfg1, cfg2, grid, 3, tau=1.0,
+        _, peak = traced_peak(estimate_ergodic_stats, cfg1, cfg2, grid, 3,
                               burn_in_periods=1, batches=batches)
         assert peak <= 3 * spp * 8 + 4 * BLOCK * 8
         peaks.append(peak)
@@ -494,7 +494,7 @@ def test_streamed_stats_blowup_names_first_non_finite_node(pair_config, where):
         pair_config[0].drift, tau=tau))
     wild = dataclasses.replace(wild, drift=dataclasses.replace(wild.drift, tau=tau))
     with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
-        estimate_ergodic_stats(cfg1, wild, PathGrid(0.0, h, n), 4, tau=tau,
+        estimate_ergodic_stats(cfg1, wild, PathGrid(0.0, h, n), 4,
                                burn_in_periods=0, batches=batches)
     assert err.value.step_index == first
 

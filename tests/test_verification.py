@@ -176,7 +176,7 @@ def test_exceedance_rejects_bad_inputs(params, quick_stats):
 def test_chebyshev_constant_below_threshold():
     c = 0.5
     decomp = M1M2Decomposition(m1_samples=np.full(100, c), m2=0.0,
-                               delta_hat=np.full(100, 2 * c), delta=1.0)
+                               delta_hat=np.full(100, 2 * c))
     rep = chebyshev_consistency(decomp)
     assert rep.empirical == 0.0
     assert rep.passed
@@ -185,7 +185,7 @@ def test_chebyshev_constant_below_threshold():
 def test_chebyshev_constant_above_threshold():
     c = 0.5
     decomp = M1M2Decomposition(m1_samples=np.full(100, c), m2=0.0,
-                               delta_hat=np.full(100, c / 2), delta=1.0)
+                               delta_hat=np.full(100, c / 2))
     rep = chebyshev_consistency(decomp)
     assert rep.empirical == 1.0
     assert rep.bound == pytest.approx(4.0)
@@ -194,7 +194,7 @@ def test_chebyshev_constant_above_threshold():
 
 def test_chebyshev_no_admissible_flag():
     decomp = M1M2Decomposition(m1_samples=np.ones(10), m2=5.0,
-                               delta_hat=-np.ones(10), delta=0.1)
+                               delta_hat=-np.ones(10))
     rep = chebyshev_consistency(decomp)
     assert rep.no_admissible
     assert not rep.passed

@@ -17,10 +17,10 @@ ensembles whose burn-in and horizon end exactly on tile edges, an
 ``average`` whose grid duration over tau is not a whole number in
 floating point, an ``average`` whose window leaves nodes after its last
 batch, a ``verify`` of the moments whose last grid node lies one ulp
-past tau, and three ``verify`` runs whose noise overflows (channel 1 in
+past tau, three ``verify`` runs whose noise overflows (channel 1 in
 the calibration path and in an ensemble, channel 2 in the calibration
-path).  ``--case`` (repeatable) runs only
-the cases named.
+path), and an ``atlas`` scan whose step is too small for a finite number
+of corners.  ``--case`` (repeatable) runs only the cases named.
 
 For each case the script prints both exit codes, the last stderr line of a
 run that failed, and, per output file, the SHA-256 from each tree.  It
@@ -129,6 +129,9 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     # as verify-blowup, but channel 2 overflows in the calibration path
     out["verify-blowup-channel2"] = ("verify", {"noise": {"channel2": {"alpha": 3000.0}},
                                                 "seeds": {"master": seed, "ensemble": 12}})
+    # 0.4 / 5e-324 overflows: the scan is rejected with exit 2 before --out exists
+    out["atlas-scan-overflow"] = ("atlas", {"atlas": {"box": [0.0, 0.4, 0.0, 0.4],
+                                                      "step": 5e-324, "scan": True}})
     return out
 
 
