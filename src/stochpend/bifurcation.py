@@ -250,7 +250,7 @@ def gamma1_curve(samples: int) -> np.ndarray:
     return np.column_stack([ct**3 / 2.0 - 3.0 * ct / 4.0, st**3 / 2.0])
 
 
-def atlas_curves(samples: int = 512) -> AtlasCurves:
+def atlas_curves(samples: int) -> AtlasCurves:
     return AtlasCurves(gamma1=gamma1_curve(samples), gamma2=Gamma2Ray())
 
 
@@ -284,9 +284,8 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
 
 
 def phase_portrait(lam: LambdaPoint, params: PendulumParams,
-                   theta_range: tuple[float, float] = (-np.pi, np.pi),
-                   p_range: tuple[float, float] = (-3.0, 3.0),
-                   grid: tuple[int, int] = (129, 129)) -> PhasePortrait:
+                   theta_range: tuple[float, float], p_range: tuple[float, float],
+                   grid: tuple[int, int]) -> PhasePortrait:
     """Averaged-energy grid plus equilibria and separatrix levels.
 
     The separatrix levels are the Ubar values of the unstable equilibria;

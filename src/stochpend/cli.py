@@ -75,7 +75,6 @@ from .poincare import (
     separatrix_splitting_probe,
     stroboscope,
 )
-from .presets import DEFAULT_STEPS_PER_PERIOD, DEFAULT_TAU, default_noise_pair
 from .rng import ensemble_seeds
 from .rpsde import (
     NoiseChannelConfig,
@@ -97,6 +96,9 @@ from .verification import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+#: Grid steps per noise period when ``grid.h`` is not set.
+DEFAULT_STEPS_PER_PERIOD = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +173,23 @@ def _levels(v, path):
 
 REAL, POSITIVE, NONNEGATIVE = _real(), _real(gt=0.0), _real(ge=0.0)
 INITIAL = ((0.1, 0.0), _numbers(2))
+UNFORCED = {"forcing_amp": (0.0, NONNEGATIVE), "forcing_phase": (0.0, REAL), "z0": (0.0, REAL)}
 
 #: block -> field -> (default, rule), a nested dict being a nested block: the
 #: reference for fields, defaults (immutable, as every run shares them) and bounds.
 SCHEMA = {
     "pendulum": {"l": (1.0, POSITIVE), "g": (1.0, POSITIVE)},
     "noise": {
-        "tau": (DEFAULT_TAU, POSITIVE), "sigma1": (0.1, NONNEGATIVE),
+        "tau": (1.0, POSITIVE), "sigma1": (0.1, NONNEGATIVE),
         "sigma2": (0.1, NONNEGATIVE),
         "driver": ("shared", _choice(("shared", "independent"))),
         "convention": ("derived", _choice(CONVENTIONS)),
-        **{f"channel{i}": {
-            "alpha": (ch.drift.alpha, POSITIVE), "beta": (ch.beta, POSITIVE),
-            "forcing_amp": (ch.drift.forcing_amp, NONNEGATIVE),
-            "forcing_phase": (ch.drift.forcing_phase, REAL), "z0": (ch.z0, REAL),
-        } for i, ch in enumerate(default_noise_pair(), start=1)},
+        # C_1 = beta_1^2 / (2 alpha_1) = 0.18, C_2 = 0.16 and, on the shared driver,
+        # C_12 = beta_1 beta_2 / (alpha_1 + alpha_2) = 0.16: positive and strictly
+        # below the Cauchy-Schwarz bound.  Unforced, as the long-run moments do not
+        # depend on the forcing.
+        "channel1": {"alpha": (1.0, POSITIVE), "beta": (0.6, POSITIVE), **UNFORCED},
+        "channel2": {"alpha": (2.0, POSITIVE), "beta": (0.8, POSITIVE), **UNFORCED},
     },
     # h = None stands for tau / DEFAULT_STEPS_PER_PERIOD
     "grid": {"h": (None, POSITIVE), "horizon_periods": (50, _int(1))},

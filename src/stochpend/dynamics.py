@@ -21,7 +21,7 @@ moments C_1, C_2, C_12 and yields the deterministic system
 
 Two conventions map (sigma, C) to (Lambda_1, Lambda_2):
 
-* ``derived`` (default): Lambda_1 = (sigma_1^2 C_1 - sigma_2^2 C_2) / 4,
+* ``derived`` (the CLI default): Lambda_1 = (sigma_1^2 C_1 - sigma_2^2 C_2) / 4,
   so Hbar equals the pointwise ensemble mean of H's quadratic part (up to
   the retained additive constant);
 * ``paper``: Lambda_1 = (sigma_1^2 C_1 - sigma_2^2 C_2) / 2, the factor
@@ -51,11 +51,10 @@ from ``_rk4_rhs`` itself, so the partials checked against finite
 differences of H are the field the stepper integrates.  The instantaneous
 coefficients, the (Lambda_1, Lambda_2) map with the products xi_i xi_j in
 place of the moments C, have one site, ``instantaneous_lambda``: the
-frozen-time potential, the perturbed-coefficient trace and the deviation
-check all read them from it.  The averaged flow
-uses kick-drift-kick leapfrog, which keeps Hbar bounded.  Angles are
-unwrapped reals throughout; wrapping to (-pi, pi] happens only at
-presentation level.
+frozen-time potential and the deviation check both read them from it.
+The averaged flow uses kick-drift-kick leapfrog, which keeps Hbar
+bounded.  Angles are unwrapped reals throughout; wrapping to (-pi, pi]
+happens only at presentation level.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ def lambda1_factor(convention: str) -> float:
     return 0.25 if convention == "derived" else 0.5
 
 
-def instantaneous_lambda(xi1, xi2, amps: NoiseAmplitudes, convention: str = "derived"):
+def instantaneous_lambda(xi1, xi2, amps: NoiseAmplitudes, convention: str):
     """Instantaneous (Lambda_1, Lambda_2): the map of ``lambda_from_stats``
     with the products of the noise values in place of their moments."""
     xi1, xi2 = np.asarray(xi1), np.asarray(xi2)
@@ -194,7 +193,7 @@ def instantaneous_lambda(xi1, xi2, amps: NoiseAmplitudes, convention: str = "der
 
 
 def instantaneous_potential(theta, xi1, xi2, params: PendulumParams,
-                            amps: NoiseAmplitudes, convention: str = "derived"):
+                            amps: NoiseAmplitudes, convention: str):
     """Potential part of H before averaging, as a cos/sin(2 theta) form.
 
     ``derived`` keeps the additive constant so the result equals
@@ -242,7 +241,7 @@ def averaged_hamiltonian(theta, p, lam: LambdaPoint, params: PendulumParams):
 
 
 def lambda_from_stats(amps: NoiseAmplitudes, stats: ErgodicStats,
-                      convention: str = "derived") -> LambdaPoint:
+                      convention: str) -> LambdaPoint:
     """Map (sigma, C) estimates to the effective-potential coefficients."""
     lambda1 = lambda1_factor(convention) * (amps.sigma1**2 * stats.c1
                                             - amps.sigma2**2 * stats.c2)

@@ -144,7 +144,7 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     p0 = np.broadcast_to(p0, (m,))
     out_theta = np.empty((len(sig), horizon_periods + 1, m))
     out_p = np.empty_like(out_theta)
-    for rows, tiles in _noise_chunks(pair_config, grid, seeds):
+    for rows, tiles in _noise_chunks(pair_config, grid, seeds, 0):
         shape = (len(sig), rows.stop - rows.start)
         nodes = _rk4_nodes(np.broadcast_to(theta0[rows], shape),
                            np.broadcast_to(p0[rows], shape),
@@ -159,10 +159,9 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
 def equilibrium_concentration(e0: Equilibrium,
                               sigma_levels: list[tuple[float, float]],
                               ensemble_n: int, horizon_periods: int,
-                              pair_config: PairConfig,
-                              params: PendulumParams = PendulumParams(),
-                              steps_per_period: int = 1000,
-                              master_seed: int = 0) -> ConcentrationReport:
+                              pair_config: PairConfig, params: PendulumParams,
+                              steps_per_period: int,
+                              master_seed: int) -> ConcentrationReport:
     """95th-percentile section distance from a stable averaged equilibrium.
 
     Orbits start at (e0.theta, 0); the same seeds drive every sigma level,
@@ -210,10 +209,9 @@ def separatrix_initial_states(lam: LambdaPoint, params: PendulumParams,
 def separatrix_splitting_probe(lam: LambdaPoint,
                                sigma_levels: list[tuple[float, float]],
                                n_points: int, pair_config: PairConfig,
-                               params: PendulumParams = PendulumParams(),
-                               horizon_periods: int = 10,
-                               steps_per_period: int = 1000,
-                               master_seed: int = 0) -> SplittingReport:
+                               params: PendulumParams, horizon_periods: int,
+                               steps_per_period: int,
+                               master_seed: int) -> SplittingReport:
     """Transverse spread of section points launched on an averaged separatrix.
 
     The spread per level is the 95th percentile of |Hbar - Hbar_sep| over

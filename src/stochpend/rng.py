@@ -77,17 +77,14 @@ def philox(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=np.array(stream_key(seed, stream), dtype=np.uint64))
 
 
-def standard_normals(bg: np.random.Philox, n: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def standard_normals(bg: np.random.Philox, n: int, out: np.ndarray) -> np.ndarray:
     """The next ``n`` unit normals of ``bg``'s stream by quantile inversion,
-    written into ``out`` if given.
+    written into ``out``.
 
     ``out`` is a float64 vector of length ``n`` (a view, such as one column
     of a tile, is fine); it is filled and returned.
     """
-    if out is None:
-        out = np.empty(n)
-    elif out.shape != (n,) or out.dtype != np.float64:
+    if out.shape != (n,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 vector of length {n}")
     for lo in range(0, n, BLOCK):
         seg = out[lo:lo + BLOCK]

@@ -197,7 +197,7 @@ def period_stride(tau: float, h: float) -> int:
     return k
 
 
-def grid_for_periods(tau: float, periods: float, steps_per_period: int = 1000) -> PathGrid:
+def grid_for_periods(tau: float, periods: float, steps_per_period: int) -> PathGrid:
     """Grid from t = 0 covering ``periods`` periods at ``steps_per_period`` steps each."""
     n = int(round(periods * steps_per_period))
     return PathGrid(t0=0.0, h=tau / steps_per_period, n=n)
@@ -348,7 +348,7 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     return x1.T, x2.T
 
 
-def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int = 0):
+def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int):
     """The ensemble's noise pair, ``SEED_CHUNK`` seeds by ``_SPAN`` nodes at a time.
 
     Yields ``(rows, tiles)`` per chunk, ``rows`` the slice of ``seeds`` it
@@ -397,7 +397,7 @@ def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
 
 def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                            grid: PathGrid, seed: int,
-                           burn_in_periods: int = 100, batches: int = 16) -> ErgodicStats:
+                           burn_in_periods: int, batches: int) -> ErgodicStats:
     """Time averages of xi_i, xi_i^2 and xi_1 xi_2 with batch-means errors.
 
     The averages are over the pair ``simulate_pair(cfg1, cfg2, grid, seed)``,

@@ -164,11 +164,9 @@ def _sup_gaps(tiles, width: int, h: float, params: PendulumParams,
 def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]],
                            ensemble_n: int, horizon_periods: int,
                            pair_config: PairConfig, initial, stats: ErgodicStats,
-                           params: PendulumParams = PendulumParams(),
-                           steps_per_period: int = 1000,
-                           burn_in_periods: int = 20,
-                           master_seed: int = 0,
-                           convention: str = "derived") -> ExceedanceReport:
+                           params: PendulumParams, steps_per_period: int,
+                           burn_in_periods: int, master_seed: int,
+                           convention: str) -> ExceedanceReport:
     """Fraction of seeds whose sup-gap over the horizon exceeds ``delta``.
 
     ``stats`` are the long-run noise moments (see :func:`calibration_stats`)
@@ -287,8 +285,7 @@ def _affine_domination_fit(t: np.ndarray, moments: np.ndarray,
 
 def moment_growth(pair_config: PairConfig, moment_times: int,
                   ensemble_n: int, amps: NoiseAmplitudes,
-                  steps_per_period: int = 1000,
-                  master_seed: int = 0) -> MomentBoundReport:
+                  steps_per_period: int, master_seed: int) -> MomentBoundReport:
     """Empirical fourth/mixed moments on [0, tau] with affine-bound fits.
 
     The moments are taken at ``moment_times`` (2 .. ``steps_per_period + 1``)
@@ -347,11 +344,9 @@ def potential_deviation(theta_grid: np.ndarray,
                         sigma_levels: list[tuple[float, float]],
                         ensemble_n: int, pair_config: PairConfig,
                         stats: ErgodicStats,
-                        convention: str = "derived",
-                        params: PendulumParams = PendulumParams(),
-                        burn_in_periods: int = 50,
-                        steps_per_period: int = 1000,
-                        master_seed: int = 0) -> DeviationScaling:
+                        convention: str, params: PendulumParams,
+                        burn_in_periods: int, steps_per_period: int,
+                        master_seed: int) -> DeviationScaling:
     """Mean |Ubar - Utilde| (and theta-derivatives) per coupling level.
 
     Ubar takes its Lambda from the long-run moments ``stats``.  The

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from stochpend import (
-    NoiseAmplitudes,
     NoiseChannelConfig,
     PendulumParams,
     PeriodicDriftSpec,
 )
-from stochpend.presets import default_noise_pair
+from stochpend.cli import RunConfig
+
+
+def default_noise_pair():
+    """The noise pair of a config that sets no field: ``cli.SCHEMA``'s channels."""
+    return RunConfig({}, "simulate").pair
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +35,3 @@ def ou_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250810)
-
-
-def random_amps(rng, lo=0.0, hi=0.6):
-    return NoiseAmplitudes(*rng.uniform(lo, hi, size=2))

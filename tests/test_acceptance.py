@@ -24,6 +24,7 @@ from stochpend import (
     NoiseChannelConfig,
     PathGrid,
     PathSample,
+    PendulumParams,
     PeriodicDriftSpec,
     averaged_flow,
     chebyshev_consistency,
@@ -48,8 +49,9 @@ from stochpend import (
 from stochpend.rpsde import grid_for_periods
 from stochpend.rng import ensemble_seeds
 from stochpend.verification import calibration_stats
-from stochpend.presets import default_noise_pair
 from stochpend.cli import EXIT_OK, main as cli_main
+
+from conftest import default_noise_pair
 
 MASTER_SEED = 2025
 
@@ -126,7 +128,8 @@ def test_criterion_4_classical_limit(params):
     eqs = find_equilibria(lam, params)
     kinds = {round(e.theta, 6): e.kind for e in eqs}
     ok = kinds.get(0.0) == "stable" and kinds.get(round(np.pi, 6)) == "unstable"
-    portrait = phase_portrait(lam, params)
+    portrait = phase_portrait(lam, params, theta_range=(-np.pi, np.pi),
+                              p_range=(-3.0, 3.0), grid=(129, 129))
     ok &= abs(portrait.separatrix_levels[0] - 1.0) <= 1e-9
     traj = averaged_flow((0.01, 0.0), lam, params, 1e-3, 20000)
     p = traj.p
@@ -272,7 +275,7 @@ def test_criterion_9_convergence_in_probability(params, calib):
         delta=0.05, sigma_levels=levels, ensemble_n=2000, horizon_periods=50,
         pair_config=default_noise_pair(), initial=(0.1, 0.0), params=params,
         steps_per_period=1000, burn_in_periods=20, master_seed=MASTER_SEED,
-        stats=calib)
+        stats=calib, convention="derived")
     probs = rep.probs
     ci = rep.ci_half_widths
     inversions = 0
@@ -296,7 +299,8 @@ def test_criterion_10_deviation_scaling(calib):
     rep = potential_deviation(theta_grid, levels, ensemble_n=1000,
                               pair_config=default_noise_pair(),
                               burn_in_periods=50, steps_per_period=500,
-                              master_seed=MASTER_SEED, stats=calib)
+                              master_seed=MASTER_SEED, stats=calib,
+                              convention="derived", params=PendulumParams())
     ok = bool(np.all(rep.loglog_slope >= 0.9))
     report("10", "log-log slope of E|Ubar - Utilde| (and both "
            "theta-derivatives) vs max sigma is >= 0.9", ok,

@@ -24,8 +24,9 @@ from stochpend import (
 from stochpend import bifurcation
 from stochpend.dynamics import instantaneous_lambda
 from stochpend.rpsde import grid_for_periods
-from stochpend.presets import default_noise_pair
 from tests.test_dynamics import make_stats
+
+from conftest import default_noise_pair
 
 TWO_PI = 2 * np.pi
 
@@ -317,27 +318,32 @@ def test_scan_over_many_chunks_matches_per_point_labels(params):
 
 
 def test_portrait_classical_separatrix_level(params):
-    portrait = phase_portrait(LambdaPoint(0.0, 0.0), params)
+    portrait = phase_portrait(LambdaPoint(0.0, 0.0), params, theta_range=(-np.pi, np.pi),
+                              p_range=(-3.0, 3.0), grid=(129, 129))
     assert len(portrait.separatrix_levels) == 1
     assert portrait.separatrix_levels[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_portrait_two_levels_in_pi2(params):
-    portrait = phase_portrait(LambdaPoint(0.5, 1.0), params)
+    portrait = phase_portrait(LambdaPoint(0.5, 1.0), params, theta_range=(-np.pi, np.pi),
+                              p_range=(-3.0, 3.0), grid=(129, 129))
     assert len(portrait.separatrix_levels) == 2
     assert abs(portrait.separatrix_levels[1] - portrait.separatrix_levels[0]) > 1e-6
 
 
 def test_portrait_grid_mirror_symmetry(params):
-    a = phase_portrait(LambdaPoint(0.3, 0.2), params, grid=(65, 65))
-    b = phase_portrait(LambdaPoint(0.3, -0.2), params, grid=(65, 65))
+    a = phase_portrait(LambdaPoint(0.3, 0.2), params, theta_range=(-np.pi, np.pi),
+                       p_range=(-3.0, 3.0), grid=(65, 65))
+    b = phase_portrait(LambdaPoint(0.3, -0.2), params, theta_range=(-np.pi, np.pi),
+                       p_range=(-3.0, 3.0), grid=(65, 65))
     # Hbar_b(-theta, p) == Hbar_a(theta, p); the theta axis is symmetric
     np.testing.assert_allclose(b.hbar[:, ::-1], a.hbar, atol=1e-13)
 
 
 def test_portrait_rejects_tiny_grid(params):
     with pytest.raises(ValueError):
-        phase_portrait(LambdaPoint(0.0, 0.0), params, grid=(8, 8))
+        phase_portrait(LambdaPoint(0.0, 0.0), params, theta_range=(-np.pi, np.pi),
+                       p_range=(-3.0, 3.0), grid=(8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +354,8 @@ def test_trace_zero_amplitude(params):
     cfg1, cfg2 = default_noise_pair()
     grid = grid_for_periods(1.0, 2, 100)
     p1, p2 = simulate_pair(cfg1, cfg2, grid, seed=5)
-    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, NoiseAmplitudes(0.0, 0.0))
+    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, NoiseAmplitudes(0.0, 0.0),
+                                            convention="derived")
     assert np.all(lambda1 == 0.0) and np.all(lambda2 == 0.0)
 
 
@@ -360,9 +367,9 @@ def test_trace_time_average_matches_lambda_map(params):
     from stochpend import estimate_ergodic_stats
     stats = estimate_ergodic_stats(cfg1, cfg2, grid, 23, burn_in_periods=100,
                                    batches=16)
-    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps)
+    lambda1, lambda2 = instantaneous_lambda(p1.values, p2.values, amps, convention="derived")
     start = 100 * 300
-    lam = lambda_from_stats(amps, stats)
+    lam = lambda_from_stats(amps, stats, convention="derived")
     se1 = 0.25 * (amps.sigma1**2 * stats.se_c1 + amps.sigma2**2 * stats.se_c2)
     se2 = 0.5 * amps.sigma1 * amps.sigma2 * stats.se_c12
     assert abs(lambda1[start:].mean() - lam.lambda1) <= max(3 * se1, 1e-9)
@@ -373,5 +380,5 @@ def test_trace_identical_channels_cancel(params, ou_config):
     amps = NoiseAmplitudes(0.4, 0.4)
     grid = grid_for_periods(1.0, 3, 100)
     p1, p2 = simulate_pair(ou_config, ou_config, grid, seed=2)
-    lambda1, _ = instantaneous_lambda(p1.values, p2.values, amps)
+    lambda1, _ = instantaneous_lambda(p1.values, p2.values, amps, convention="derived")
     assert np.all(lambda1 == 0.0)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import tempfile
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochpend import cli
+from stochpend import bifurcation, cli, dynamics, poincare, rng, rpsde, verification
 from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
-from stochpend.presets import default_noise_pair
 from stochpend.rpsde import grid_for_periods
 from stochpend.verification import calibration_stats
+
+from conftest import default_noise_pair
 
 
 def run_cli(tmp_path, command, config, out="run", seed=None):
@@ -327,10 +329,22 @@ def test_report_json_keys_pinned(tmp_path, command):
     assert written == {**REPORT_KEYS[command], "manifest.json": manifest_keys}
 
 
-def test_default_noise_pair_comes_from_presets():
+def test_default_noise_pair_comes_from_the_schema():
     channel1, channel2 = RunConfig({}, "simulate").pair
     assert (channel1.drift.alpha, channel1.beta) == (1.0, 0.6)
     assert (channel2.drift.alpha, channel2.beta) == (2.0, 0.8)
+
+
+def test_computational_functions_have_no_parameter_defaults():
+    """Every default is a field of ``cli.SCHEMA``: no module-level function of
+    the computational modules supplies one of its own."""
+    defaulted = [f"{module.__name__}.{name}({p.name})"
+                 for module in (rng, rpsde, dynamics, verification, poincare, bifurcation)
+                 for name, f in vars(module).items()
+                 if inspect.isfunction(f) and f.__module__ == module.__name__
+                 for p in inspect.signature(f).parameters.values()
+                 if p.default is not p.empty]
+    assert defaulted == []
 
 
 # effective_config of {} as the manifest writes it
@@ -711,6 +725,9 @@ _CHANNEL = _block(alpha=st.sampled_from([1.0, 2.0]), beta=st.sampled_from([0.6, 
                   forcing_amp=st.sampled_from([0.0, 0.5]),
                   forcing_phase=st.sampled_from([0.0, 1.0]),
                   z0=st.sampled_from([0.0, 0.3]))
+# a reversed box, and a box and a step that give infinitely many scan corners
+_BOX = st.sampled_from([[0.0, 0.4, 0.0, 0.4], [0.4, 0.0, 0.0, 0.4], [-1e308, 1e308, 0.0, 0.4]])
+_STEP = st.sampled_from([0.1, 0.2, 5e-324])
 
 BLOCKS = {
     "pendulum": _block(l=st.sampled_from([0.5, 1.0, 2]), g=st.sampled_from([1.0, 2.0])),
@@ -723,10 +740,7 @@ BLOCKS = {
     "simulate": _block(initial=_INITIAL, section=st.booleans()),
     "average": _block(burn_in_periods=st.integers(0, 3), avg_periods=st.integers(8, 20),
                       batches=st.integers(8, 12)),
-    "atlas": _block(samples=st.integers(16, 64),
-                    box=st.sampled_from([[0.0, 0.4, 0.0, 0.4], [0.4, 0.0, 0.0, 0.4],
-                                         [-1e308, 1e308, 0.0, 0.4]]),
-                    step=st.sampled_from([0.1, 0.2, 5e-324]), scan=st.booleans(),
+    "atlas": _block(samples=st.integers(16, 64), box=_BOX, step=_STEP, scan=st.booleans(),
                     scan_grid_n=st.integers(64, 256)),
     "portrait": _block(lambda1=st.sampled_from([-0.2, 0.0, 0.5]),
                        lambda2=st.sampled_from([0.0, 1]),
@@ -797,3 +811,19 @@ def test_drawn_configs_keep_the_cli_contract(run):
         code_b, _ = _run_quietly(command, cfg_path, Path(tmp) / "b")
         assert code_b == EXIT_OK
         assert read_bytes(Path(tmp) / "a") == read_bytes(Path(tmp) / "b")
+
+
+@st.composite
+def atlas_scans(draw):
+    """An atlas run whose block always scans and sets its box and step."""
+    cfg = draw(PLAIN_CONFIGS)
+    cfg["atlas"] = {**draw(BLOCKS["atlas"]), "scan": True, "box": draw(_BOX),
+                    "step": draw(_STEP)}
+    return "atlas", cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(run=atlas_scans())
+def test_drawn_atlas_scans_keep_the_cli_contract(run):
+    """The contract above, on atlas runs that reach ``RunConfig``'s scan checks."""
+    test_drawn_configs_keep_the_cli_contract.hypothesis.inner_test(run)

@@ -29,7 +29,8 @@ from stochpend import (
 from stochpend.dynamics import _rk4_nodes, exact_flow_ensemble, instantaneous_lambda
 from stochpend.rng import ensemble_seeds
 from stochpend.rpsde import ErgodicStats, grid_for_periods, simulate_pair_ensemble
-from stochpend.presets import default_noise_pair
+
+from conftest import default_noise_pair
 
 
 def make_stats(c1, c2, c12):
@@ -172,7 +173,7 @@ def test_instantaneous_potential_classical(params, rng):
     amps = NoiseAmplitudes(0.0, 0.0)
     theta = rng.uniform(-5, 5, 50)
     np.testing.assert_allclose(
-        instantaneous_potential(theta, 1.0, 2.0, params, amps),
+        instantaneous_potential(theta, 1.0, 2.0, params, amps, convention="derived"),
         -np.cos(theta), atol=1e-15)
 
 
@@ -286,7 +287,7 @@ def test_lambda_map_convention_factors():
 
 def test_lambda_map_zero_cross():
     amps = NoiseAmplitudes(0.4, 0.5)
-    lam = lambda_from_stats(amps, make_stats(1.0, 1.0, 0.0))
+    lam = lambda_from_stats(amps, make_stats(1.0, 1.0, 0.0), convention="derived")
     assert lam.lambda2 == 0.0
 
 

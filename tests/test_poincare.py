@@ -25,7 +25,8 @@ from stochpend import (
 from stochpend.bifurcation import Equilibrium
 from stochpend.poincare import FILL_BANDS, StroboscopicSection
 from stochpend.rpsde import grid_for_periods, period_stride
-from stochpend.presets import default_noise_pair
+
+from conftest import default_noise_pair
 
 
 def zero_pair(grid):
@@ -217,7 +218,8 @@ def test_concentration_requires_stable_point(params):
                          second_derivative=-1.0)
     with pytest.raises(ValueError):
         equilibrium_concentration(saddle, [(0.1, 0.1)], 10, 5,
-                                  default_noise_pair())
+                                  default_noise_pair(), params=PendulumParams(),
+                                  steps_per_period=1000, master_seed=0)
 
 
 def test_cylinder_distance_wraps():

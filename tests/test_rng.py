@@ -30,20 +30,20 @@ def test_stream_key_distinguishes_seed_and_stream():
 
 
 def test_determinism_bitwise():
-    a = standard_normals(philox(42, 1), 1000)
-    b = standard_normals(philox(42, 1), 1000)
+    a = standard_normals(philox(42, 1), 1000, np.empty(1000))
+    b = standard_normals(philox(42, 1), 1000, np.empty(1000))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, standard_normals(philox(43, 1), 1000))
-    assert not np.array_equal(a, standard_normals(philox(42, 2), 1000))
+    assert not np.array_equal(a, standard_normals(philox(43, 1), 1000, np.empty(1000)))
+    assert not np.array_equal(a, standard_normals(philox(42, 2), 1000, np.empty(1000)))
 
 
 def test_uniforms_open_interval():
     # ndtri maps 0 and 1 to -inf and inf, so finite normals mean uniforms in (0, 1)
-    assert np.isfinite(standard_normals(philox(7, 0), 100000)).all()
+    assert np.isfinite(standard_normals(philox(7, 0), 100000, np.empty(100000))).all()
 
 
 def test_normals_distribution():
-    z = standard_normals(philox(3, 0), 200000)
+    z = standard_normals(philox(3, 0), 200000, np.empty(200000))
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     # quantile inversion gives the right tails
@@ -67,7 +67,7 @@ def one_shot_normals(seed, stream, n):
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_blocked_normals_equal_one_shot_formula(n):
     expected = one_shot_normals(17, 2, n)
-    assert standard_normals(philox(17, 2), n).tobytes() == expected.tobytes()
+    assert standard_normals(philox(17, 2), n, np.empty(n)).tobytes() == expected.tobytes()
     # into a strided view, such as one row of a path array past its z0 node
     rows = np.full((2, n + 1), np.nan)
     got = standard_normals(philox(17, 2), n, out=rows[1, 1:])
@@ -88,10 +88,10 @@ def test_normals_resume_at_any_start(m, n):
     """A carried generator resumes where its last draw stopped: m values and
     then n equal m + n drawn at once, across ``BLOCK`` edges and off the
     four words of a Philox counter step."""
-    whole = standard_normals(philox(17, 2), m + n)
+    whole = standard_normals(philox(17, 2), m + n, np.empty(m + n))
     bg = philox(17, 2)
-    head = standard_normals(bg, m)
-    tail = standard_normals(bg, n)
+    head = standard_normals(bg, m, np.empty(m))
+    tail = standard_normals(bg, n, np.empty(n))
     assert head.tobytes() + tail.tobytes() == whole.tobytes()
 
 

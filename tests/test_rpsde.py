@@ -28,10 +28,11 @@ from stochpend import (
     simulate_pair_ensemble,
 )
 from stochpend.errors import BlowUpError
-from stochpend.presets import default_noise_pair
 from stochpend import rpsde
 from stochpend.rpsde import _filter_tile, _load_linear_filter, _noise_chunks, _spans
 from stochpend.rng import BLOCK, ensemble_seeds, philox, standard_normals
+
+from conftest import default_noise_pair
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,8 @@ def test_strong_order_monitor(ou_config):
 
     gaps = {1: [], 2: [], 4: []}
     for seed in range(20):
-        dw = np.sqrt(horizon / n_fine) * standard_normals(philox(seed, 0), n_fine)
+        dw = np.sqrt(horizon / n_fine) * standard_normals(philox(seed, 0), n_fine,
+                                                          np.empty(n_fine))
         ends = {}
         for factor in (1, 2, 4):
             dw_c = dw.reshape(-1, factor).sum(axis=1)
@@ -316,7 +318,8 @@ def test_ensemble_rows_match_single(pair_config):
 def literal_path(cfg, grid, seed, channel):
     """x_{k+1} = (alpha h A sin(2 pi t_k / tau + phi) + beta sqrt(h) z_k)
     + (1 - alpha h) x_k, one step at a time on the channel's stream."""
-    z = standard_normals(philox(int(seed), 0 if cfg.driver == "shared" else channel), grid.n)
+    z = standard_normals(philox(int(seed), 0 if cfg.driver == "shared" else channel), grid.n,
+                         np.empty(grid.n))
     d, h = cfg.drift, grid.h
     target = d.target(grid.times())
     x = [cfg.z0]
@@ -593,7 +596,7 @@ def _chunk_blowup(span, block, chunk, driver):
         mp.setattr("stochpend.rpsde.BLOCK", block)
         mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
         with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
-            for _, tiles in _noise_chunks((wild1, wild2), grid, seeds):
+            for _, tiles in _noise_chunks((wild1, wild2), grid, seeds, start=0):
                 for _ in tiles:
                     pass
     return firsts, err.value.step_index

@@ -9,6 +9,7 @@ from stochpend import (
     LambdaPoint,
     NoiseAmplitudes,
     NoiseChannelConfig,
+    PendulumParams,
     PeriodicDriftSpec,
     SampleLengthError,
     calibration_stats,
@@ -31,7 +32,8 @@ from stochpend.errors import BlowUpError
 from stochpend.rng import BLOCK, ensemble_seeds
 from stochpend.rpsde import PathGrid, _noise_chunks, grid_for_periods, simulate_pair_ensemble
 from stochpend.verification import M1M2Decomposition, _sup_gaps
-from stochpend.presets import default_noise_pair
+
+from conftest import default_noise_pair
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ def test_gap_triangle_bound(params, quick_stats):
     grid = grid_for_periods(1.0, 5, 200)
     pair = simulate_pair(*cfg, grid, seed=6)
     traj = exact_flow((0.4, 0.0), pair, params, amps)
-    lam = lambda_from_stats(amps, quick_stats)
+    lam = lambda_from_stats(amps, quick_stats, convention="derived")
     gaps = hamiltonian_gap(traj, pair, lam, params, amps)
     S = noise_coupling(traj.theta, pair[0].values, pair[1].values, amps)
     bound = (np.abs(traj.p * S) / params.l + 0.5 * S**2
@@ -74,7 +76,8 @@ def test_mean_sup_gap_monotone_in_sigma(params, quick_stats):
     rep = exceedance_probability(
         0.005, [(0.1, 0.1), (0.05, 0.05)], ensemble_n=20, horizon_periods=3,
         pair_config=default_noise_pair(), initial=(0.1, 0.0),
-        steps_per_period=200, master_seed=5, stats=quick_stats)
+        steps_per_period=200, master_seed=5, stats=quick_stats,
+        params=PendulumParams(), burn_in_periods=20, convention="derived")
     assert rep.probs[0] > 0.0
     assert rep.probs[0] >= rep.probs[1]
 
@@ -86,7 +89,8 @@ def test_sup_gap_coupled_monotonicity(params, quick_stats):
     grid = grid_for_periods(1.0, 10, 200)
     x1, x2 = simulate_pair_ensemble(cfg1, cfg2, grid, ensemble_seeds(0, 200))
     levels = [(0.1, 0.1), (0.05, 0.05)]
-    lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats) for s in levels]
+    lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention="derived")
+            for s in levels]
     gaps = _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, 0.1, 0.0)
     sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
@@ -145,7 +149,8 @@ def test_exceedance_zero_amplitude_level(params, quick_stats):
     rep = exceedance_probability(
         0.01, [(0.0, 0.0)], ensemble_n=20, horizon_periods=2,
         pair_config=default_noise_pair(), initial=(0.2, 0.0),
-        steps_per_period=100, master_seed=1, stats=quick_stats)
+        steps_per_period=100, master_seed=1, stats=quick_stats,
+        params=PendulumParams(), burn_in_periods=20, convention="derived")
     assert rep.probs[0] == 0.0
 
 
@@ -153,7 +158,8 @@ def test_exceedance_reproducible_and_bounded(params, quick_stats):
     kwargs = dict(delta=0.02, sigma_levels=[(0.2, 0.2), (0.1, 0.1)],
                   ensemble_n=50, horizon_periods=3,
                   pair_config=default_noise_pair(), initial=(0.1, 0.0),
-                  steps_per_period=100, master_seed=9, stats=quick_stats)
+                  steps_per_period=100, master_seed=9, stats=quick_stats,
+                  params=PendulumParams(), burn_in_periods=20, convention="derived")
     a = exceedance_probability(**kwargs)
     b = exceedance_probability(**kwargs)
     assert np.array_equal(a.probs, b.probs)
@@ -166,7 +172,9 @@ def test_exceedance_rejects_bad_inputs(params, quick_stats):
     with pytest.raises(ValueError):
         exceedance_probability(0.0, [(0.1, 0.1)], 10, 2,
                                default_noise_pair(), (0.1, 0.0),
-                               stats=quick_stats)
+                               stats=quick_stats, params=PendulumParams(),
+                               steps_per_period=1000, burn_in_periods=20,
+                               master_seed=0, convention="derived")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +318,7 @@ def test_moment_times_validated(params):
     for count in (1, 102):
         with pytest.raises(ValueError, match="moment_times"):
             moment_growth(default_noise_pair(), count, 10, NoiseAmplitudes(0.1, 0.1),
-                          steps_per_period=100)
+                          steps_per_period=100, master_seed=0)
 
 
 def test_moment_times_accept_every_node_of_their_grid():
@@ -320,7 +328,7 @@ def test_moment_times_accept_every_node_of_their_grid():
     times = grid_for_periods(0.9, 1, 7).times()
     assert times[-1] > 0.9
     rep = moment_growth((cfg, cfg), len(times), 4, NoiseAmplitudes(0.1, 0.1),
-                        steps_per_period=7)
+                        steps_per_period=7, master_seed=0)
     assert len(rep.fourth1) == 8 and np.all(np.isfinite(rep.fourth1))
     assert rep.t.tolist() == [*times[:-1], 0.9]
 
@@ -335,7 +343,8 @@ def test_deviation_slope_near_two(params, quick_stats):
     rep = potential_deviation(theta_grid, levels, ensemble_n=400,
                               pair_config=default_noise_pair(),
                               burn_in_periods=20, steps_per_period=200,
-                              master_seed=3, stats=quick_stats)
+                              master_seed=3, stats=quick_stats,
+                              convention="derived", params=PendulumParams())
     # the construction is quadratic in the amplitudes, comfortably above
     # the advertised first-order decay
     assert np.all(rep.loglog_slope >= 0.9)
@@ -348,7 +357,8 @@ def test_deviation_zero_level_reports_zero(params, quick_stats):
     rep = potential_deviation(theta_grid, levels, ensemble_n=100,
                               pair_config=default_noise_pair(),
                               burn_in_periods=10, steps_per_period=100,
-                              master_seed=3, stats=quick_stats)
+                              master_seed=3, stats=quick_stats,
+                              convention="derived", params=PendulumParams())
     assert np.all(rep.mean_abs_dev[0] == 0.0)
 
 
@@ -356,7 +366,9 @@ def test_deviation_needs_three_levels(params, quick_stats):
     theta_grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     with pytest.raises(SampleLengthError):
         potential_deviation(theta_grid, [(0.1, 0.1)], 50,
-                            default_noise_pair(), stats=quick_stats)
+                            default_noise_pair(), stats=quick_stats,
+                            convention="derived", params=PendulumParams(), burn_in_periods=50,
+                            steps_per_period=1000, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +389,10 @@ def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     def results():
         exc = exceedance_probability(0.01, levels, 20, 2, pair, (0.1, 0.0), quick_stats,
                                      params=params, steps_per_period=50,
-                                     burn_in_periods=2, master_seed=3)
+                                     burn_in_periods=2, master_seed=3, convention="derived")
         dev = potential_deviation(theta_grid, levels, 20, pair, quick_stats, params=params,
-                                  burn_in_periods=2, steps_per_period=50, master_seed=3)
+                                  burn_in_periods=2, steps_per_period=50, master_seed=3,
+                                  convention="derived")
         mom = moment_growth(pair, 11, 20, NoiseAmplitudes(0.3, 0.2),
                             steps_per_period=50, master_seed=3)
         conc = equilibrium_concentration(e0, levels, 20, 2, pair, params=params,
@@ -406,10 +419,11 @@ def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
     pair = default_noise_pair()
     spp, ensemble_n, chunk = 500, 2000, 100
     monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
-    moment_growth(pair, 5, 2, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+    moment_growth(pair, 5, 2, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp, master_seed=0)
     tracemalloc.start()
     try:
-        moment_growth(pair, 5, ensemble_n, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp)
+        moment_growth(pair, 5, ensemble_n, NoiseAmplitudes(0.1, 0.1), steps_per_period=spp,
+                      master_seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -425,7 +439,8 @@ def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch)
     pair = default_noise_pair()
     spp, burn_in, horizon, chunk = 100, 4, 20, 100
     kwargs = dict(pair_config=pair, initial=(0.1, 0.0), stats=quick_stats,
-                  steps_per_period=spp, burn_in_periods=burn_in)
+                  steps_per_period=spp, burn_in_periods=burn_in,
+                  params=PendulumParams(), master_seed=0, convention="derived")
     monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
     exceedance_probability(0.05, [(0.1, 0.1)], 2, horizon, **kwargs)
     tracemalloc.start()
@@ -444,7 +459,8 @@ def test_exceedance_memory_does_not_grow_with_the_horizon(quick_stats, monkeypat
     pair = default_noise_pair()
     spp, chunk, span = 50, 20, 64
     kwargs = dict(pair_config=pair, initial=(0.1, 0.0), stats=quick_stats,
-                  steps_per_period=spp, burn_in_periods=2)
+                  steps_per_period=spp, burn_in_periods=2,
+                  params=PendulumParams(), master_seed=0, convention="derived")
     monkeypatch.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
     monkeypatch.setattr("stochpend.rpsde._SPAN", span)
     exceedance_probability(0.05, [(0.1, 0.1)], 2, 1, **kwargs)
@@ -474,12 +490,12 @@ def test_orbit_blowup_before_a_later_non_finite_noise_tile_names_its_step(params
     seeds = ensemble_seeds(3, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as noise:
-            for _, tiles in _noise_chunks(pair, grid, seeds):
+            for _, tiles in _noise_chunks(pair, grid, seeds, start=0):
                 for _ in tiles:
                     pass
         with pytest.raises(BlowUpError) as orbit:
             exceedance_probability(0.05, [(0.5, 0.5)], 2, 15, pair, (0.1, 0.0),
                                    quick_stats, params=params, steps_per_period=100,
-                                   burn_in_periods=0, master_seed=3)
+                                   burn_in_periods=0, master_seed=3, convention="derived")
     assert 1000 < noise.value.step_index < 1100
     assert orbit.value.step_index < noise.value.step_index - 64
