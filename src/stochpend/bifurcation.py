@@ -134,14 +134,6 @@ def _problem_scale(l1: np.ndarray, l2: np.ndarray, params: PendulumParams) -> np
     return np.maximum(1.0, np.abs(l1) + np.abs(l2) + params.g * params.l)
 
 
-@dataclass(frozen=True)
-class _LambdaColumn:
-    """Lambda coefficients as (n, 1) columns, for the dynamics formulas."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-
-
 def _equilibria(l1: np.ndarray, l2: np.ndarray, params: PendulumParams):
     """Equilibria at the Lambda points (l1[k], l2[k]), one row per point.
 
@@ -171,7 +163,7 @@ def _equilibria(l1: np.ndarray, l2: np.ndarray, params: PendulumParams):
     size = np.where(first, near.sum(axis=2), 0)
     rep = np.where(first, np.angle((near * u[:, None, :]).sum(axis=2)), np.nan)
 
-    lam = _LambdaColumn(l1[:, None], l2[:, None])
+    lam = LambdaPoint(l1[:, None], l2[:, None])
     simple = size == 1
     for _ in range(_NEWTON_STEPS):
         du = effective_potential_dtheta(rep, lam, params)

@@ -21,9 +21,9 @@ reproduces every byte.  ``--seed`` overrides the master seed from the
 config.
 
 Exit codes: 0 ok, 2 configuration error (including a config that cannot
-be read and an ``--out`` that cannot be written), 3 numeric failure
-(including running out of memory).  Partial outputs are removed when a
-run fails.
+be read and an ``--out`` that cannot be written), 3 numeric failure (a
+blow-up, a float overflow or running out of memory).  Partial outputs
+are removed when a run fails.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .dynamics import (
     exact_flow,
     lambda_from_stats,
 )
-from .errors import BlowUpError, ConfigError
+from .errors import ConfigError
 from .io import (
     ergodic_summary,
     fill_summary,
@@ -434,8 +434,8 @@ def cmd_poincare(config: RunConfig, rundir: RunDir) -> None:
         lam = lambda_from_stats(config.amps, stats, config.noise["convention"])
     if "concentration" in runs:
         # at Lambda = 0 the averaged potential -g l cos(theta) has one minimum
-        e0 = next(e for e in find_equilibria(LambdaPoint(0.0, 0.0), config.params)
-                  if e.kind == "stable")
+        e0 = min(find_equilibria(LambdaPoint(0.0, 0.0), config.params),
+                 key=lambda e: e.potential)
         report = equilibrium_concentration(
             e0, levels, config.seeds["ensemble"], horizon, config.pair,
             params=config.params, steps_per_period=spp, master_seed=master)
@@ -476,14 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochpend",
         description="Pendulum with a stochastically vibrating suspension point")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default runs/<command>)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="JSON configuration file")
+    parser.add_argument("--out", default=None, help="output directory (default runs/<command>)")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     return parser
 
 
@@ -502,12 +498,12 @@ def main(argv: list[str] | None = None) -> int:
         write_json(rundir.path("manifest.json"), manifest)
     # ValueError: ConfigError, SampleLengthError, a config file that is not UTF-8
     # JSON, or a value a library rejected; RecursionError: a config nested too
-    # deep to parse; OSError: an unreadable config or an unwritable --out.
-    except (ValueError, RecursionError, OSError,
-            BlowUpError, FloatingPointError, MemoryError) as exc:
+    # deep to parse; OSError: an unreadable config or an unwritable --out;
+    # ArithmeticError: BlowUpError, or a Python float that overflowed.
+    except (ValueError, RecursionError, OSError, ArithmeticError, MemoryError) as exc:
         if rundir is not None:
             rundir.discard()
-        numeric = isinstance(exc, (BlowUpError, FloatingPointError, MemoryError))
+        numeric = isinstance(exc, (ArithmeticError, MemoryError))
         print(f"{'numeric failure' if numeric else 'config error'}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if numeric else EXIT_CONFIG
     print(json.dumps(manifest, indent=2, sort_keys=True))

@@ -32,16 +32,11 @@ Lambda_2 = sigma_1 sigma_2 C_12 / 2 under both conventions.
 The exact flow treats the noise paths as an exogenous signal (a random
 ODE), integrated with a fixed-step classical Runge-Kutta scheme on the
 noise grid by one stepper, ``_rk4_nodes``, which every exact-flow caller
-shares.  It reads the noise as consecutive disjoint time-major tiles (a
-whole path as one tile, an ensemble's noise one span at a time) and
-carries its state and the last node across them.  It has one right-hand side, ``_rk4_rhs``, with two trig
-back-ends chosen by the batch shape: a width-1 orbit (scalar state,
-couplings and 1-D noise) runs on Python floats with ``math.cos`` and
-``math.sin``, every wider batch on arrays with ``np.cos`` and ``np.sin``.
-The two are bit-identical where numpy's float64 cos/sin round as libm
-does, and both raise :class:`BlowUpError` at the same step; the
-``math`` back-end maps its ``ValueError`` on an infinite angle to it.
-The stepper yields S, cos(theta) and sin(theta) at each node, from which
+shares.  It reads the noise as time-major tiles (a whole path as one
+tile, an ensemble's noise one span at a time) and has one right-hand
+side, ``_rk4_rhs``.  Its own docstring gives how it carries the state
+across tiles and picks a float or an array back-end.  The stepper yields
+S, cos(theta) and sin(theta) at each node, from which
 
     H - Hbar = S (S/2 - p/l) - (Lambda_1 (2 cos^2 theta - 1) + 2 Lambda_2 sin theta cos theta),
 
@@ -101,13 +96,17 @@ class NoiseAmplitudes:
 
 @dataclass(frozen=True)
 class LambdaPoint:
-    """Coefficients of the cos(2 theta) / sin(2 theta) terms of Ubar."""
+    """Coefficients of the cos(2 theta) / sin(2 theta) terms of Ubar.
+
+    Holds one point as two floats, or n points as two (n, 1) columns,
+    which the potential formulas broadcast against an (n, k) theta array.
+    """
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)):
+        if not np.isfinite([self.lambda1, self.lambda2]).all():
             raise ValueError("lambda coefficients must be finite")
 
 
@@ -249,11 +248,6 @@ def lambda_from_stats(amps: NoiseAmplitudes, stats: ErgodicStats,
     return LambdaPoint(lambda1=lambda1, lambda2=lambda2)
 
 
-def _as_state(initial) -> tuple[float, float]:
-    theta, p = initial
-    return float(theta), float(p)
-
-
 def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2, cos, sin):
     ct, st = cos(theta), sin(theta)
     sx1 = s1 * x1
@@ -274,11 +268,12 @@ def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
     is asked for; the state (theta, p and the first stage) and a copy of
     the tile's last node are carried across, so the steps across tiles
     are the steps over one whole array, even when the next tile
-    overwrites the buffer the last one was a view of.  The tiles, like
-    the couplings ``s1``/``s2``
+    overwrites the buffer the last one was a view of.  The batch shape is
+    what ``theta``, ``p``, a noise row and the couplings ``s1``/``s2``
     (scalars, or (levels, 1) columns that stack several levels over one
-    noise batch), broadcast against the batch shape of ``theta``/``p``.
-    The noise is linearly interpolated in each cell.  Yields
+    noise batch) broadcast to, so callers pass each as it is: the state
+    takes the batch shape at the first step, and node 0 yields it as
+    given.  The noise is linearly interpolated in each cell.  Yields
     ``(k, theta, p, S, cos theta, sin theta)`` for k = 0 .. n; the
     right-hand side at node k + 1 is the next step's first stage, so the
     node values cost no extra work.  Raises :class:`BlowUpError` with the
@@ -371,13 +366,11 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     xi2 = np.moveaxis(np.asarray(xi2, dtype=float), -1, 0)
     if len(xi1) != grid.n + 1 or len(xi2) != grid.n + 1:
         raise ValueError("noise values must have grid.n + 1 nodes")
-    batch = np.broadcast_shapes(np.shape(theta0), np.shape(p0),
-                                xi1.shape[1:], xi2.shape[1:])
-    theta = np.broadcast_to(np.asarray(theta0, dtype=float), batch)
-    p = np.broadcast_to(np.asarray(p0, dtype=float), batch)
+    theta0, p0 = np.asarray(theta0, dtype=float), np.asarray(p0, dtype=float)
+    batch = np.broadcast_shapes(theta0.shape, p0.shape, xi1.shape[1:], xi2.shape[1:])
     out_theta = np.empty((grid.n + 1,) + batch)
     out_p = np.empty((grid.n + 1,) + batch)
-    nodes = _rk4_nodes(theta, p, [(xi1, xi2)], grid.h, params, amps.sigma1, amps.sigma2)
+    nodes = _rk4_nodes(theta0, p0, [(xi1, xi2)], grid.h, params, amps.sigma1, amps.sigma2)
     for k, theta, p, *_ in nodes:
         out_theta[k] = theta
         out_p[k] = p
@@ -397,7 +390,7 @@ def exact_flow(initial, pair: tuple[PathSample, PathSample],
     p1, p2 = pair
     if p1.grid != p2.grid:
         raise ValueError("paths must share one grid")
-    theta0, p0 = _as_state(initial)
+    theta0, p0 = map(float, initial)
     th, p, en = exact_flow_ensemble(theta0, p0, p1.values, p2.values,
                                     p1.grid, params, amps)
     return Trajectory(grid=p1.grid, theta=th, p=p, energy=en)
@@ -408,7 +401,7 @@ def averaged_flow(initial, lam: LambdaPoint, params: PendulumParams,
     """Kick-drift-kick leapfrog integration of the averaged system."""
     if h <= 0:
         raise ValueError("h must be positive")
-    theta0, p0 = _as_state(initial)
+    theta0, p0 = map(float, initial)
     l2 = params.l**2
     theta = np.empty(n + 1)
     p = np.empty(n + 1)

@@ -9,7 +9,7 @@ class SampleLengthError(ValueError):
     """A sample is too short for the requested statistic."""
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ArithmeticError):
     """An integration produced a non-finite state.
 
     Carries the index of the first offending grid step.

@@ -145,10 +145,8 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     out_theta = np.empty((len(sig), horizon_periods + 1, m))
     out_p = np.empty_like(out_theta)
     for rows, tiles in _noise_chunks(pair_config, grid, seeds, 0):
-        shape = (len(sig), rows.stop - rows.start)
-        nodes = _rk4_nodes(np.broadcast_to(theta0[rows], shape),
-                           np.broadcast_to(p0[rows], shape),
-                           tiles, grid.h, params, sig[:, :1], sig[:, 1:])
+        nodes = _rk4_nodes(theta0[rows], p0[rows], tiles, grid.h, params,
+                           sig[:, :1], sig[:, 1:])
         for k, th, p, *_ in nodes:
             if k % steps_per_period == 0:
                 out_theta[:, k // steps_per_period, rows] = th

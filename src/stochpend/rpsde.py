@@ -26,27 +26,18 @@ fused form
 
 where z_k are the unit normals of the channel's stream (see
 :mod:`stochpend.rng`).  Every path is drawn by one span loop,
-:func:`_spans`, the one place that decides how a path is cut: its caller
-names the first node it wants and a span length, and the loop draws the
-spans before that node only to carry the state.  It holds one time-major
-(span, seeds) tile per channel, one column per seed, refilled span after
-span, and carries all of a seed's state from span to span: its bit
-generators and its filter states.  For each span
-:func:`stochpend.rng.standard_normals` writes the next normals of each
-seed's stream into its column (on a shared driver they are drawn once and
-copied to channel 2); node 0 holds z0.  Then each tile is turned into its
-paths in place, in blocks of about :data:`stochpend.rng.BLOCK` values:
-scale by beta sqrt(h), add the forcing, and run the recurrence down the
-columns in ``scipy.signal._sigtools._linear_filter``, the compiled kernel
-that ``lfilter`` hands it to with the same arguments.  That extension is
-loaded by file, since importing ``scipy.signal`` pulls in scipy.stats,
-optimize and more, about 1 s; with no such file, ``lfilter`` runs it.
-One state per column is carried from block to block and from span to
-span, so y_0 = z0 and y_{k+1} = u_k + (1 - alpha h) y_k.  This is
-bit-identical to the literal step-by-step loop, however the paths are cut
-into spans.  A draw fails with :class:`BlowUpError` at the first node
-where either channel is non-finite, whatever the cut; an ensemble drawn
-in seed chunks fails within the first chunk that has such a node.
+:func:`_spans`, the one place that decides how a path is cut into
+time-major (span, seeds) tiles, and :func:`_filter_tile` turns each tile
+into its paths in place; their docstrings give the mechanics.  The
+recurrence runs in ``scipy.signal._sigtools._linear_filter``, the
+compiled kernel that ``lfilter`` hands it to with the same arguments.
+That extension is loaded by file, since importing ``scipy.signal`` pulls
+in scipy.stats, optimize and more, about 1 s; with no such file,
+``lfilter`` runs it.  The paths are bit-identical to the literal
+step-by-step loop, however they are cut into spans.  A draw fails with
+:class:`BlowUpError` at the first node where either channel is
+non-finite, whatever the cut; an ensemble drawn in seed chunks fails
+within the first chunk that has such a node.
 :func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
 path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
 one batch at a time and reduces each batch before drawing the next.  The

@@ -33,7 +33,6 @@ from .dynamics import (
     NoiseAmplitudes,
     PendulumParams,
     Trajectory,
-    _as_state,
     _rk4_nodes,
     averaged_hamiltonian,
     exact_hamiltonian,
@@ -139,7 +138,7 @@ def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],
     return np.abs(h_exact - h_avg)
 
 
-def _sup_gaps(tiles, width: int, h: float, params: PendulumParams,
+def _sup_gaps(tiles, h: float, params: PendulumParams,
               sigma_levels: list[tuple[float, float]], lams: list[LambdaPoint],
               theta0: float, p0: float) -> np.ndarray:
     """Running sup of |H - Hbar| per (level, noise row); shape (levels, width).
@@ -147,17 +146,17 @@ def _sup_gaps(tiles, width: int, h: float, params: PendulumParams,
     ``tiles`` yields time-major noise tiles of shape (rows, width), as
     :func:`~stochpend.dynamics._rk4_nodes` reads them.  All levels run as
     one stacked batch, with sigma and Lambda held as (levels, 1) columns
-    over the shared noise rows.
+    over the shared noise rows.  The scalar start and the gap take their
+    shape (levels, width) from these columns and the noise rows, as
+    :func:`~stochpend.dynamics._rk4_nodes` broadcasts them.
     """
     sig = np.array(sigma_levels, dtype=float).reshape(-1, 2)
     lam = np.array([(pt.lambda1, 2.0 * pt.lambda2) for pt in lams]).reshape(-1, 2)
-    shape = (len(sig), width)
-    gap = np.zeros(shape)
-    for _, theta, p, S, ct, st in _rk4_nodes(np.full(shape, theta0), np.full(shape, p0),
-                                             tiles, h, params, sig[:, :1], sig[:, 1:]):
-        step_gap = np.abs(S * (0.5 * S - p / params.l)
-                          - (lam[:, :1] * (2.0 * ct * ct - 1.0) + lam[:, 1:] * (st * ct)))
-        np.maximum(gap, step_gap, out=gap)
+    gap = 0.0
+    for _, theta, p, S, ct, st in _rk4_nodes(theta0, p0, tiles, h, params,
+                                             sig[:, :1], sig[:, 1:]):
+        gap = np.maximum(gap, np.abs(S * (0.5 * S - p / params.l) - (
+            lam[:, :1] * (2.0 * ct * ct - 1.0) + lam[:, 1:] * (st * ct))))
     return gap
 
 
@@ -186,7 +185,7 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     if ensemble_n < 1:
         raise ValueError("ensemble_n must be >= 1")
     tau = pair_config[0].drift.tau
-    theta0, p0 = _as_state(initial)
+    theta0, p0 = map(float, initial)
     lams = [lambda_from_stats(NoiseAmplitudes(*s), stats, convention)
             for s in sigma_levels]
     full_grid = grid_for_periods(tau, burn_in_periods + horizon_periods, steps_per_period)
@@ -194,8 +193,8 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     seeds = ensemble_seeds(master_seed, ensemble_n)
     sup_gaps = np.empty((len(sigma_levels), ensemble_n))
     for rows, tiles in _noise_chunks(pair_config, full_grid, seeds, start):
-        sup_gaps[:, rows] = _sup_gaps(tiles, rows.stop - rows.start, full_grid.h, params,
-                                      sigma_levels, lams, theta0, p0)
+        sup_gaps[:, rows] = _sup_gaps(tiles, full_grid.h, params, sigma_levels, lams,
+                                      theta0, p0)
     probs = (sup_gaps > delta).mean(axis=1)
     ci = 1.96 * np.sqrt(probs * (1.0 - probs) / ensemble_n)
     return ExceedanceReport(delta=delta, sigma_levels=list(sigma_levels),

@@ -134,6 +134,34 @@ def test_blowup_exits_numeric(tmp_path, capsys, command, out):
     assert "numeric failure" in capsys.readouterr().err
 
 
+SMALL = {"grid": {"h": 0.01, "horizon_periods": 2}, "seeds": {"ensemble": 4},
+         "average": {"burn_in_periods": 1, "avg_periods": 16}}
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    # Python float ** raises OverflowError where numpy would give inf
+    ("simulate", {"pendulum": {"l": 1e200}}, EXIT_NUMERIC),
+    ("portrait", {"pendulum": {"l": 1e200}}, EXIT_NUMERIC),
+    ("average", {"noise": {"sigma1": 1e200}}, EXIT_NUMERIC),
+    ("verify", {"noise": {"sigma1": 1e100}, "verify": {"run": ["moments"]}}, EXIT_NUMERIC),
+    ("verify", {"verify": {"sigma_levels": [[1e200, 0]]}}, EXIT_NUMERIC),
+    ("poincare", {"noise": {"sigma1": 1e200}, "poincare": {"run": ["fill"]}}, EXIT_NUMERIC),
+    # g l far below 1e-9: both equilibria at Lambda = 0 are degenerate, and
+    # the concentration run has no stable one to start from
+    ("poincare", {"pendulum": {"g": 1e-10}, "poincare": {"run": ["concentration"]}},
+     EXIT_CONFIG),
+], ids=["simulate-length", "portrait-length", "average-sigma", "moments-sigma",
+        "exceedance-level", "fill-sigma", "concentration-flat-well"])
+def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, code):
+    with np.errstate(all="ignore"):
+        got, out = run_cli(tmp_path, command, {**SMALL, **cfg}, out="nest/a/run")
+    assert got == code
+    err = capsys.readouterr().err
+    assert ("numeric failure" if code == EXIT_NUMERIC else "config error") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nest").exists()  # nor any directory the run created
+
+
 @pytest.mark.parametrize("run", ["moments", "exceedance"])
 def test_noise_overflow_in_a_late_tile_exits_numeric(tmp_path, capsys, monkeypatch, run):
     # alpha h = 3: channel 1 doubles each step and overflows near node 1 025,
@@ -447,8 +475,13 @@ def test_atlas_scan_with_infinitely_many_corners_exits_config(tmp_path, capsys, 
     ("simulate", '{"pendulum": {"l": 1' + '0' * 400 + '}}'),
     # a block the command does not run is checked all the same
     ("atlas", '{"verify": {"delta": "abc", "sigma_levels": "x"}}'),
+    ("simulate", '{"seeds": {"ensemble": 1.5}}'),
+    ("simulate", '{"pendulum": {"l": 0}}'),
+    ("simulate", '{"noise": {"driver": "both"}}'),
+    ("verify", '{"verify": {"sigma_levels": []}}'),
 ], ids=["sigma-overflow", "length-overflow", "moment-times-past-grid", "sigma-nan",
-        "length-huge-int", "unrun-block-checked"])
+        "length-huge-int", "unrun-block-checked", "ensemble-not-integer", "length-zero",
+        "driver-unknown", "sigma-levels-empty"])
 def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)
@@ -827,3 +860,51 @@ def atlas_scans(draw):
 def test_drawn_atlas_scans_keep_the_cli_contract(run):
     """The contract above, on atlas runs that reach ``RunConfig``'s scan checks."""
     test_drawn_configs_keep_the_cli_contract.hypothesis.inner_test(run)
+
+
+# a tiny config on which every command and every run of verify and poincare
+# reaches its computation; one numeric field is then set to an extreme magnitude
+TINY = {"grid": {"h": 0.1, "horizon_periods": 1}, "seeds": {"ensemble": 2},
+        "average": {"burn_in_periods": 0, "avg_periods": 8, "batches": 8},
+        "portrait": {"grid": [32, 32]},
+        "verify": {"run": ["exceedance", "deviation", "chebyshev", "moments"],
+                   "moment_times": 4, "theta_grid_n": 8},
+        "poincare": {"run": ["concentration", "fill", "splitting", "sections"],
+                     "n_points": 2, "fill_grid": [16, 16], "sections_exported": 1}}
+
+
+def _levels_with(v):
+    return [[v, v], [0.1, 0.1], [0.05, 0.05]]
+
+
+def _state_with(v):
+    return [v, 0.0]
+
+
+#: (path to a field, the field's value at magnitude v)
+EXTREME_FIELDS = [
+    (("pendulum", "l"), float), (("pendulum", "g"), float),
+    (("noise", "tau"), float), (("noise", "sigma1"), float), (("noise", "sigma2"), float),
+    (("noise", "channel1", "alpha"), float), (("noise", "channel1", "beta"), float),
+    (("noise", "channel2", "forcing_amp"), float), (("noise", "channel2", "z0"), float),
+    (("verify", "delta"), float), (("verify", "sigma_levels"), _levels_with),
+    (("verify", "initial"), _state_with), (("poincare", "sigma_levels"), _levels_with),
+    (("poincare", "initial"), _state_with), (("simulate", "initial"), _state_with),
+    (("portrait", "lambda1"), float), (("portrait", "p_max"), float),
+]
+
+
+@settings(max_examples=len(EXTREME_FIELDS) * 3, deadline=None, derandomize=True,
+          database=None)
+@given(field=st.sampled_from(EXTREME_FIELDS), magnitude=st.sampled_from([1e-300, 1e200, 1.7e308]))
+def test_extreme_magnitudes_keep_the_cli_contract(field, magnitude):
+    """The contract of ``test_drawn_configs_keep_the_cli_contract``, for every
+    command, on a tiny config with one field at a tiny or huge magnitude."""
+    (*blocks, name), value = field
+    config = json.loads(json.dumps(TINY))
+    node = config
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[name] = value(magnitude)
+    for command in COMMANDS:
+        test_drawn_configs_keep_the_cli_contract.hypothesis.inner_test((command, config))

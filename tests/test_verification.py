@@ -91,7 +91,7 @@ def test_sup_gap_coupled_monotonicity(params, quick_stats):
     levels = [(0.1, 0.1), (0.05, 0.05)]
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention="derived")
             for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, 0.1, 0.0)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0)
     sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
 
@@ -111,7 +111,7 @@ def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, see
     grid = PathGrid(0.0, 0.01, n)
     x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention) for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, theta0, p0)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, theta0, p0)
     for i, level in enumerate(levels):
         amps = NoiseAmplitudes(*level)
         th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
@@ -137,7 +137,7 @@ def test_blowup_in_one_stacked_row_names_its_step(params, seed, n, data, sigma,
     lams = [LambdaPoint(0.0, 0.0)] * 2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            _sup_gaps([(x1.T, x2.T)], x1.shape[0], grid.h, params, levels, lams, 0.1, 0.0)
+            _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0)
     assert err.value.step_index == step
 
 
@@ -311,6 +311,18 @@ def test_moment_domination_residuals(params):
         assert np.all(res >= -1e-12), name
     for m in (rep.fourth1, rep.fourth2, rep.cross22, rep.cross31, rep.cross13):
         assert np.all(m >= 0.0)
+
+
+def test_moment_fits_of_a_silent_channel_are_zero():
+    # sigma_2 = 0 scales every bound but C1_hat's to zero: those fits and
+    # residuals are zero, not a division by a zero scale
+    rep = moment_growth(default_noise_pair(), 6, 50, NoiseAmplitudes(0.3, 0.0),
+                        steps_per_period=100, master_seed=4)
+    for name in ("C2_hat", "C12_hat", "C12_tilde", "C21_tilde"):
+        assert rep.fitted_constants[name] == {"lsq": 0.0, "dominating": 0.0}
+        np.testing.assert_array_equal(rep.residuals[name], np.zeros(6))
+    assert np.isfinite(list(rep.fitted_constants["C1_hat"].values())).all()
+    assert rep.fitted_constants["C1_hat"]["dominating"] > 0.0
 
 
 def test_moment_times_validated(params):

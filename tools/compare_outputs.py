@@ -19,8 +19,11 @@ floating point, an ``average`` whose window leaves nodes after its last
 batch, a ``verify`` of the moments whose last grid node lies one ulp
 past tau, three ``verify`` runs whose noise overflows (channel 1 in
 the calibration path and in an ensemble, channel 2 in the calibration
-path), and an ``atlas`` scan whose step is too small for a finite number
-of corners.  ``--case`` (repeatable) runs only the cases named.
+path), an ``atlas`` scan whose step is too small for a finite number
+of corners, a ``simulate`` whose rod length overflows a Python float
+power, and a ``poincare`` concentration run whose g l is so small that no
+equilibrium at Lambda = 0 is stable.  ``--case`` (repeatable) runs only
+the cases named.
 
 For each case the script prints both exit codes, the last stderr line of a
 run that failed, and, per output file, the SHA-256 from each tree.  It
@@ -132,6 +135,13 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     # 0.4 / 5e-324 overflows: the scan is rejected with exit 2 before --out exists
     out["atlas-scan-overflow"] = ("atlas", {"atlas": {"box": [0.0, 0.4, 0.0, 0.4],
                                                       "step": 5e-324, "scan": True}})
+    # l**2 overflows: the run exits 3 and leaves no file
+    out["simulate-overflow"] = ("simulate", {"pendulum": {"l": 1e200},
+                                             "grid": {"horizon_periods": 2}})
+    # both equilibria at Lambda = 0 are degenerate: the run exits 2 before any file
+    out["poincare-flat-well"] = ("poincare", {"pendulum": {"g": 1e-10},
+                                              "seeds": {"master": seed, "ensemble": 12},
+                                              "poincare": {"run": ["concentration"]}})
     return out
 
 
