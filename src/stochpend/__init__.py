@@ -53,7 +53,6 @@ from .rpsde import (
     PathGrid,
     PathSample,
     PeriodicDriftSpec,
-    drift_eval,
     estimate_ergodic_stats,
     grid_for_periods,
     ks_critical_value,

@@ -235,8 +235,6 @@ def gamma1_curve(samples: int) -> np.ndarray:
     Points (Lambda_1, Lambda_2) = (cos^3 t / 2 - 3 cos t / 4, sin^3 t / 2)
     for t uniform over [0, 2pi); valid for l = g = 1.
     """
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
     t = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     ct, st = np.cos(t), np.sin(t)
     return np.column_stack([ct**3 / 2.0 - 3.0 * ct / 4.0, st**3 / 2.0])
@@ -258,10 +256,8 @@ def numeric_bifurcation_scan(lambda1_range: tuple[float, float],
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    cells = [(hi - lo) / step for lo, hi in (lambda1_range, lambda2_range)]
-    if not np.isfinite(cells).all():
-        raise ValueError(f"step {step} gives infinitely many corners")
-    n1, n2 = (int(round(c)) + 1 for c in cells)
+    # infinitely many corners raise OverflowError in int()
+    n1, n2 = (int(round((hi - lo) / step)) + 1 for lo, hi in (lambda1_range, lambda2_range))
     l1 = lambda1_range[0] + step * np.arange(n1)
     l2 = lambda2_range[0] + step * np.arange(n2)
     codes = _regions(np.repeat(l1, n2), np.tile(l2, n1), params).reshape(n1, n2)
@@ -283,8 +279,6 @@ def phase_portrait(lam: LambdaPoint, params: PendulumParams,
     The separatrix levels are the Ubar values of the unstable equilibria;
     contouring at those levels draws the separatrices.
     """
-    if grid[0] < 32 or grid[1] < 32:
-        raise ValueError("portrait grid must be at least 32x32")
     theta = np.linspace(*theta_range, grid[0])
     p = np.linspace(*p_range, grid[1])
     hbar = averaged_hamiltonian(theta[None, :], p[:, None], lam, params)

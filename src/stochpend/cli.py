@@ -13,7 +13,9 @@ and write one output directory per run:
 ``SCHEMA`` is the reference for every config field, its default and its
 bounds.  The whole config is checked before any output exists, whichever
 command runs, and so are the limits between the fields of the command
-that runs.  Every run writes ``manifest.json`` (the checked
+that runs.  ``SCHEMA`` and ``RunConfig`` own every bound on a config
+value; the computational functions check only what their own arithmetic
+needs.  Every run writes ``manifest.json`` (the checked
 configuration with defaults applied, plus a SHA-256 per data file) last,
 through the run directory like every other file, and prints it to stdout.
 Outputs are a pure function of (config, seed): rerunning a command
@@ -499,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     # ValueError: ConfigError, SampleLengthError, a config file that is not UTF-8
     # JSON, or a value a library rejected; RecursionError: a config nested too
     # deep to parse; OSError: an unreadable config or an unwritable --out;
-    # ArithmeticError: BlowUpError, or a Python float that overflowed.
+    # ArithmeticError: BlowUpError, a Python float that overflowed, or a Lambda
+    # from overflowed moments.
     except (ValueError, RecursionError, OSError, ArithmeticError, MemoryError) as exc:
         if rundir is not None:
             rundir.discard()

@@ -100,6 +100,8 @@ class LambdaPoint:
 
     Holds one point as two floats, or n points as two (n, 1) columns,
     which the potential formulas broadcast against an (n, k) theta array.
+    Non-finite coefficients come from overflowed moments, so they raise
+    ``FloatingPointError``, a numeric failure.
     """
 
     lambda1: float
@@ -107,7 +109,7 @@ class LambdaPoint:
 
     def __post_init__(self):
         if not np.isfinite([self.lambda1, self.lambda2]).all():
-            raise ValueError("lambda coefficients must be finite")
+            raise FloatingPointError("lambda coefficients must be finite")
 
 
 @dataclass

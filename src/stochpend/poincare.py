@@ -29,7 +29,6 @@ import numpy as np
 from .bifurcation import UNSTABLE, Equilibrium, find_equilibria
 from .dynamics import (
     LambdaPoint,
-    NoiseAmplitudes,
     PendulumParams,
     Trajectory,
     _rk4_nodes,
@@ -111,8 +110,6 @@ def plane_fill_density(sections: list[StroboscopicSection], grid: tuple[int, int
     their averaged energy, and the occupancy is reported per band, so
     fills at different coupling levels can be compared energy by energy.
     """
-    if grid[0] < 16 or grid[1] < 16:
-        raise ValueError("occupancy grid must be at least 16x16")
     theta = np.concatenate([s.theta_wrapped for s in sections])
     p = np.concatenate([s.p for s in sections])
     theta_edges = np.linspace(-np.pi, np.pi, grid[0] + 1)
@@ -137,8 +134,7 @@ def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, floa
     tile at a time, and only the section states are kept.
     """
     grid = grid_for_periods(pair_config[0].drift.tau, horizon_periods, steps_per_period)
-    amps = [NoiseAmplitudes(*s) for s in sigma_levels]
-    sig = np.array([(a.sigma1, a.sigma2) for a in amps]).reshape(-1, 2)
+    sig = np.array(sigma_levels, dtype=float).reshape(-1, 2)
     m = len(seeds)
     theta0 = np.broadcast_to(theta0, (m,))
     p0 = np.broadcast_to(p0, (m,))

@@ -243,11 +243,6 @@ class KSReport:
         self.passed = self.statistic < self.critical_value
 
 
-def drift_eval(spec: PeriodicDriftSpec, t, x):
-    """Evaluate b(t, x); vectorizes over ``t`` and ``x``."""
-    return -spec.alpha * (np.asarray(x, dtype=float) - spec.target(t))
-
-
 def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int):
     """The paths of ``seeds`` from node ``start`` on, ``span`` nodes at a time.
 
@@ -403,8 +398,6 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     Raises :class:`BlowUpError` at the first node where either channel is
     non-finite.
     """
-    if batches < 8:
-        raise ValueError(f"batches must be >= 8, got {batches}")
     stride = period_stride(cfg1.drift.tau, grid.h)
     periods = grid.n // stride
     if periods < burn_in_periods + batches:

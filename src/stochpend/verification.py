@@ -180,10 +180,6 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     raises it at its node when its tile is drawn, so an orbit that blows
     up in an earlier tile names the orbit's step.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if ensemble_n < 1:
-        raise ValueError("ensemble_n must be >= 1")
     tau = pair_config[0].drift.tau
     theta0, p0 = map(float, initial)
     lams = [lambda_from_stats(NoiseAmplitudes(*s), stats, convention)
@@ -294,11 +290,6 @@ def moment_growth(pair_config: PairConfig, moment_times: int,
     moment, and 3 sigma_i^3 sigma_j (t Ctilde_ij + |z_i^3 z_j|) for the
     cubic cross moments.
     """
-    if ensemble_n < 2:
-        raise ValueError("ensemble_n must be >= 2")
-    if not 2 <= moment_times <= steps_per_period + 1:
-        raise ValueError(f"moment_times must lie in 2 .. {steps_per_period + 1}, "
-                         f"got {moment_times}")
     cfg1, cfg2 = pair_config
     tau = cfg1.drift.tau
     grid = grid_for_periods(tau, 1, steps_per_period)
@@ -352,11 +343,9 @@ def potential_deviation(theta_grid: np.ndarray,
     frozen-time potential is evaluated at the last node of each seed's
     burn-in, which :func:`~stochpend.rpsde._noise_at` gathers after
     drawing the burn-in span by span; the deviation is averaged over the
-    theta grid and the ensemble.  Needs at least 3 levels for the log-log
-    slope.
+    theta grid and the ensemble.  The log-log slope needs at least 3
+    levels with a sigma > 0 and positive deviations.
     """
-    if len(sigma_levels) < 3:
-        raise SampleLengthError("need at least 3 sigma levels for a slope")
     theta_grid = np.asarray(theta_grid, dtype=float)
     grid = grid_for_periods(pair_config[0].drift.tau, burn_in_periods, steps_per_period)
     seeds = ensemble_seeds(master_seed, ensemble_n)

@@ -136,6 +136,7 @@ def test_blowup_exits_numeric(tmp_path, capsys, command, out):
 
 SMALL = {"grid": {"h": 0.01, "horizon_periods": 2}, "seeds": {"ensemble": 4},
          "average": {"burn_in_periods": 1, "avg_periods": 16}}
+LAMBDA_OVERFLOW = {"channel1": {"beta": 1e200}, "channel2": {"forcing_amp": 1e200}}
 
 
 @pytest.mark.parametrize("command, cfg, code", [
@@ -146,12 +147,18 @@ SMALL = {"grid": {"h": 0.01, "horizon_periods": 2}, "seeds": {"ensemble": 4},
     ("verify", {"noise": {"sigma1": 1e100}, "verify": {"run": ["moments"]}}, EXIT_NUMERIC),
     ("verify", {"verify": {"sigma_levels": [[1e200, 0]]}}, EXIT_NUMERIC),
     ("poincare", {"noise": {"sigma1": 1e200}, "poincare": {"run": ["fill"]}}, EXIT_NUMERIC),
+    # finite noise whose long-run moments overflow, so Lambda is not finite
+    ("average", {"noise": LAMBDA_OVERFLOW, "grid": {"h": 0.1, "horizon_periods": 1}},
+     EXIT_NUMERIC),
+    ("verify", {"noise": LAMBDA_OVERFLOW, "grid": {"h": 0.1, "horizon_periods": 1}},
+     EXIT_NUMERIC),
     # g l far below 1e-9: both equilibria at Lambda = 0 are degenerate, and
     # the concentration run has no stable one to start from
     ("poincare", {"pendulum": {"g": 1e-10}, "poincare": {"run": ["concentration"]}},
      EXIT_CONFIG),
 ], ids=["simulate-length", "portrait-length", "average-sigma", "moments-sigma",
-        "exceedance-level", "fill-sigma", "concentration-flat-well"])
+        "exceedance-level", "fill-sigma", "average-lambda-overflow",
+        "verify-lambda-overflow", "concentration-flat-well"])
 def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, code):
     with np.errstate(all="ignore"):
         got, out = run_cli(tmp_path, command, {**SMALL, **cfg}, out="nest/a/run")
@@ -479,9 +486,16 @@ def test_atlas_scan_with_infinitely_many_corners_exits_config(tmp_path, capsys, 
     ("simulate", '{"pendulum": {"l": 0}}'),
     ("simulate", '{"noise": {"driver": "both"}}'),
     ("verify", '{"verify": {"sigma_levels": []}}'),
+    # the only checks of these bounds: the library functions do not repeat them
+    ("atlas", '{"atlas": {"samples": 15}}'),
+    ("average", '{"average": {"batches": 7}}'),
+    ("verify", '{"verify": {"delta": 0}}'),
+    ("verify", '{"seeds": {"ensemble": 0}}'),
+    ("verify", '{"verify": {"run": ["moments"], "moment_times": 1}}'),
 ], ids=["sigma-overflow", "length-overflow", "moment-times-past-grid", "sigma-nan",
         "length-huge-int", "unrun-block-checked", "ensemble-not-integer", "length-zero",
-        "driver-unknown", "sigma-levels-empty"])
+        "driver-unknown", "sigma-levels-empty", "atlas-samples-low", "average-batches-low",
+        "delta-zero", "ensemble-zero", "moment-times-low"])
 def test_rejected_values_exit_config(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)

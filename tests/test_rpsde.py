@@ -18,7 +18,6 @@ from stochpend import (
     PathGrid,
     PeriodicDriftSpec,
     SampleLengthError,
-    drift_eval,
     estimate_ergodic_stats,
     grid_for_periods,
     ks_critical_value,
@@ -39,33 +38,11 @@ from conftest import default_noise_pair
 # drift
 
 
-def test_drift_pure_relaxation():
-    spec = PeriodicDriftSpec(tau=1.0, alpha=1.0, forcing_amp=0.0)
-    assert drift_eval(spec, 0.5, 2.0) == -2.0
-
-
-def test_drift_forced_substitution():
-    spec = PeriodicDriftSpec(tau=1.0, alpha=2.0, forcing_amp=1.0, forcing_phase=0.0)
-    assert drift_eval(spec, 0.25, 0.0) == pytest.approx(2.0, abs=1e-15)
-
-
 def test_drift_periodicity(rng):
     spec = PeriodicDriftSpec(tau=0.7, alpha=1.3, forcing_amp=2.0, forcing_phase=0.4)
     t = rng.uniform(-5, 5, 200)
-    x = rng.uniform(-3, 3, 200)
-    np.testing.assert_allclose(drift_eval(spec, t + spec.tau, x),
-                               drift_eval(spec, t, x), rtol=0, atol=1e-12)
-
-
-def test_drift_lipschitz_bound(rng):
-    spec = PeriodicDriftSpec(tau=1.0, alpha=1.7, forcing_amp=1.0, forcing_phase=0.1)
-    t = rng.uniform(0, 10, 500)
-    x = rng.uniform(-5, 5, 500)
-    y = rng.uniform(-5, 5, 500)
-    lhs = np.abs(drift_eval(spec, t, x) - drift_eval(spec, t, y))
-    # equality holds exactly in real arithmetic; allow rounding of the
-    # two separately evaluated drift values
-    assert np.all(lhs <= spec.alpha * np.abs(x - y) + 1e-13)
+    np.testing.assert_allclose(spec.target(t + spec.tau), spec.target(t),
+                               rtol=0, atol=1e-12)
 
 
 def test_invalid_specs_rejected():
@@ -233,9 +210,6 @@ def test_insufficient_length_error(ou_config):
     with pytest.raises(SampleLengthError):
         estimate_ergodic_stats(ou_config, ou_config, grid, 1, burn_in_periods=100,
                                batches=16)
-    with pytest.raises(ValueError):
-        estimate_ergodic_stats(ou_config, ou_config, grid, 1, burn_in_periods=0,
-                               batches=4)
 
 
 # ---------------------------------------------------------------------------

@@ -168,15 +168,6 @@ def test_exceedance_reproducible_and_bounded(params, quick_stats):
         a.ci_half_widths, 1.96 * np.sqrt(a.probs * (1 - a.probs) / 50))
 
 
-def test_exceedance_rejects_bad_inputs(params, quick_stats):
-    with pytest.raises(ValueError):
-        exceedance_probability(0.0, [(0.1, 0.1)], 10, 2,
-                               default_noise_pair(), (0.1, 0.0),
-                               stats=quick_stats, params=PendulumParams(),
-                               steps_per_period=1000, burn_in_periods=20,
-                               master_seed=0, convention="derived")
-
-
 # ---------------------------------------------------------------------------
 # concentration inequality
 
@@ -323,14 +314,6 @@ def test_moment_fits_of_a_silent_channel_are_zero():
         np.testing.assert_array_equal(rep.residuals[name], np.zeros(6))
     assert np.isfinite(list(rep.fitted_constants["C1_hat"].values())).all()
     assert rep.fitted_constants["C1_hat"]["dominating"] > 0.0
-
-
-def test_moment_times_validated(params):
-    # one period of 100 steps has 101 nodes, and the fits need two of them
-    for count in (1, 102):
-        with pytest.raises(ValueError, match="moment_times"):
-            moment_growth(default_noise_pair(), count, 10, NoiseAmplitudes(0.1, 0.1),
-                          steps_per_period=100, master_seed=0)
 
 
 def test_moment_times_accept_every_node_of_their_grid():

@@ -21,9 +21,12 @@ past tau, three ``verify`` runs whose noise overflows (channel 1 in
 the calibration path and in an ensemble, channel 2 in the calibration
 path), an ``atlas`` scan whose step is too small for a finite number
 of corners, a ``simulate`` whose rod length overflows a Python float
-power, and a ``poincare`` concentration run whose g l is so small that no
-equilibrium at Lambda = 0 is stable.  ``--case`` (repeatable) runs only
-the cases named.
+power, a ``poincare`` concentration run whose g l is so small that no
+equilibrium at Lambda = 0 is stable, an ``average`` whose finite noise has
+long-run moments that overflow, and four configs one below a bound that
+only the config check enforces (``atlas.samples``, ``portrait.grid``,
+``average.batches``, ``verify.delta``).  ``--case`` (repeatable) runs
+only the cases named.
 
 For each case the script prints both exit codes, the last stderr line of a
 run that failed, and, per output file, the SHA-256 from each tree.  It
@@ -142,6 +145,17 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["poincare-flat-well"] = ("poincare", {"pendulum": {"g": 1e-10},
                                               "seeds": {"master": seed, "ensemble": 12},
                                               "poincare": {"run": ["concentration"]}})
+    # finite noise whose moments overflow: Lambda is not finite, exit 3 and no file
+    out["average-lambda-overflow"] = ("average", {
+        "noise": {"channel1": {"beta": 1e200}, "channel2": {"forcing_amp": 1e200}},
+        "grid": {"h": 0.1}, "seeds": {"master": seed},
+        "average": {"burn_in_periods": 1, "avg_periods": 16}})
+    # one below a bound that only the config check enforces: exit 2 before --out exists
+    out["atlas-samples-low"] = ("atlas", {"atlas": {"samples": 15}})
+    out["portrait-grid-low"] = ("portrait", {"portrait": {"grid": [31, 32]}})
+    out["average-batches-low"] = ("average", {"seeds": {"master": seed},
+                                              "average": {"batches": 7}})
+    out["verify-delta-zero"] = ("verify", {"seeds": {"master": seed}, "verify": {"delta": 0}})
     return out
 
 
