@@ -33,20 +33,24 @@ The exact flow treats the noise paths as an exogenous signal (a random
 ODE), integrated with a fixed-step classical Runge-Kutta scheme on the
 noise grid by one stepper, ``_rk4_nodes``, which every exact-flow caller
 shares.  It reads the noise as time-major tiles (a whole path as one
-tile, an ensemble's noise one span at a time) and has one right-hand
-side, ``_rk4_rhs``.  Its own docstring gives how it carries the state
-across tiles and picks a float or an array back-end.  The stepper yields
-S, cos(theta) and sin(theta) at each node, from which
+tile, an ensemble's noise one span at a time).  Its float back-end
+evaluates the right-hand side ``_rk4_rhs``; its array back-end does the
+same operations in place, into buffers allocated once per call, and can
+drop rows of a flat batch between steps.  Its own docstring gives how it
+carries the state across tiles and picks the back-end.  The stepper
+yields S, cos(theta) and sin(theta) at each node, from which
 
     H - Hbar = S (S/2 - p/l) - (Lambda_1 (2 cos^2 theta - 1) + 2 Lambda_2 sin theta cos theta),
 
 since the p^2/(2 l^2) and g l cos(theta) terms cancel.
 ``hamiltonian_partials`` returns (dH/dtheta, dH/dp) = (-pdot, thetadot)
 from ``_rk4_rhs`` itself, so the partials checked against finite
-differences of H are the field the stepper integrates.  The instantaneous
-coefficients, the (Lambda_1, Lambda_2) map with the products xi_i xi_j in
-place of the moments C, have one site, ``instantaneous_lambda``: the
-frozen-time potential and the deviation check both read them from it.
+differences of H are the field the stepper integrates (the test suite
+checks the two back-ends bit for bit against each other).  The
+instantaneous coefficients, the (Lambda_1, Lambda_2) map with the
+products xi_i xi_j in place of the moments C, have one site,
+``instantaneous_lambda``: the frozen-time potential and the deviation
+check both read them from it.
 The averaged flow uses kick-drift-kick leapfrog, which keeps Hbar
 bounded.  Angles are unwrapped reals throughout; wrapping to (-pi, pi]
 happens only at presentation level.
@@ -55,6 +59,7 @@ happens only at presentation level.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -261,92 +266,235 @@ def _rk4_rhs(theta, p, x1, x2, l, g, s1, s2, cos, sin):
     return dtheta, dp, S, ct, st  # S, cos and sin give the node values
 
 
-def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2):
+class _FloatSteps:
+    """RK4 steps of one orbit on Python floats: the float back-end of :func:`_rk4_nodes`."""
+
+    #: What ``math.cos``/``math.sin`` and float division raise where numpy gives inf or nan.
+    blowups = (ValueError, ZeroDivisionError)
+
+    def __init__(self, theta, p, h, params: PendulumParams, s1, s2):
+        self.state = float(theta), float(p)
+        self.coefs = (h, params.l, params.g, float(s1), float(s2), math.cos, math.sin)
+
+    def start(self, xa):
+        """The node values at the first node ``xa``; sets the first stage."""
+        theta, p = self.state
+        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, *xa, *self.coefs[1:])
+        self.state = theta, p, k1t, k1p
+        return theta, p, S, ct, st
+
+    def step(self, xa, xb):
+        """One step from node ``xa`` to ``xb``: the node values there, or None if not finite."""
+        theta, p, k1t, k1p = self.state
+        h, l, g, s1, s2, cos, sin = self.coefs
+        (xa1, xa2), (xb1, xb2) = xa, xb
+        xm1 = 0.5 * (xa1 + xb1)
+        xm2 = 0.5 * (xa2 + xb2)
+        k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
+                                xm1, xm2, l, g, s1, s2, cos, sin)
+        k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p,
+                                xm1, xm2, l, g, s1, s2, cos, sin)
+        k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p,
+                                xb1, xb2, l, g, s1, s2, cos, sin)
+        theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not (math.isfinite(theta) and math.isfinite(p)):
+            return None
+        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
+        self.state = theta, p, k1t, k1p
+        return theta, p, S, ct, st
+
+
+class _ArraySteps:
+    """RK4 steps of a batch of orbits in place: the array back-end of :func:`_rk4_nodes`.
+
+    Every array of a step is written into one block of buffers of the
+    batch shape, allocated once; :meth:`keep` shrinks them to the kept
+    rows.  Each operation is the IEEE double operation of ``_rk4_rhs`` and
+    the float step, on the same operands in the same order, and the
+    couplings times a noise value, which ``_rk4_rhs`` forms in each of the
+    two stages that share it, are formed once.  With ``col`` the batch is
+    flat and row i reads noise column ``col[i]``, taken per node.
+    """
+
+    blowups = ()
+
+    def __init__(self, theta, p, h, params: PendulumParams, s1, s2, col, xa):
+        noise = [np.shape(x) for x in xa]
+        shape = np.broadcast_shapes(np.shape(theta), np.shape(p), np.shape(s1), np.shape(s2),
+                                    *(noise if col is None else [col.shape]))
+        self.h, self.l, self.g, self.s1, self.s2, self.col = h, params.l, params.g, s1, s2, col
+        self.mid = [np.empty(n) for n in noise]  # the noise pair at a cell's midpoint
+        self.buf = np.empty((21,) + shape)
+        self.views = tuple(self.buf)
+        self.ok = np.empty((2,) + shape, dtype=bool)
+        self.buf[0], self.buf[1] = theta, p
+
+    def keep(self, mask):
+        """Keep only the rows of a flat batch where ``mask`` is true."""
+        n = np.count_nonzero(mask)
+        self.buf[:, :n] = self.buf[:, mask]
+        self.buf, self.ok = self.buf[:, :n], self.ok[:, :n]
+        self.views = tuple(self.buf)
+        self.s1, self.s2, self.col = (a[mask] for a in (self.s1, self.s2, self.col))
+
+    def _scaled(self, x, sx):
+        """The couplings times the noise pair ``x``, into ``sx``."""
+        for s, xc, out in zip((self.s1, self.s2), x, sx):
+            if self.col is None:
+                np.multiply(s, xc, out=out)
+            else:  # "clip" skips the buffered copy of "raise"; every index is in range
+                xc.take(self.col, out=out, mode="clip")
+                np.multiply(s, out, out=out)
+
+    def _rhs(self, theta, p, sx1, sx2, dtheta, dp):
+        """``_rk4_rhs`` into ``dtheta``/``dp``, with S, cos and sin left in their buffers."""
+        *_, S, ct, st = self.views[:7]
+        Sp, tmp = self.views[19:]
+        l, g = self.l, self.g
+        np.cos(theta, out=ct)
+        np.sin(theta, out=st)
+        np.multiply(sx1, ct, out=S)
+        np.multiply(sx2, st, out=tmp)
+        np.add(S, tmp, out=S)
+        np.multiply(sx2, ct, out=Sp)
+        np.multiply(sx1, st, out=tmp)
+        np.subtract(Sp, tmp, out=Sp)
+        np.divide(p, l * l, out=dtheta)
+        np.divide(S, l, out=tmp)
+        np.subtract(dtheta, tmp, out=dtheta)
+        np.multiply(p, Sp, out=dp)
+        np.divide(dp, l, out=dp)
+        np.multiply(S, Sp, out=tmp)
+        np.subtract(dp, tmp, out=dp)
+        np.multiply(st, g * l, out=tmp)
+        np.subtract(dp, tmp, out=dp)
+
+    def start(self, xa):
+        """The node values at the first node ``xa``; sets the first stage."""
+        theta, p, k1t, k1p, S, ct, st, *_, sb1, sb2, _, _ = self.views
+        self._scaled(xa, (sb1, sb2))
+        self._rhs(theta, p, sb1, sb2, k1t, k1p)
+        return theta, p, S, ct, st
+
+    def step(self, xa, xb):
+        """One step from node ``xa`` to ``xb``: the node values there, or None if not finite."""
+        (theta, p, k1t, k1p, S, ct, st, tt, pp, k2t, k2p, k3t, k3p, k4t, k4p,
+         sm1, sm2, sb1, sb2, _, _) = self.views
+        h = self.h
+        for mid, a, b in zip(self.mid, xa, xb):
+            np.add(a, b, out=mid)
+            np.multiply(mid, 0.5, out=mid)
+        self._scaled(self.mid, (sm1, sm2))
+        self._scaled(xb, (sb1, sb2))
+        stages = (((k1t, k1p), (k2t, k2p), 0.5 * h, sm1, sm2),
+                  ((k2t, k2p), (k3t, k3p), 0.5 * h, sm1, sm2),
+                  ((k3t, k3p), (k4t, k4p), h, sb1, sb2))
+        for (kt, kp), (nt, npp), c, sx1, sx2 in stages:
+            np.multiply(kt, c, out=tt)
+            np.add(theta, tt, out=tt)
+            np.multiply(kp, c, out=pp)
+            np.add(p, pp, out=pp)
+            self._rhs(tt, pp, sx1, sx2, nt, npp)
+        for y, a, b, c, d in ((theta, k1t, k2t, k3t, k4t), (p, k1p, k2p, k3p, k4p)):
+            np.multiply(b, 2.0, out=b)  # y + (h / 6) * (a + 2 b + 2 c + d)
+            np.add(a, b, out=b)
+            np.multiply(c, 2.0, out=c)
+            np.add(b, c, out=b)
+            np.add(b, d, out=b)
+            np.multiply(b, h / 6.0, out=b)
+            np.add(y, b, out=y)
+        if not np.isfinite(self.buf[:2], out=self.ok).all():  # theta and p
+            return None
+        self._rhs(theta, p, sb1, sb2, k1t, k1p)
+        return theta, p, S, ct, st
+
+
+def _node_rows(tiles, rows):
+    """The noise pair at each node of consecutive ``tiles``, as ``rows`` gives them.
+
+    A tile's last node is copied, since the next tile may overwrite the
+    buffer that it is a view of.
+    """
+    for xi1, xi2 in tiles:
+        r1, r2 = rows(xi1), rows(xi2)
+        yield from zip(r1[:-1], r2[:-1])
+        if len(r1):
+            yield copy.copy(r1[-1]), copy.copy(r2[-1])
+
+
+def _rk4_nodes(theta, p, tiles, h, params: PendulumParams, s1, s2, col):
     """Classical RK4 on the noise grid; yields the state at every node.
 
     ``tiles`` is an iterable of time-major noise tiles ``(xi1, xi2)``
     (``xi[k]`` is the noise at the tile's row k) that cut nodes 0 .. n
     into consecutive disjoint pieces.  Each tile is read before the next
-    is asked for; the state (theta, p and the first stage) and a copy of
-    the tile's last node are carried across, so the steps across tiles
-    are the steps over one whole array, even when the next tile
-    overwrites the buffer the last one was a view of.  The batch shape is
-    what ``theta``, ``p``, a noise row and the couplings ``s1``/``s2``
-    (scalars, or (levels, 1) columns that stack several levels over one
-    noise batch) broadcast to, so callers pass each as it is: the state
-    takes the batch shape at the first step, and node 0 yields it as
-    given.  The noise is linearly interpolated in each cell.  Yields
+    is asked for; the state and a copy of the tile's last node are
+    carried across, so the steps across tiles are the steps over one
+    whole array, even when the next tile overwrites the buffer the last
+    one was a view of.  The batch shape is what ``theta``, ``p``, a noise
+    row and the couplings ``s1``/``s2`` (scalars, or (levels, 1) columns
+    that stack several levels over one noise batch) broadcast to, so
+    callers pass each as it is, with ``col`` None.  With ``col`` a 1-D
+    array of noise column indices, the batch is flat instead: row i reads
+    column ``col[i]`` of each noise row, and ``s1``/``s2`` hold one
+    coupling per row.  The noise is linearly interpolated in each cell.  Yields
     ``(k, theta, p, S, cos theta, sin theta)`` for k = 0 .. n; the
     right-hand side at node k + 1 is the next step's first stage, so the
     node values cost no extra work.  Raises :class:`BlowUpError` with the
     first step at which any row blows up.
 
-    The one right-hand side ``_rk4_rhs`` runs on one of two back-ends,
-    chosen once per call by the batch shape.  A width-1 orbit (``theta``,
-    ``p``, ``s1`` and ``s2`` scalar, noise 1-D) steps on Python floats
-    with ``math.cos``/``math.sin`` and noise lists, which skips the
-    per-call overhead of numpy scalars; every other shape steps on arrays
-    with ``np.cos``/``np.sin``.  Both back-ends do the same IEEE double
-    operations in the same order, so a width-1 orbit is bit-identical to
-    the same orbit run as a shape-(1,) batch as long as numpy's float64
-    cos/sin round as the platform libm does.  numpy 2.4 on x86-64 Linux
-    (AVX-512 included) does; a numpy build with its own vectorized float64
-    trig may differ in the last bit, and the test suite checks this.
-    ``math.cos``/``math.sin`` raise ``ValueError`` on an infinite angle
-    and Python float division raises ``ZeroDivisionError`` where numpy
-    gives inf or nan; on the float back-end either one becomes
-    ``BlowUpError(k + 1)``, the step at which the array back-end's
-    finiteness check fails (step 1 for a non-finite start).
-    """
-    l, g = params.l, params.g
-    tiles = iter(tiles)
-    xi1, xi2 = next(tiles)
-    if np.shape(theta) == np.shape(p) == np.shape(s1) == np.shape(s2) == () \
-            and np.ndim(xi1) == np.ndim(xi2) == 1:
-        cos, sin, blowups = math.cos, math.sin, (ValueError, ZeroDivisionError)
-        theta, p, s1, s2 = float(theta), float(p), float(s1), float(s2)
-        rows = np.ndarray.tolist
+    A flat batch can drop rows: a boolean mask sent into the generator
+    (``send(mask)``, answered by None) after node k keeps only the rows
+    where it is true from step k + 1 on.
 
-        def finite(a, b):
-            return math.isfinite(a) and math.isfinite(b)
+    The right-hand side of ``_rk4_rhs`` runs on one of two back-ends,
+    chosen once per call by the batch shape.  A width-1 orbit (``theta``,
+    ``p``, ``s1`` and ``s2`` scalar, noise 1-D, no ``col``) steps on
+    Python floats with ``math.cos``/``math.sin`` and noise lists through
+    ``_rk4_rhs`` itself (:class:`_FloatSteps`), which skips the per-call
+    overhead of numpy scalars; every other shape steps on arrays in place
+    (:class:`_ArraySteps`), and the arrays it yields are overwritten by
+    the next step.  Both back-ends do the same IEEE double operations in
+    the same order, so a width-1 orbit is bit-identical to the same orbit
+    run as a shape-(1,) batch as long as numpy's float64 cos/sin round as
+    the platform libm does.  numpy 2.4 on x86-64 Linux (AVX-512 included)
+    does; a numpy build with its own vectorized float64 trig may differ in
+    the last bit, and the test suite checks this.  ``math.cos``/``math.sin``
+    raise ``ValueError`` on an infinite angle and Python float division
+    raises ``ZeroDivisionError`` where numpy gives inf or nan; on the
+    float back-end either one becomes ``BlowUpError(k + 1)``, the step at
+    which the array back-end's finiteness check fails (step 1 for a
+    non-finite start).
+    """
+    tiles = iter(tiles)
+    first = next(tiles)
+    if col is None and np.shape(theta) == np.shape(p) == np.shape(s1) == np.shape(s2) == () \
+            and np.ndim(first[0]) == np.ndim(first[1]) == 1:
+        steps, rows = _FloatSteps(theta, p, h, params, s1, s2), np.ndarray.tolist
     else:
-        cos, sin, blowups = np.cos, np.sin, ()
+        steps = _ArraySteps(theta, p, h, params, s1, s2, col, (first[0][0], first[1][0]))
 
         def rows(xi):
             return xi
-
-        def finite(a, b):
-            return np.isfinite(a).all() and np.isfinite(b).all()
+    nodes = _node_rows(itertools.chain([first], tiles), rows)
+    step = steps.step
     k = 0  # the node the current step starts from
     try:
-        nodes = zip(rows(xi1), rows(xi2))
-        xa1, xa2 = next(nodes)
-        k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xa1, xa2, l, g, s1, s2, cos, sin)
-        yield 0, theta, p, S, ct, st
-        while True:
-            for xb1, xb2 in nodes:
-                xm1 = 0.5 * (xa1 + xb1)
-                xm2 = 0.5 * (xa2 + xb2)
-                k2t, k2p, *_ = _rk4_rhs(theta + 0.5 * h * k1t, p + 0.5 * h * k1p,
-                                        xm1, xm2, l, g, s1, s2, cos, sin)
-                k3t, k3p, *_ = _rk4_rhs(theta + 0.5 * h * k2t, p + 0.5 * h * k2p,
-                                        xm1, xm2, l, g, s1, s2, cos, sin)
-                k4t, k4p, *_ = _rk4_rhs(theta + h * k3t, p + h * k3p,
-                                        xb1, xb2, l, g, s1, s2, cos, sin)
-                theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-                p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                if not finite(theta, p):
-                    raise BlowUpError(k + 1)
-                k1t, k1p, S, ct, st = _rk4_rhs(theta, p, xb1, xb2, l, g, s1, s2, cos, sin)
-                xa1, xa2 = xb1, xb2
-                k += 1
-                yield k, theta, p, S, ct, st
-            xa1, xa2 = copy.copy(xa1), copy.copy(xa2)  # the next tile may overwrite them
-            tile = next(tiles, None)
-            if tile is None:
-                return
-            nodes = zip(*map(rows, tile))
-    except blowups:
+        xa = next(nodes)
+        node = steps.start(xa)
+        for xb in nodes:
+            if (mask := (yield (k, *node))) is not None:
+                steps.keep(mask)
+                yield
+            node = step(xa, xb)
+            if node is None:
+                raise BlowUpError(k + 1)
+            xa = xb
+            k += 1
+        if (yield (k, *node)) is not None:  # a mask sent at the last node keeps nothing more
+            yield
+    except steps.blowups:
         raise BlowUpError(k + 1) from None
 
 
@@ -372,7 +520,8 @@ def exact_flow_ensemble(theta0, p0, xi1: np.ndarray, xi2: np.ndarray,
     batch = np.broadcast_shapes(theta0.shape, p0.shape, xi1.shape[1:], xi2.shape[1:])
     out_theta = np.empty((grid.n + 1,) + batch)
     out_p = np.empty((grid.n + 1,) + batch)
-    nodes = _rk4_nodes(theta0, p0, [(xi1, xi2)], grid.h, params, amps.sigma1, amps.sigma2)
+    nodes = _rk4_nodes(theta0, p0, [(xi1, xi2)], grid.h, params, amps.sigma1, amps.sigma2,
+                       None)
     for k, theta, p, *_ in nodes:
         out_theta[k] = theta
         out_p[k] = p

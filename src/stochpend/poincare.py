@@ -18,11 +18,17 @@ the driven flow:
 
 Distances live on the phase cylinder: angular difference modulo 2 pi
 combined with the momentum difference in quadrature.
+
+The ensemble sections run through :func:`~stochpend.rpsde._ensemble`:
+its seed blocks run on forked workers, one per CPU, and the sections are
+joined in seed order, so the worker count changes no byte, and a blow-up
+raises the error one block of all the seeds would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .dynamics import (
     wrap_angle,
 )
 from .rng import ensemble_seeds
-from .rpsde import PairConfig, _noise_chunks, grid_for_periods, period_stride
+from .rpsde import PairConfig, _ensemble, grid_for_periods, period_stride
 
 #: Equal averaged-energy bands over which the fill occupancy is also reported.
 FILL_BANDS = 8
@@ -123,31 +129,33 @@ def plane_fill_density(sections: list[StroboscopicSection], grid: tuple[int, int
                       band_edges=band_edges, band_occupancy=(cells > 0).mean(axis=(1, 2)))
 
 
+def _sections(h: float, params: PendulumParams, sig: np.ndarray, stride: int,
+              tiles, theta0: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Section states of one block, shape (2, levels, sections, width): a job of
+    :func:`~stochpend.rpsde._ensemble`.
+
+    The levels run stacked in one batch, with sigma held as (levels, 1)
+    columns over the block's noise columns; every ``stride``-th node is kept.
+    """
+    nodes = _rk4_nodes(theta0, p0, tiles, h, params, sig[:, :1], sig[:, 1:], None)
+    return np.stack([np.stack((th, p)) for k, th, p, *_ in nodes if k % stride == 0], axis=2)
+
+
 def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, float]],
                    params: PendulumParams, theta0, p0, seeds: np.ndarray,
-                   horizon_periods: int, steps_per_period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Section points (theta, p) of an ensemble; shape (levels, n_sections, m).
+                   horizon_periods: int, steps_per_period: int) -> np.ndarray:
+    """Section points (theta, p) of an ensemble; shape (2, levels, n_sections, m).
 
-    Each noise chunk of :func:`~stochpend.rpsde._noise_chunks` is drawn
-    once and drives every sigma level; the levels run stacked in one batch,
-    with sigma held as (levels, 1) columns.  The chunk is read one time
-    tile at a time, and only the section states are kept.
+    Each block of noise from :func:`~stochpend.rpsde._ensemble` is drawn
+    once and drives every sigma level; the block is read one time tile at
+    a time, and only the section states are kept.
     """
     grid = grid_for_periods(pair_config[0].drift.tau, horizon_periods, steps_per_period)
     sig = np.array(sigma_levels, dtype=float).reshape(-1, 2)
     m = len(seeds)
-    theta0 = np.broadcast_to(theta0, (m,))
-    p0 = np.broadcast_to(p0, (m,))
-    out_theta = np.empty((len(sig), horizon_periods + 1, m))
-    out_p = np.empty_like(out_theta)
-    for rows, tiles in _noise_chunks(pair_config, grid, seeds, 0):
-        nodes = _rk4_nodes(theta0[rows], p0[rows], tiles, grid.h, params,
-                           sig[:, :1], sig[:, 1:])
-        for k, th, p, *_ in nodes:
-            if k % steps_per_period == 0:
-                out_theta[:, k // steps_per_period, rows] = th
-                out_p[:, k // steps_per_period, rows] = p
-    return out_theta, out_p
+    job = partial(_sections, grid.h, params, sig, steps_per_period)
+    return _ensemble(job, pair_config, grid, seeds, 0,
+                     np.broadcast_to(theta0, (m,)), np.broadcast_to(p0, (m,)))
 
 
 def equilibrium_concentration(e0: Equilibrium,

@@ -36,15 +36,19 @@ in scipy.stats, optimize and more, about 1 s; with no such file,
 ``lfilter`` runs it.  The paths are bit-identical to the literal
 step-by-step loop, however they are cut into spans.  A draw fails with
 :class:`BlowUpError` at the first node where either channel is
-non-finite, whatever the cut; an ensemble drawn in seed chunks fails
-within the first chunk that has such a node.
+non-finite, whatever the cut.
 :func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
 path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
 one batch at a time and reduces each batch before drawing the next.  The
-ensemble experiments take the pair from :func:`_noise_chunks`,
-:data:`SEED_CHUNK` seeds at a time and ``_SPAN`` nodes at a time, so a
-consumer holds one tile of each channel, whatever the horizon;
-:func:`_noise_at` gathers the ensemble's values at a few nodes from it.
+ensemble experiments run through one function, :func:`_ensemble`: it cuts
+the seeds into blocks of at most :data:`SEED_CHUNK`, runs a job on each
+block's pair, ``_SPAN`` nodes at a time, so a job holds one tile of each
+channel whatever the horizon, and joins the jobs' results in seed order.
+The blocks run on a pool of forked workers, one per CPU, and the result
+and the error raised are those of one block of all the seeds: each
+seed's (seed, stream) Philox streams are its own, so no partition of the
+seeds changes a byte.  :func:`_noise_at` gathers the ensemble's values
+at a few nodes through it.
 
 The forcing term and its time grid are built only when A != 0.  At
 A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
@@ -58,8 +62,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
+from operator import itemgetter
 
 import numpy as np
 import scipy
@@ -72,9 +78,9 @@ INDEPENDENT = "independent"
 
 #: Wiener substream label for the shared driver.
 SHARED_STREAM = 0
-#: Seeds per noise chunk of the ensemble experiments (see :func:`_noise_chunks`).
+#: Most seeds in one block of the ensemble experiments (see :func:`_ensemble`).
 SEED_CHUNK = 500
-#: Nodes per time span of a noise chunk (see :func:`_noise_chunks`).
+#: Nodes per time tile of a block's noise (see :func:`_ensemble`).
 _SPAN = 2048
 #: Relative tolerance within which a time is a grid node.
 GRID_TOL = 1e-9
@@ -334,39 +340,94 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     return x1.T, x2.T
 
 
-def _noise_chunks(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int):
-    """The ensemble's noise pair, ``SEED_CHUNK`` seeds by ``_SPAN`` nodes at a time.
+def _ensemble(job, pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, start: int,
+              *columns: np.ndarray) -> np.ndarray:
+    """``job`` run on each block of the ensemble's noise; the results joined in seed order.
 
-    Yields ``(rows, tiles)`` per chunk, ``rows`` the slice of ``seeds`` it
-    holds and ``tiles`` the chunk's :func:`_spans` from ``start`` on: it
-    yields ``(x1, x2)``, nodes ``start`` .. ``grid.n`` of the chunk's
-    paths, time-major, one column per seed, in consecutive disjoint tiles
-    of at most ``_SPAN`` rows.  A :class:`BlowUpError` names the first
-    non-finite node of the first chunk that has one.
+    The seeds are cut into blocks of ``min(SEED_CHUNK, ceil(seeds /
+    workers))``, one worker per CPU this process may run on.  ``job`` (a
+    module-level function or a ``functools.partial`` of one, so that it
+    pickles) is called as ``job(tiles, *block_columns)``: ``tiles`` are the
+    block's :func:`_spans` from ``start`` on, ``_SPAN`` nodes at a time,
+    and ``block_columns`` the block's slice of each of ``columns``,
+    per-seed arrays along the last axis.  It returns an array whose last
+    axis is the block's seeds, and these are concatenated along it.  With
+    more than one block and worker, the blocks run in a pool of forked
+    workers (a spawned one would import numpy and scipy again), which is
+    joined before this returns.
+
+    Each block runs until its first :class:`BlowUpError`; then the one of
+    the earliest time tile is raised, a noise failure before an orbit
+    failure of that tile, then the smallest node.  That is the error one
+    block of all the seeds raises, since a tile's noise is drawn before
+    its nodes are stepped, so neither the worker count nor ``SEED_CHUNK``
+    changes it, and, each seed's streams being its own, nor any result.
     """
-    for lo in range(0, len(seeds), SEED_CHUNK):
-        rows = slice(lo, min(lo + SEED_CHUNK, len(seeds)))
-        yield rows, _spans(pair_config, grid, seeds[rows], start, _SPAN)
+    workers = len(os.sched_getaffinity(0))
+    size = min(SEED_CHUNK, -(-len(seeds) // workers))
+    blocks = [(seeds[lo:lo + size], *(c[..., lo:lo + size] for c in columns))
+              for lo in range(0, len(seeds), size)]
+    run = partial(_run_block, job, pair_config, grid, start)
+    if min(workers, len(blocks)) > 1:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(min(workers, len(blocks))) as pool:
+            results = pool.starmap(run, blocks, chunksize=1)
+            pool.close()
+            pool.join()
+    else:
+        results = [run(*block) for block in blocks]
+    failures = [r for r in results if isinstance(r, tuple)]
+    if failures:
+        raise min(failures, key=itemgetter(1))[0]
+    return np.concatenate(results, axis=-1)
+
+
+def _run_block(job, pair_config: PairConfig, grid: PathGrid, start: int, seeds: np.ndarray,
+               *columns: np.ndarray):
+    """``job`` on one block of :func:`_ensemble`, or its failure and the failure's order.
+
+    A failure is returned as ``(error, (tile, orbit, node))``: the first
+    node of its time tile, whether the orbit (not the noise) failed, and
+    its grid node.  An orbit's steps count from ``start``; the noise's
+    nodes from 0.
+    """
+    tiles = _spans(pair_config, grid, seeds, start, _SPAN)
+    try:
+        return job(tiles, *columns)
+    except BlowUpError as err:
+        orbit = tiles.gi_frame is not None  # a noise failure ends the tile generator
+        node = err.step_index + start * orbit
+        first = start if node >= start else 0
+        return err, (node - (node - first) % _SPAN, orbit, node)
+
+
+def _gather(nodes: np.ndarray, tiles) -> np.ndarray:
+    """Both channels at grid ``nodes``, node-major (2, len(nodes), seeds).
+
+    A job of :func:`_ensemble`.  The tiles start at the smallest node;
+    each node's values are taken from the tile that holds it.
+    """
+    k0, heres, values = nodes.min(), [], []
+    for tile in tiles:
+        here = np.flatnonzero((k0 <= nodes) & (nodes < k0 + tile.shape[1]))
+        heres.append(here)
+        values.append(tile[:, nodes[here] - k0])
+        k0 += tile.shape[1]
+    at = np.empty((2, len(nodes), tile.shape[2]))
+    at[:, np.concatenate(heres)] = np.concatenate(values, axis=1)
+    return at
 
 
 def _noise_at(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, nodes) -> np.ndarray:
     """Both channels of the ensemble at grid ``nodes``, node-major (2, len(nodes), len(seeds)).
 
-    The values are gathered tile by tile from :func:`_noise_chunks`,
-    drawn from the smallest node on, so only one tile of each channel is
-    held, and each node's values lie contiguous.
+    The values are gathered tile by tile, drawn from the smallest node on,
+    so only one tile of each channel is held per block, and each node's
+    values lie contiguous.
     """
     nodes = np.asarray(nodes)
-    start = int(nodes.min())
-    at = np.empty((2, len(nodes), len(seeds)))
-    for rows, tiles in _noise_chunks(pair_config, grid, seeds, start):
-        k0 = start  # the node of the tile's row 0
-        for tile in tiles:
-            here = np.flatnonzero((k0 <= nodes) & (nodes < k0 + tile.shape[1]))
-            at[:, here, rows] = tile[:, nodes[here] - k0]
-            k0 += tile.shape[1]
-        del tile  # free this chunk's tile before the next chunk draws its own
-    return at
+    return _ensemble(partial(_gather, nodes), pair_config, grid, seeds, int(nodes.min()))
 
 
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,

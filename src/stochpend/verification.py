@@ -17,14 +17,21 @@ The quantities verified here:
   max(sigma_1, sigma_2) verifies the advertised O(max sigma) decay.
 
 All experiments reuse one seed set across coupling levels (common random
-numbers), so monotonicity comparisons are coupled, and iterate members in
-sorted-seed order, so results do not depend on scheduling.
+numbers), so monotonicity comparisons are coupled.  The ensembles run
+through :func:`~stochpend.rpsde._ensemble`, whose seed blocks run on
+forked workers and whose results are joined in sorted-seed order, so
+neither the scheduling nor the worker count changes a result or the
+error raised.  The exceedance check decides a (level, seed) row early:
+once its running sup has passed delta it leaves the batch at the end of
+its time tile, since the report keeps only whether the sup passed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,8 +54,8 @@ from .rpsde import (
     ErgodicStats,
     PairConfig,
     PathSample,
+    _ensemble,
     _noise_at,
-    _noise_chunks,
     estimate_ergodic_stats,
     grid_for_periods,
 )
@@ -140,24 +147,59 @@ def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],
 
 def _sup_gaps(tiles, h: float, params: PendulumParams,
               sigma_levels: list[tuple[float, float]], lams: list[LambdaPoint],
-              theta0: float, p0: float) -> np.ndarray:
-    """Running sup of |H - Hbar| per (level, noise row); shape (levels, width).
+              theta0: float, p0: float, delta: float | None) -> np.ndarray:
+    """Running sup of |H - Hbar| per (level, noise column); shape (levels, width).
 
     ``tiles`` yields time-major noise tiles of shape (rows, width), as
     :func:`~stochpend.dynamics._rk4_nodes` reads them.  All levels run as
-    one stacked batch, with sigma and Lambda held as (levels, 1) columns
-    over the shared noise rows.  The scalar start and the gap take their
-    shape (levels, width) from these columns and the noise rows, as
-    :func:`~stochpend.dynamics._rk4_nodes` broadcasts them.
+    one flat batch of (level, column) rows, row i on level i // width and
+    column i % width, each with its own sigma, Lambda and noise column.
+    With a threshold ``delta``, a row whose sup has passed it is decided:
+    it leaves the batch at the end of its time tile and keeps the sup it
+    had then.  A tile ends every as many nodes as the first tile holds,
+    as :func:`~stochpend.rpsde._spans` cuts them.  Once no row is left,
+    the remaining tiles are drawn only for their noise checks.  With
+    ``delta`` None, every row runs to the last node.
     """
-    sig = np.array(sigma_levels, dtype=float).reshape(-1, 2)
-    lam = np.array([(pt.lambda1, 2.0 * pt.lambda2) for pt in lams]).reshape(-1, 2)
-    gap = 0.0
-    for _, theta, p, S, ct, st in _rk4_nodes(theta0, p0, tiles, h, params,
-                                             sig[:, :1], sig[:, 1:]):
-        gap = np.maximum(gap, np.abs(S * (0.5 * S - p / params.l) - (
-            lam[:, :1] * (2.0 * ct * ct - 1.0) + lam[:, 1:] * (st * ct))))
-    return gap
+    tiles = iter(tiles)
+    first = next(tiles)
+    span, width = np.shape(first[0])
+    sig = np.repeat(np.array(sigma_levels, dtype=float).reshape(-1, 2), width, axis=0)
+    lam1, lam2 = np.repeat([(pt.lambda1, 2.0 * pt.lambda2) for pt in lams], width, axis=0).T
+    rows = np.arange(len(sig))  # the flat index of each row left in the batch
+    sup = np.empty(len(sig))
+    gap, a, b, c = np.zeros((4, len(sig)))
+    nodes = _rk4_nodes(theta0, p0, itertools.chain([first], tiles), h, params,
+                       sig[:, 0], sig[:, 1], rows % width)
+    for k, theta, p, S, ct, st in nodes:
+        # gap = max(gap, |S (0.5 S - p / l) - (lam1 (2 ct ct - 1) + lam2 (st ct))|), in place
+        np.multiply(S, 0.5, out=a)
+        np.divide(p, params.l, out=b)
+        np.subtract(a, b, out=a)
+        np.multiply(S, a, out=a)
+        np.multiply(ct, 2.0, out=b)
+        np.multiply(b, ct, out=b)
+        np.subtract(b, 1.0, out=b)
+        np.multiply(lam1, b, out=b)
+        np.multiply(st, ct, out=c)
+        np.multiply(lam2, c, out=c)
+        np.add(b, c, out=b)
+        np.subtract(a, b, out=a)
+        np.abs(a, out=a)
+        np.maximum(gap, a, out=gap)
+        if delta is not None and (k + 1) % span == 0:
+            keep = gap <= delta
+            if not keep.all():
+                sup[rows[~keep]] = gap[~keep]
+                rows, gap, lam1, lam2 = rows[keep], gap[keep], lam1[keep], lam2[keep]
+                a, b, c = a[:len(rows)], b[:len(rows)], c[:len(rows)]
+                if not len(rows):
+                    break
+                nodes.send(keep)
+    sup[rows] = gap
+    for _ in tiles:  # drawn only for their noise checks
+        pass
+    return sup.reshape(-1, width)
 
 
 def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]],
@@ -169,16 +211,20 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     """Fraction of seeds whose sup-gap over the horizon exceeds ``delta``.
 
     ``stats`` are the long-run noise moments (see :func:`calibration_stats`)
-    that set each level's Lambda.  Each chunk of noise paths from
-    :func:`~stochpend.rpsde._noise_chunks` (they do not depend on the
-    coupling amplitudes) drives all sigma levels, stacked in one batch, so
-    the level comparison is coupled.  The chunk is read one time tile at a
-    time, and only the running sup-gaps are kept, so the memory does not
-    grow with the horizon.  Paths start ``burn_in_periods`` before the
-    horizon so the flow sees settled noise.  A blow-up at any level
-    raises :class:`BlowUpError` with its step; noise that is not finite
-    raises it at its node when its tile is drawn, so an orbit that blows
-    up in an earlier tile names the orbit's step.
+    that set each level's Lambda.  Each block of noise paths from
+    :func:`~stochpend.rpsde._ensemble` (they do not depend on the coupling
+    amplitudes) drives all sigma levels, in one batch, so the level
+    comparison is coupled.  The block is read one time tile at a time, and
+    only the running sup-gaps are kept, so the memory does not grow with
+    the horizon.  The report keeps only whether each sup passed ``delta``,
+    so a (level, seed) row is decided once it has (the first-passage
+    argument) and leaves the batch at the end of that tile.  Paths start
+    ``burn_in_periods`` before the horizon so the flow sees settled noise.
+    A blow-up at any level raises :class:`BlowUpError` with its step
+    counted from the horizon's start, unless its row was decided in an
+    earlier tile; noise that is not finite raises it at its node when its
+    tile is drawn, so an orbit that blows up in an earlier tile names the
+    orbit's step.
     """
     tau = pair_config[0].drift.tau
     theta0, p0 = map(float, initial)
@@ -187,10 +233,9 @@ def exceedance_probability(delta: float, sigma_levels: list[tuple[float, float]]
     full_grid = grid_for_periods(tau, burn_in_periods + horizon_periods, steps_per_period)
     start = burn_in_periods * steps_per_period
     seeds = ensemble_seeds(master_seed, ensemble_n)
-    sup_gaps = np.empty((len(sigma_levels), ensemble_n))
-    for rows, tiles in _noise_chunks(pair_config, full_grid, seeds, start):
-        sup_gaps[:, rows] = _sup_gaps(tiles, full_grid.h, params, sigma_levels, lams,
-                                      theta0, p0)
+    job = partial(_sup_gaps, h=full_grid.h, params=params, sigma_levels=sigma_levels,
+                  lams=lams, theta0=theta0, p0=p0, delta=delta)
+    sup_gaps = _ensemble(job, pair_config, full_grid, seeds, start)
     probs = (sup_gaps > delta).mean(axis=1)
     ci = 1.96 * np.sqrt(probs * (1.0 - probs) / ensemble_n)
     return ExceedanceReport(delta=delta, sigma_levels=list(sigma_levels),

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,15 @@ def ou_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250810)
+
+
+def set_workers(monkeypatch, n):
+    """Run the ensemble blocks of ``rpsde._ensemble`` on ``n`` workers, as if on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture()
+def one_worker(monkeypatch):
+    """One worker: ``tracemalloc`` sees only its own process, so a memory
+    test must run every block in it."""
+    set_workers(monkeypatch, 1)

@@ -12,7 +12,6 @@ from stochpend import (
     NoiseAmplitudes,
     PendulumParams,
     classify_region,
-    effective_potential,
     effective_potential_dtheta,
     find_equilibria,
     gamma1_curve,
@@ -24,7 +23,6 @@ from stochpend import (
 from stochpend import bifurcation
 from stochpend.dynamics import instantaneous_lambda
 from stochpend.rpsde import grid_for_periods
-from tests.test_dynamics import make_stats
 
 from conftest import default_noise_pair
 

@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from stochpend.rpsde import grid_for_periods
 from stochpend.verification import calibration_stats
 
-from conftest import default_noise_pair
+from conftest import default_noise_pair, set_workers
 
 
 def run_cli(tmp_path, command, config, out="run", seed=None):
@@ -185,6 +186,56 @@ def test_noise_overflow_in_a_late_tile_exits_numeric(tmp_path, capsys, monkeypat
     assert code == EXIT_NUMERIC
     assert not out.exists()
     assert "numeric failure" in capsys.readouterr().err
+
+
+# every output file of each ensemble run, and the error lines of a noise and
+# an orbit blow-up in an ensemble (the tools/compare_outputs.py cases)
+PARTITION_CASES = {
+    "verify": ("verify", {"grid": {"h": 0.01, "horizon_periods": 3},
+                          "seeds": {"master": 3, "ensemble": 30},
+                          "verify": {"run": ["exceedance", "moments", "deviation"],
+                                     "burn_in_periods": 2}}),
+    "poincare": ("poincare", {"grid": {"h": 0.01, "horizon_periods": 3},
+                              "seeds": {"master": 3, "ensemble": 30},
+                              "poincare": {"run": ["concentration"]}}),
+    "verify-blowup-moments": ("verify", {"noise": {"channel1": {"alpha": 3500.0}},
+                                         "seeds": {"master": 0, "ensemble": 12},
+                                         "verify": {"run": ["moments"]}}),
+    "verify-orbit-blowup": ("verify", {
+        "grid": {"horizon_periods": 3}, "seeds": {"master": 0, "ensemble": 12},
+        "verify": {"run": ["exceedance"], "burn_in_periods": 1,
+                   "sigma_levels": [[1e60, 1e60], [0.2, 0.2], [0.1, 0.1], [0.05, 0.05]]}}),
+}
+
+
+@pytest.mark.parametrize("case", list(PARTITION_CASES))
+def test_seed_partition_changes_no_byte(tmp_path, capsys, monkeypatch, case):
+    """One or two workers and seed blocks of ``SEED_CHUNK`` or 7 seeds give
+    the same files, or the same error line, as one block of all the seeds.
+    The 32-node tiles let decided exceedance rows leave the batch."""
+    command, cfg = PARTITION_CASES[case]
+    monkeypatch.setattr(rpsde, "_SPAN", 32)
+    runs = []
+    for workers, chunk in [(1, rpsde.SEED_CHUNK), (2, rpsde.SEED_CHUNK), (2, 7), (1, 7)]:
+        set_workers(monkeypatch, workers)
+        monkeypatch.setattr(rpsde, "SEED_CHUNK", chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run_cli(tmp_path, command, cfg, out=f"{workers}-{chunk}")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        runs.append((code, read_bytes(out)) if code == EXIT_OK else (code, err.splitlines()[-1]))
+    assert runs[0][0] == (EXIT_OK if case in ("verify", "poincare") else EXIT_NUMERIC)
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_no_worker_outlives_the_run(tmp_path, monkeypatch):
+    """The pool is joined before ``main`` returns, so no child process is
+    left that could compete with a timing taken after it."""
+    set_workers(monkeypatch, 2)
+    code, _ = run_cli(tmp_path, *PARTITION_CASES["verify"])
+    assert code == EXIT_OK
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):
@@ -604,6 +655,8 @@ def test_master_seed_bound_counts_every_member():
 ])
 def test_library_grid_bounds_checked_for_every_command(tmp_path, capsys, command,
                                                        block, field, small):
+    """Every command rejects a grid below its ``cli.SCHEMA`` bound, whether
+    or not it reads that block."""
     code, out = run_cli(tmp_path, command, {block: {field: small}})
     assert code == EXIT_CONFIG
     assert not out.exists()

@@ -397,8 +397,9 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
     shape = (len(levels), 2)
     sig = np.array(levels)
     nodes = _rk4_nodes(np.broadcast_to(th0, shape), np.full(shape, p0), [(x1.T, x2.T)],
-                       grid.h, params, sig[:, :1], sig[:, 1:])
-    theta, p = map(np.array, zip(*[(th, mom) for _, th, mom, *_ in nodes]))
+                       grid.h, params, sig[:, :1], sig[:, 1:], None)
+    # the array back-end overwrites the arrays it yields at the next step
+    theta, p = map(np.array, zip(*[(th.copy(), mom.copy()) for _, th, mom, *_ in nodes]))
     for i, level in enumerate(levels):
         for j in range(2):
             th_ref, p_ref, _ = exact_flow_ensemble(th0[j], p0, x1[j], x2[j], grid, params,
@@ -436,7 +437,7 @@ def test_tiles_step_as_one_array(params, seeds, levels):
 
     def nodes(tiles):
         return [[np.asarray(v).tobytes() for v in node]
-                for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2)]
+                for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2, None)]
 
     assert nodes(reused_tiles()) == nodes([(x1, x2)])
     assert len(nodes(reused_tiles())) == grid.n + 1

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -28,10 +30,10 @@ from stochpend import (
 )
 from stochpend.errors import BlowUpError
 from stochpend import rpsde
-from stochpend.rpsde import _filter_tile, _load_linear_filter, _noise_chunks, _spans
+from stochpend.rpsde import _ensemble, _filter_tile, _load_linear_filter, _noise_at, _spans
 from stochpend.rng import BLOCK, ensemble_seeds, philox, standard_normals
 
-from conftest import default_noise_pair
+from conftest import default_noise_pair, set_workers
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +480,7 @@ def test_streamed_stats_blowup_names_first_non_finite_node(pair_config, where):
 
 @pytest.mark.parametrize("lag, other", [(1.0, 2200), (-0.75, 1850)],
                          ids=["positive-lag", "negative-lag"])
-def test_law_check_holds_tiles_not_the_ensemble(monkeypatch, lag, other):
+def test_law_check_holds_tiles_not_the_ensemble(monkeypatch, one_worker, lag, other):
     """Tiles of 64 nodes by 128 seeds, not the 400 x 2 401 ensemble of one
     channel, and the statistic of the two columns of the whole ensemble, in
     the order (s, s + lag): at a negative lag the earlier node is gathered
@@ -517,7 +519,7 @@ def test_law_check_holds_tiles_not_the_ensemble(monkeypatch, lag, other):
 @example(n=7, where="zero", span=4, chunk=2, block=8, m=3, driver="shared", forced=False)
 def test_noise_chunk_tiles_concatenate_to_the_whole_paths(n, where, span, chunk, block, m,
                                                           driver, forced):
-    """The disjoint tiles of each seed chunk, read in order, are nodes
+    """The disjoint tiles of each seed block, read in order, are nodes
     ``start`` .. n of the whole-path ensemble, bit for bit, whatever the
     span, chunk and block sizes."""
     pair = tuple(dataclasses.replace(c, driver=driver) for c in default_noise_pair())
@@ -528,27 +530,28 @@ def test_noise_chunk_tiles_concatenate_to_the_whole_paths(n, where, span, chunk,
     seeds = ensemble_seeds(5, m)
     start = {"zero": 0, "mid": n // 2, "end": n}[where]
     whole = simulate_pair_ensemble(*pair, grid, seeds)
-    got = np.full((2, m, n + 1 - start), np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("stochpend.rpsde._SPAN", span)
         mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
         mp.setattr("stochpend.rpsde.BLOCK", block)
-        for rows, tiles in _noise_chunks(pair, grid, seeds, start):
-            lengths = []
-            for x1, x2 in tiles:
-                k = sum(lengths)
-                got[0, rows, k:k + len(x1)], got[1, rows, k:k + len(x2)] = x1.T, x2.T
-                lengths.append(len(x1))
-            assert sum(lengths) == n + 1 - start
-            assert all(length == span for length in lengths[:-1])
-            assert 1 <= lengths[-1] <= span
+        got = _ensemble(functools.partial(joined_tiles, span), pair, grid, seeds, start)
     for x, g in zip(whole, got):
-        assert g.tobytes() == x[:, start:].tobytes()
+        assert np.ascontiguousarray(g.T).tobytes() == x[:, start:].tobytes()
+
+
+def joined_tiles(span, tiles):
+    """A block's tiles joined along time, (2, nodes, seeds), after checking
+    that each is ``span`` nodes long but the last, which holds 1 .. ``span``."""
+    tiles = [tile.copy() for tile in tiles]
+    lengths = [tile.shape[1] for tile in tiles]
+    assert all(length == span for length in lengths[:-1])
+    assert 1 <= lengths[-1] <= span
+    return np.concatenate(tiles, axis=1)
 
 
 def _chunk_blowup(span, block, chunk, driver):
-    """The first non-finite node of each wild channel for each seed of the
-    first chunk, and the node at which that chunk's noise fails."""
+    """The first non-finite node of each wild channel for each seed, and
+    the node at which the ensemble's noise fails."""
     # |1 - alpha h| = 2 and 2.05: the paths overflow near nodes 1 029 and 993
     h = 0.01
     wild1, wild2 = (NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=r / h),
@@ -563,16 +566,14 @@ def _chunk_blowup(span, block, chunk, driver):
         return err.value.step_index
 
     # each wild channel beside a tame one that reads a stream of its own
-    firsts = [[first_bad(wild1, tame, s) for s in seeds[:chunk]],
-              [first_bad(tame, wild2, s) for s in seeds[:chunk]]]
+    firsts = [[first_bad(wild1, tame, s) for s in seeds],
+              [first_bad(tame, wild2, s) for s in seeds]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("stochpend.rpsde._SPAN", span)
         mp.setattr("stochpend.rpsde.BLOCK", block)
         mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
         with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
-            for _, tiles in _noise_chunks((wild1, wild2), grid, seeds, start=0):
-                for _ in tiles:
-                    pass
+            _noise_at((wild1, wild2), grid, seeds, [0])  # draws every tile
     return firsts, err.value.step_index
 
 
@@ -593,11 +594,72 @@ def test_chunk_blowup_names_smallest_first_node_over_seeds(span, block, driver):
 @given(span=st.integers(1, 2100), block=st.one_of(st.just(BLOCK), st.integers(1, 64)),
        chunk=st.integers(1, 5), driver=st.sampled_from(["shared", "independent"]))
 def test_chunk_blowup_holds_for_any_span_block_and_chunk(span, block, chunk, driver):
-    """A chunk's noise fails at the smallest first non-finite node over
-    both channels and all its seeds, whatever the span, the block and the
-    driver: the first chunk holds seeds 0 .. chunk - 1."""
+    """The ensemble's noise fails at the smallest first non-finite node over
+    both channels and all the seeds, whatever the span, the block, the
+    driver and the seed blocks that the chunk and the workers cut: each
+    block runs to its first failure, and the earliest is raised."""
     firsts, got = _chunk_blowup(span, block, chunk, driver)
     assert got == min(map(min, firsts))
+
+
+def failing_job(tiles, fail_at):
+    """Read the tiles and fail as an orbit does at step ``min(fail_at)``,
+    counted from the first tile, in the tile that holds it."""
+    nodes = 0
+    for tile in tiles:
+        nodes += tile.shape[1]
+        if fail_at.min() < nodes:
+            raise BlowUpError(int(fail_at.min()))
+    return np.zeros_like(fail_at)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(span=st.integers(2, 300), chunk=st.integers(1, 6), workers=st.integers(1, 2),
+       start=st.sampled_from([0, 250]), fail_at=st.lists(st.integers(1, 1200), min_size=6,
+                                                          max_size=6))
+# the noise of seeds 2 .. 4 fails at node 1 028 and that of seed 0 at 1 030;
+# seed 0's orbit fails at node 1 028, in the two-node tile whose noise fails
+# for seeds 2 .. 4.  One block of all the seeds draws that noise before it
+# steps the tile, so the noise failure is raised, whichever block is first.
+@example(span=2, chunk=1, workers=2, start=0, fail_at=[1028] + [1200] * 5)
+@example(span=2, chunk=1, workers=2, start=250, fail_at=[778] + [1200] * 5)
+def test_ensemble_raises_the_error_of_one_block(span, chunk, workers, start, fail_at):
+    """Noise that overflows near node 1 029 and orbits that fail at a step
+    of their seed's own, in seed blocks on one or two workers: the error
+    raised is the one of one block of all the seeds, the earliest tile's,
+    a noise failure before an orbit failure of that tile."""
+    h = 0.01
+    wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h), beta=1.0,
+                              driver="independent")
+    pair = (wild, default_noise_pair()[1])
+    grid = PathGrid(0.0, h, 2000)
+    seeds = ensemble_seeds(2, 6)
+
+    def error():
+        with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+            _ensemble(failing_job, pair, grid, seeds, start, np.array(fail_at))
+        return err.value.step_index, str(err.value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rpsde._SPAN", span)
+        set_workers(mp, 1)
+        mp.setattr("stochpend.rpsde.SEED_CHUNK", len(seeds))
+        whole = error()
+        set_workers(mp, workers)
+        mp.setattr("stochpend.rpsde.SEED_CHUNK", chunk)
+        assert error() == whole
+
+
+@pytest.mark.parametrize("args, message", [
+    ((780,), "non-finite state at grid step 780"),
+    ((780, "noise path non-finite at grid step 780"), "noise path non-finite at grid step 780"),
+], ids=["step", "step-and-message"])
+def test_blowup_error_pickles_with_its_step_and_message(args, message):
+    """A worker's blow-up reaches the parent as it was raised."""
+    back = pickle.loads(pickle.dumps(BlowUpError(*args)))
+    assert type(back) is BlowUpError
+    assert back.step_index == 780
+    assert str(back) == message
 
 
 # ---------------------------------------------------------------------------

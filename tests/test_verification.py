@@ -30,7 +30,7 @@ from stochpend import (
 from stochpend.dynamics import averaged_hamiltonian, exact_flow_ensemble, exact_hamiltonian
 from stochpend.errors import BlowUpError
 from stochpend.rng import BLOCK, ensemble_seeds
-from stochpend.rpsde import PathGrid, _noise_chunks, grid_for_periods, simulate_pair_ensemble
+from stochpend.rpsde import PathGrid, _noise_at, grid_for_periods, simulate_pair_ensemble
 from stochpend.verification import M1M2Decomposition, _sup_gaps
 
 from conftest import default_noise_pair
@@ -91,7 +91,7 @@ def test_sup_gap_coupled_monotonicity(params, quick_stats):
     levels = [(0.1, 0.1), (0.05, 0.05)]
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention="derived")
             for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, None)
     sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
 
@@ -111,13 +111,50 @@ def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, see
     grid = PathGrid(0.0, 0.01, n)
     x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention) for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, theta0, p0)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, theta0, p0, None)
     for i, level in enumerate(levels):
         amps = NoiseAmplitudes(*level)
         th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
         ref = np.abs(exact_hamiltonian(th, p, x1.T, x2.T, params, amps)
                      - averaged_hamiltonian(th, p, lams[i], params)).max(axis=0)
         np.testing.assert_allclose(gaps[i], ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 300), span=st.integers(1, 64),
+       delta=st.floats(1e-4, 0.05), levels=level_lists)
+def test_decided_rows_leave_without_changing_a_decision(params, quick_stats, seed, n, span,
+                                                        delta, levels):
+    """Rows that pass delta leave the batch at the end of their tile: every
+    row is decided as the run of all rows to the last node decides it, and
+    the rows that never pass keep their sup bit for bit."""
+    grid = PathGrid(0.0, 0.01, n)
+    x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
+                                                  ensemble_seeds(seed, 5)))
+    lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, "derived") for s in levels]
+    tiles = [(x1[lo:lo + span], x2[lo:lo + span]) for lo in range(0, n + 1, span)]
+    whole = _sup_gaps([(x1, x2)], grid.h, params, levels, lams, 0.1, 0.0, None)
+    early = _sup_gaps(tiles, grid.h, params, levels, lams, 0.1, 0.0, delta)
+    assert np.array_equal(early > delta, whole > delta)
+    assert early[whole <= delta].tobytes() == whole[whole <= delta].tobytes()
+
+
+def test_decided_batch_still_draws_every_tile(params):
+    """Once every row is decided the rest of the tiles are still drawn, so
+    noise that fails in a later tile raises as it does when rows remain."""
+    grid = PathGrid(0.0, 0.01, 40)
+    x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
+                                                  ensemble_seeds(1, 3)))
+
+    def tiles():
+        yield x1[:8], x2[:8]
+        yield x1[8:], x2[8:]
+        raise BlowUpError(41, "noise path non-finite at grid step 41")
+
+    with pytest.raises(BlowUpError) as err:
+        _sup_gaps(tiles(), grid.h, params, [(0.4, 0.4)], [LambdaPoint(0.0, 0.0)], 0.1, 0.0,
+                  1e-12)
+    assert err.value.step_index == 41
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -137,7 +174,7 @@ def test_blowup_in_one_stacked_row_names_its_step(params, seed, n, data, sigma,
     lams = [LambdaPoint(0.0, 0.0)] * 2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0)
+            _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, None)
     assert err.value.step_index == step
 
 
@@ -408,7 +445,7 @@ def test_seed_chunks_change_no_result(params, quick_stats, monkeypatch):
     assert results() == whole
 
 
-def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
+def test_moment_growth_holds_one_chunk_of_noise(monkeypatch, one_worker):
     """The ensemble's noise is held one chunk at a time: at 2 000 seeds
     the peak is a few chunks of paths, not the whole ensemble."""
     pair = default_noise_pair()
@@ -428,7 +465,7 @@ def test_moment_growth_holds_one_chunk_of_noise(monkeypatch):
     assert 3 * one_chunk + 4 * BLOCK * 8 < ensemble_n * (spp + 1) * 8  # one channel
 
 
-def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch):
+def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch, one_worker):
     """While chunk k + 1 is drawn, chunk k is no longer held: the peak stays
     within the bound of one chunk's two channels and a copy of one."""
     pair = default_noise_pair()
@@ -448,7 +485,7 @@ def test_noise_chunk_released_before_the_next_is_drawn(quick_stats, monkeypatch)
     assert peak <= 3 * channel_chunk + 4 * BLOCK * 8
 
 
-def test_exceedance_memory_does_not_grow_with_the_horizon(quick_stats, monkeypatch):
+def test_exceedance_memory_does_not_grow_with_the_horizon(quick_stats, monkeypatch, one_worker):
     """Each chunk is drawn and integrated one time tile at a time, so doubling
     the horizon moves the peak by less than one channel's tile."""
     pair = default_noise_pair()
@@ -485,9 +522,7 @@ def test_orbit_blowup_before_a_later_non_finite_noise_tile_names_its_step(params
     seeds = ensemble_seeds(3, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as noise:
-            for _, tiles in _noise_chunks(pair, grid, seeds, start=0):
-                for _ in tiles:
-                    pass
+            _noise_at(pair, grid, seeds, [0])  # draws every tile
         with pytest.raises(BlowUpError) as orbit:
             exceedance_probability(0.05, [(0.5, 0.5)], 2, 15, pair, (0.1, 0.0),
                                    quick_stats, params=params, steps_per_period=100,

@@ -19,7 +19,8 @@ floating point, an ``average`` whose window leaves nodes after its last
 batch, a ``verify`` of the moments whose last grid node lies one ulp
 past tau, three ``verify`` runs whose noise overflows (channel 1 in
 the calibration path and in an ensemble, channel 2 in the calibration
-path), an ``atlas`` scan whose step is too small for a finite number
+path), a ``verify`` whose exceedance orbits overflow at one of four
+sigma levels, an ``atlas`` scan whose step is too small for a finite number
 of corners, a ``simulate`` whose rod length overflows a Python float
 power, a ``poincare`` concentration run whose g l is so small that no
 equilibrium at Lambda = 0 is stable, an ``average`` whose finite noise has
@@ -132,6 +133,12 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     out["verify-blowup-moments"] = ("verify", {
         "noise": {"channel1": {"alpha": 3500.0}}, "seeds": {"master": seed, "ensemble": 12},
         "verify": {"run": ["moments"]}})
+    # sigma = 1e60 overflows the exceedance orbits of its level at step 2 of
+    # the horizon, while the other levels stay finite
+    out["verify-orbit-blowup"] = ("verify", {
+        "grid": {"horizon_periods": 3}, "seeds": {"master": seed, "ensemble": 12},
+        "verify": {"run": ["exceedance"], "burn_in_periods": 1,
+                   "sigma_levels": [[1e60, 1e60], [0.2, 0.2], [0.1, 0.1], [0.05, 0.05]]}})
     # as verify-blowup, but channel 2 overflows in the calibration path
     out["verify-blowup-channel2"] = ("verify", {"noise": {"channel2": {"alpha": 3000.0}},
                                                 "seeds": {"master": seed, "ensemble": 12}})
