@@ -3,7 +3,7 @@
 Equilibria of the averaged system sit at the critical points of the
 effective potential Ubar; their stability follows the sign of Ubar''.
 In the (Lambda_1, Lambda_2) plane two curves separate the two portrait
-types (with l = g = 1):
+types (with l = g = 1; :func:`atlas_curves` scales them by g l):
 
 * Gamma_1, the degenerate-equilibrium locus, parametrized by
   (Lambda_1, Lambda_2) = (cos^3(t)/2 - 3 cos(t)/4, sin^3(t)/2), a closed
@@ -131,7 +131,7 @@ class PhasePortrait:
 
 
 def _problem_scale(l1: np.ndarray, l2: np.ndarray, params: PendulumParams) -> np.ndarray:
-    return np.maximum(1.0, np.abs(l1) + np.abs(l2) + params.g * params.l)
+    return np.abs(l1) + np.abs(l2) + params.g * params.l
 
 
 def _equilibria(l1: np.ndarray, l2: np.ndarray, params: PendulumParams):
@@ -240,8 +240,11 @@ def gamma1_curve(samples: int) -> np.ndarray:
     return np.column_stack([ct**3 / 2.0 - 3.0 * ct / 4.0, st**3 / 2.0])
 
 
-def atlas_curves(samples: int) -> AtlasCurves:
-    return AtlasCurves(gamma1=gamma1_curve(samples), gamma2=Gamma2Ray())
+def atlas_curves(samples: int, params: PendulumParams) -> AtlasCurves:
+    """The curves of the l = g = 1 atlas scaled by g l: Ubar / (g l) depends
+    on Lambda only through Lambda / (g l), so they bound the regions of ``params``."""
+    gl = params.g * params.l
+    return AtlasCurves(gamma1=gl * gamma1_curve(samples), gamma2=Gamma2Ray(gl / 4.0))
 
 
 def numeric_bifurcation_scan(lambda1_range: tuple[float, float],

@@ -370,7 +370,7 @@ def cmd_average(config: RunConfig, rundir: RunDir) -> None:
 def cmd_atlas(config: RunConfig, rundir: RunDir) -> None:
     """Analytic curves, and with ``scan`` the numeric scan of ``box``."""
     block = config.atlas
-    write_atlas_json(rundir.path("atlas.json"), atlas_curves(block["samples"]))
+    write_atlas_json(rundir.path("atlas.json"), atlas_curves(block["samples"], config.params))
     if block["scan"]:
         box = block["box"]
         scan = numeric_bifurcation_scan(box[:2], box[2:], block["step"], config.params)

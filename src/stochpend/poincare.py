@@ -134,11 +134,14 @@ def _sections(h: float, params: PendulumParams, sig: np.ndarray, stride: int,
     """Section states of one block, shape (2, levels, sections, width): a job of
     :func:`~stochpend.rpsde._ensemble`.
 
-    The levels run stacked in one batch, with sigma held as (levels, 1)
-    columns over the block's noise columns; every ``stride``-th node is kept.
+    All levels run as one flat batch of (level, column) rows, as in
+    :func:`~stochpend.verification._sup_gaps`; every ``stride``-th node is kept.
     """
-    nodes = _rk4_nodes(theta0, p0, tiles, h, params, sig[:, :1], sig[:, 1:], None)
-    return np.stack([np.stack((th, p)) for k, th, p, *_ in nodes if k % stride == 0], axis=2)
+    levels, width = len(sig), len(theta0)
+    nodes = _rk4_nodes(np.tile(theta0, levels), np.tile(p0, levels), tiles, h, params,
+                       *np.repeat(sig, width, axis=0).T, np.tile(np.arange(width), levels))
+    states = np.stack([np.stack((th, p)) for k, th, p, *_ in nodes if k % stride == 0], axis=1)
+    return states.reshape(2, -1, levels, width).swapaxes(1, 2)
 
 
 def _section_cloud(pair_config: PairConfig, sigma_levels: list[tuple[float, float]],

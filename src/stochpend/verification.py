@@ -147,19 +147,20 @@ def hamiltonian_gap(traj: Trajectory, pair: tuple[PathSample, PathSample],
 
 def _sup_gaps(tiles, h: float, params: PendulumParams,
               sigma_levels: list[tuple[float, float]], lams: list[LambdaPoint],
-              theta0: float, p0: float, delta: float | None) -> np.ndarray:
+              theta0: float, p0: float, delta: float) -> np.ndarray:
     """Running sup of |H - Hbar| per (level, noise column); shape (levels, width).
 
     ``tiles`` yields time-major noise tiles of shape (rows, width), as
     :func:`~stochpend.dynamics._rk4_nodes` reads them.  All levels run as
     one flat batch of (level, column) rows, row i on level i // width and
     column i % width, each with its own sigma, Lambda and noise column.
-    With a threshold ``delta``, a row whose sup has passed it is decided:
-    it leaves the batch at the end of its time tile and keeps the sup it
-    had then.  A tile ends every as many nodes as the first tile holds,
-    as :func:`~stochpend.rpsde._spans` cuts them.  Once no row is left,
-    the remaining tiles are drawn only for their noise checks.  With
-    ``delta`` None, every row runs to the last node.
+    A row whose sup has passed ``delta`` is decided: it leaves the batch
+    at the end of its time tile and keeps the sup it had then, so with
+    ``delta`` infinite every row runs to the last node.  A tile ends every
+    as many nodes as the first tile holds, as
+    :func:`~stochpend.rpsde._spans` cuts them.  Once no row is left, the
+    remaining tiles are drawn only for their noise checks.  The gap is
+    updated in place; as one expression it measured 5% slower.
     """
     tiles = iter(tiles)
     first = next(tiles)
@@ -187,7 +188,7 @@ def _sup_gaps(tiles, h: float, params: PendulumParams,
         np.subtract(a, b, out=a)
         np.abs(a, out=a)
         np.maximum(gap, a, out=gap)
-        if delta is not None and (k + 1) % span == 0:
+        if (k + 1) % span == 0:
             keep = gap <= delta
             if not keep.all():
                 sup[rows[~keep]] = gap[~keep]

@@ -196,6 +196,28 @@ def test_non_unit_pendulum_against_dense_scan_oracle(l, g):
         _assert_matches_oracle(LambdaPoint(l1, l2), PendulumParams(l=l, g=g))
 
 
+#: The corners of the atlas-scan box [-1, 1] x [0, 1.2] at step 0.04.
+BOX_L1, BOX_L2 = (a.ravel() for a in np.meshgrid(-1.0 + 0.04 * np.arange(51),
+                                                 0.04 * np.arange(31), indexing="ij"))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-80, 20))
+def test_classifier_is_invariant_under_scaling_by_g_l(k):
+    """At g = c = 2**k, Ubar at c Lambda is c times Ubar at Lambda for g = 1,
+    with every rounding scaled exactly, so labels, angles and kinds are
+    the same bits and every potential is exactly c times its value."""
+    c = 2.0**k
+    unit, scaled = PendulumParams(), PendulumParams(l=1.0, g=c)
+    codes = bifurcation._regions(BOX_L1, BOX_L2, unit)
+    assert bifurcation._regions(c * BOX_L1, c * BOX_L2, scaled).tobytes() == codes.tobytes()
+    theta, kind, pot, _ = bifurcation._equilibria(BOX_L1, BOX_L2, unit)
+    theta_c, kind_c, pot_c, _ = bifurcation._equilibria(c * BOX_L1, c * BOX_L2, scaled)
+    assert theta_c.tobytes() == theta.tobytes()
+    assert np.array_equal(kind_c, kind)
+    assert np.array_equal(pot_c, c * pot, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # region classification
 

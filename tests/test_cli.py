@@ -153,13 +153,9 @@ LAMBDA_OVERFLOW = {"channel1": {"beta": 1e200}, "channel2": {"forcing_amp": 1e20
      EXIT_NUMERIC),
     ("verify", {"noise": LAMBDA_OVERFLOW, "grid": {"h": 0.1, "horizon_periods": 1}},
      EXIT_NUMERIC),
-    # g l far below 1e-9: both equilibria at Lambda = 0 are degenerate, and
-    # the concentration run has no stable one to start from
-    ("poincare", {"pendulum": {"g": 1e-10}, "poincare": {"run": ["concentration"]}},
-     EXIT_CONFIG),
 ], ids=["simulate-length", "portrait-length", "average-sigma", "moments-sigma",
         "exceedance-level", "fill-sigma", "average-lambda-overflow",
-        "verify-lambda-overflow", "concentration-flat-well"])
+        "verify-lambda-overflow"])
 def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, code):
     with np.errstate(all="ignore"):
         got, out = run_cli(tmp_path, command, {**SMALL, **cfg}, out="nest/a/run")
@@ -168,6 +164,17 @@ def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, code):
     assert ("numeric failure" if code == EXIT_NUMERIC else "config error") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nest").exists()  # nor any directory the run created
+
+
+def test_flat_well_concentration_starts_at_the_stable_equilibrium(tmp_path):
+    # g l = 1e-10: the classifier's tolerances scale with g l, so at Lambda = 0
+    # theta = 0 is a stable equilibrium, as for any pendulum
+    cfg = {**SMALL, "pendulum": {"g": 1e-10}, "poincare": {"run": ["concentration"]}}
+    code, out = run_cli(tmp_path, "poincare", cfg)
+    assert code == EXIT_OK
+    report = json.loads((out / "concentration.json").read_text())
+    assert report["equilibrium_theta"] == 0.0
+    assert len(report["radii"]) == len(RunConfig({}, "poincare").poincare["sigma_levels"])
 
 
 @pytest.mark.parametrize("run", ["moments", "exceedance"])
@@ -310,6 +317,32 @@ def test_atlas_scan_writes_labels(tmp_path):
     labels = {r["label"] for r in rows}
     assert labels <= {"pi1", "pi2", "boundary"}
     assert "pi1" in labels and "pi2" in labels
+
+
+def test_atlas_curves_bound_the_scan_of_a_scaled_pendulum(tmp_path):
+    """At g = 2 every boundary cell of the scan lies within one step of the
+    Gamma_1 or Gamma_2 that atlas.json gives for the same pendulum."""
+    step = 0.02
+    cfg = {"pendulum": {"g": 2.0},
+           "atlas": {"samples": 4096, "scan": True, "box": [-2.0, 2.0, 0.0, 1.2], "step": step}}
+    code, out = run_cli(tmp_path, "atlas", cfg)
+    assert code == EXIT_OK
+    atlas = json.loads((out / "atlas.json").read_text())
+    with open(out / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    corners = np.array([(float(r["lambda1"]), float(r["lambda2"])) for r in rows])
+    n1 = len(np.unique(corners[:, 0]))
+    labels = np.array([r["label"] for r in rows]).reshape(n1, -1)
+    # a cell is on the boundary if its corners disagree or one is a boundary corner
+    quad = np.stack([labels[:-1, :-1], labels[1:, :-1], labels[:-1, 1:], labels[1:, 1:]])
+    on = (quad != quad[0]).any(axis=0) | (quad == "boundary").any(axis=0)
+    cells = corners.reshape(n1, -1, 2)[:-1, :-1][on] + 0.5 * step
+    assert len(cells) > 100
+    gamma1 = np.array(atlas["gamma1"])
+    to_gamma1 = np.hypot(*(cells[:, None, :] - gamma1[None, :, :]).T).min(axis=0)
+    start = atlas["gamma2"]["min_lambda1"]
+    to_gamma2 = np.hypot(np.maximum(start - cells[:, 0], 0.0), cells[:, 1])
+    assert np.minimum(to_gamma1, to_gamma2).max() <= step
 
 
 def test_portrait_files(tmp_path):
@@ -653,8 +686,8 @@ def test_master_seed_bound_counts_every_member():
     ("portrait", "grid", [8, 8]), ("portrait", "grid", [32, 31]),
     ("poincare", "fill_grid", [8, 8]), ("poincare", "fill_grid", [15, 16]),
 ])
-def test_library_grid_bounds_checked_for_every_command(tmp_path, capsys, command,
-                                                       block, field, small):
+def test_schema_grid_bounds_checked_for_every_command(tmp_path, capsys, command,
+                                                      block, field, small):
     """Every command rejects a grid below its ``cli.SCHEMA`` bound, whether
     or not it reads that block."""
     code, out = run_cli(tmp_path, command, {block: {field: small}})

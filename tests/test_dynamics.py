@@ -389,23 +389,35 @@ def test_exact_flow_blowup_reports_index(params):
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 200),
        levels=st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 0.8)),
                        min_size=1, max_size=3),
-       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5))
-def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, p0):
+       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5), data=st.data())
+def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, p0, data):
+    """The (level, seed) rows of one flat batch, dropped through keep masks
+    sent in mid-run, step as their width-1 float orbits do, bit for bit, up
+    to the node where they left."""
     grid = PathGrid(0.0, 0.01, n)
     x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 2))
-    th0 = theta0 + np.array([0.0, 0.25])
-    shape = (len(levels), 2)
-    sig = np.array(levels)
-    nodes = _rk4_nodes(np.broadcast_to(th0, shape), np.full(shape, p0), [(x1.T, x2.T)],
-                       grid.h, params, sig[:, :1], sig[:, 1:], None)
-    # the array back-end overwrites the arrays it yields at the next step
-    theta, p = map(np.array, zip(*[(th.copy(), mom.copy()) for _, th, mom, *_ in nodes]))
-    for i, level in enumerate(levels):
-        for j in range(2):
-            th_ref, p_ref, _ = exact_flow_ensemble(th0[j], p0, x1[j], x2[j], grid, params,
-                                                   NoiseAmplitudes(*level))
-            assert np.array_equal(theta[:, i, j], th_ref)
-            assert np.array_equal(p[:, i, j], p_ref)
+    sig = np.repeat(np.array(levels), 2, axis=0)
+    col = np.tile([0, 1], len(levels))
+    th0 = theta0 + 0.25 * col
+    # the last node of each row; n keeps it to the end
+    last = np.array(data.draw(st.lists(st.integers(0, n), min_size=len(col),
+                                       max_size=len(col))))
+    nodes = _rk4_nodes(th0, np.full(len(col), p0), [(x1.T, x2.T)], grid.h, params,
+                       sig[:, 0], sig[:, 1], col)
+    theta, p = np.full((2, n + 1, len(col)), np.nan)
+    rows = np.arange(len(col))  # the rows left in the batch
+    for k, th, mom, *_ in nodes:
+        theta[k, rows], p[k, rows] = th, mom
+        keep = last[rows] > k
+        if not keep.all():
+            assert nodes.send(keep) is None
+            rows = rows[keep]
+    for i, j in enumerate(col):
+        th_ref, p_ref, _ = exact_flow_ensemble(th0[i], p0, x1[j], x2[j], grid, params,
+                                               NoiseAmplitudes(*sig[i]))
+        assert theta[:last[i] + 1, i].tobytes() == th_ref[:last[i] + 1].tobytes()
+        assert p[:last[i] + 1, i].tobytes() == p_ref[:last[i] + 1].tobytes()
+        assert np.isnan(theta[last[i] + 1:, i]).all()
 
 
 @pytest.mark.parametrize("seeds, levels", [(1, 0), (100, 4), (500, 4)],
@@ -418,14 +430,15 @@ def test_tiles_step_as_one_array(params, seeds, levels):
     grid = PathGrid(0.0, 0.01, 40)
     x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
                                                   ensemble_seeds(4, seeds)))
-    if levels:  # stacked levels over the noise rows, as the ensemble runs step them
-        sig = np.linspace(0.1, 0.4, 2 * levels).reshape(levels, 2)
-        shape = (levels, seeds)
-        start = (np.full(shape, 0.3), np.full(shape, -0.2), sig[:, :1], sig[:, 1:])
+    if levels:  # the (level, seed) rows of one flat batch, as the ensemble runs step them
+        sig = np.repeat(np.linspace(0.1, 0.4, 2 * levels).reshape(levels, 2), seeds, axis=0)
+        rows = levels * seeds
+        start = (np.full(rows, 0.3), np.full(rows, -0.2), sig[:, 0], sig[:, 1],
+                 np.tile(np.arange(seeds), levels))
     else:  # the float back-end
         x1, x2 = x1[:, 0], x2[:, 0]
-        start = (0.3, -0.2, 0.25, 0.15)
-    theta0, p0, s1, s2 = start
+        start = (0.3, -0.2, 0.25, 0.15, None)
+    theta0, p0, s1, s2, col = start
     edges = [0, 1, 8, 9, 9, 30, grid.n + 1]
 
     def reused_tiles():
@@ -437,18 +450,30 @@ def test_tiles_step_as_one_array(params, seeds, levels):
 
     def nodes(tiles):
         return [[np.asarray(v).tobytes() for v in node]
-                for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2, None)]
+                for node in _rk4_nodes(theta0, p0, tiles, grid.h, params, s1, s2, col)]
 
     assert nodes(reused_tiles()) == nodes([(x1, x2)])
     assert len(nodes(reused_tiles())) == grid.n + 1
 
 
-def _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps):
-    """The flow's (theta, p, energy) bytes, or the step at which it blows up."""
+def _array_flow(theta0, p0, x1, x2, grid, params, amps):
+    """``exact_flow_ensemble`` as a one-row flat batch on the array back-end,
+    its noise in column 1 of two."""
+    def column(x):
+        return np.column_stack([np.full_like(x, np.nan), x])
+
+    nodes = _rk4_nodes(np.array([theta0]), np.array([p0]), [(column(x1), column(x2))], grid.h,
+                       params, np.array([amps.sigma1]), np.array([amps.sigma2]), np.array([1]))
+    theta, p = np.array([(th[0], mom[0]) for _, th, mom, *_ in nodes]).T
+    return theta, p, exact_hamiltonian(theta, p, x1, x2, params, amps)
+
+
+def _flow_or_blowup(flow, theta0, p0, x1, x2, grid, params, amps):
+    """The (theta, p, energy) bytes of ``flow``, or the step at which it blows up."""
     from stochpend import BlowUpError
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
+            out = flow(theta0, p0, x1, x2, grid, params, amps)
     except BlowUpError as exc:
         return exc.step_index
     return [np.ascontiguousarray(a).tobytes() for a in out]
@@ -461,23 +486,23 @@ def _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps):
        spike=st.integers(0, 300))
 def test_float_backend_is_bit_identical_to_array_backend(params, seed, n, sigma,
                                                          theta0, p0, spike):
-    # scalar theta0/p0 and 1-D noise step on Python floats and math.cos/sin;
-    # shape-(1,) arrays step on numpy arrays through the same right-hand side
+    # one orbit steps on Python floats and math.cos/sin; a one-row flat
+    # batch steps on numpy arrays through the same right-hand side
     grid = PathGrid(0.0, 0.01, n)
     p1, p2 = simulate_pair(*default_noise_pair(), grid, seed)
     amps = NoiseAmplitudes(*sigma)
     x1, x2 = p1.values, p2.values
-    as_float = _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps)
-    as_array = _flow_or_blowup(np.array([theta0]), np.array([p0]), x1, x2,
-                               grid, params, amps)
-    assert as_float == as_array
+    args = (theta0, p0, x1, x2, grid, params, amps)
+    as_float = _flow_or_blowup(exact_flow_ensemble, *args)
+    assert as_float == _flow_or_blowup(_array_flow, *args)
+    assert not isinstance(as_float, int)
     # one huge noise node: both back-ends blow up at the same step
     x1 = x1.copy()
     x1[spike % (n + 1)] = 1e200
-    step = _flow_or_blowup(theta0, p0, x1, x2, grid, params, amps)
+    args = (theta0, p0, x1, x2, grid, params, amps)
+    step = _flow_or_blowup(exact_flow_ensemble, *args)
     assert isinstance(step, int)
-    assert step == _flow_or_blowup(np.array([theta0]), np.array([p0]), x1, x2,
-                                   grid, params, amps)
+    assert step == _flow_or_blowup(_array_flow, *args)
 
 
 @pytest.mark.parametrize("theta0, p0, l", [
@@ -489,9 +514,8 @@ def test_float_backend_non_finite_start_blows_up_at_step_one(theta0, p0, l):
     params = PendulumParams(l=l, g=1.0)
     amps = NoiseAmplitudes(0.1, 0.1)
     x = np.linspace(0.0, 1.0, grid.n + 1)
-    assert _flow_or_blowup(theta0, p0, x, x, grid, params, amps) == 1
-    assert _flow_or_blowup(np.array([theta0]), np.array([p0]), x, x,
-                           grid, params, amps) == 1
+    for flow in (exact_flow_ensemble, _array_flow):
+        assert _flow_or_blowup(flow, theta0, p0, x, x, grid, params, amps) == 1
 
 
 # ---------------------------------------------------------------------------

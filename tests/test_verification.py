@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_sup_gap_coupled_monotonicity(params, quick_stats):
     levels = [(0.1, 0.1), (0.05, 0.05)]
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention="derived")
             for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, None)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, math.inf)
     sups = dict(zip((0.1, 0.05), gaps))
     assert sups[0.1].mean() > sups[0.05].mean()
 
@@ -111,13 +112,14 @@ def test_stacked_sup_gap_matches_hamiltonian_difference(params, quick_stats, see
     grid = PathGrid(0.0, 0.01, n)
     x1, x2 = simulate_pair_ensemble(*default_noise_pair(), grid, ensemble_seeds(seed, 3))
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, convention) for s in levels]
-    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, theta0, p0, None)
+    gaps = _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, theta0, p0, math.inf)
     for i, level in enumerate(levels):
         amps = NoiseAmplitudes(*level)
-        th, p, _ = exact_flow_ensemble(theta0, p0, x1, x2, grid, params, amps)
-        ref = np.abs(exact_hamiltonian(th, p, x1.T, x2.T, params, amps)
-                     - averaged_hamiltonian(th, p, lams[i], params)).max(axis=0)
-        np.testing.assert_allclose(gaps[i], ref, rtol=1e-12, atol=0.0)
+        for j in range(3):
+            th, p, _ = exact_flow_ensemble(theta0, p0, x1[j], x2[j], grid, params, amps)
+            ref = np.abs(exact_hamiltonian(th, p, x1[j], x2[j], params, amps)
+                         - averaged_hamiltonian(th, p, lams[i], params)).max()
+            np.testing.assert_allclose(gaps[i, j], ref, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -133,7 +135,7 @@ def test_decided_rows_leave_without_changing_a_decision(params, quick_stats, see
                                                   ensemble_seeds(seed, 5)))
     lams = [lambda_from_stats(NoiseAmplitudes(*s), quick_stats, "derived") for s in levels]
     tiles = [(x1[lo:lo + span], x2[lo:lo + span]) for lo in range(0, n + 1, span)]
-    whole = _sup_gaps([(x1, x2)], grid.h, params, levels, lams, 0.1, 0.0, None)
+    whole = _sup_gaps([(x1, x2)], grid.h, params, levels, lams, 0.1, 0.0, math.inf)
     early = _sup_gaps(tiles, grid.h, params, levels, lams, 0.1, 0.0, delta)
     assert np.array_equal(early > delta, whole > delta)
     assert early[whole <= delta].tobytes() == whole[whole <= delta].tobytes()
@@ -174,7 +176,7 @@ def test_blowup_in_one_stacked_row_names_its_step(params, seed, n, data, sigma,
     lams = [LambdaPoint(0.0, 0.0)] * 2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, None)
+            _sup_gaps([(x1.T, x2.T)], grid.h, params, levels, lams, 0.1, 0.0, math.inf)
     assert err.value.step_index == step
 
 

@@ -22,12 +22,12 @@ the calibration path and in an ensemble, channel 2 in the calibration
 path), a ``verify`` whose exceedance orbits overflow at one of four
 sigma levels, an ``atlas`` scan whose step is too small for a finite number
 of corners, a ``simulate`` whose rod length overflows a Python float
-power, a ``poincare`` concentration run whose g l is so small that no
-equilibrium at Lambda = 0 is stable, an ``average`` whose finite noise has
-long-run moments that overflow, and four configs one below a bound that
-only the config check enforces (``atlas.samples``, ``portrait.grid``,
-``average.batches``, ``verify.delta``).  ``--case`` (repeatable) runs
-only the cases named.
+power, a ``poincare`` concentration run at g l = 1e-10, an ``atlas`` scan
+and a ``poincare`` concentration run at g l != 1, an ``average`` whose
+finite noise has long-run moments that overflow, and four configs one
+below a bound that only the config check enforces (``atlas.samples``,
+``portrait.grid``, ``average.batches``, ``verify.delta``).  ``--case``
+(repeatable) runs only the cases named.
 
 For each case the script prints both exit codes, the last stderr line of a
 run that failed, and, per output file, the SHA-256 from each tree.  It
@@ -148,10 +148,18 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     # l**2 overflows: the run exits 3 and leaves no file
     out["simulate-overflow"] = ("simulate", {"pendulum": {"l": 1e200},
                                              "grid": {"horizon_periods": 2}})
-    # both equilibria at Lambda = 0 are degenerate: the run exits 2 before any file
+    # g l = 1e-10: the classifier's tolerances scale with g l, so the run
+    # starts at the stable equilibrium theta = 0 as for any pendulum
     out["poincare-flat-well"] = ("poincare", {"pendulum": {"g": 1e-10},
                                               "seeds": {"master": seed, "ensemble": 12},
                                               "poincare": {"run": ["concentration"]}})
+    # g l != 1: atlas.json gives the curves of this pendulum, the ones its scan finds
+    out["atlas-scaled"] = ("atlas", {"pendulum": {"g": 2.0},
+                                     "atlas": {"samples": 256, "box": [-2.0, 2.0, 0.0, 1.2],
+                                               "step": 0.05, "scan": True}})
+    out["poincare-scaled"] = ("poincare", {"pendulum": {"g": 4.0},
+                                           "seeds": {"master": seed, "ensemble": 12},
+                                           "poincare": {"run": ["concentration"]}})
     # finite noise whose moments overflow: Lambda is not finite, exit 3 and no file
     out["average-lambda-overflow"] = ("average", {
         "noise": {"channel1": {"beta": 1e200}, "channel2": {"forcing_amp": 1e200}},
