@@ -95,7 +95,11 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class Gamma2Ray:
-    """Equal-well-depth ray {Lambda_1 > min_lambda1, Lambda_2 = 0}; 0.25 for l = g = 1."""
+    """Equal-well-depth ray {Lambda_1 > min_lambda1, Lambda_2 = 0}.
+
+    The default, 0.25, describes the l = g = 1 pendulum; :func:`atlas_curves`
+    builds the ray of any other at g l / 4.
+    """
 
     min_lambda1: float = 0.25
 
@@ -230,10 +234,11 @@ def classify_region(lam: LambdaPoint, params: PendulumParams) -> str:
 
 
 def gamma1_curve(samples: int) -> np.ndarray:
-    """Degenerate-equilibrium curve sampled on a uniform parameter grid.
+    """Degenerate-equilibrium curve of the l = g = 1 pendulum, sampled on a uniform parameter grid.
 
     Points (Lambda_1, Lambda_2) = (cos^3 t / 2 - 3 cos t / 4, sin^3 t / 2)
-    for t uniform over [0, 2pi); valid for l = g = 1.
+    for t uniform over [0, 2pi).  :func:`atlas_curves` scales them by g l
+    for any other pendulum.
     """
     t = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     ct, st = np.cos(t), np.sin(t)

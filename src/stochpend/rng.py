@@ -23,7 +23,9 @@ counter-based, the blocked stream equals the one-shot formula
 The stream is carried: :func:`philox` builds a (seed, stream) pair's bit
 generator once, and each :func:`standard_normals` call draws the next
 values of it, so a long path drawn one span at a time reads the same
-values as in one call.
+values as in one call.  :func:`philox_at` reaches any share of a stream
+without drawing what lies before it: the value at index r of the stream
+comes from raw word r.
 
 Identical (seed, stream) inputs reproduce identical variates bit for bit
 on every run of the same library versions (checked with scipy 1.17.1 and
@@ -75,6 +77,19 @@ BLOCK = 1 << 15
 def philox(seed: int, stream: int) -> np.random.Philox:
     """The bit generator of the (seed, stream) pair, at the start of its stream."""
     return np.random.Philox(key=np.array(stream_key(seed, stream), dtype=np.uint64))
+
+
+def philox_at(seed: int, stream: int, word: int) -> np.random.Philox:
+    """The bit generator of the (seed, stream) pair, positioned at raw word ``word``.
+
+    Philox is counter-based, four raw words per counter step, so
+    ``advance(word // 4)`` lands on the first word of ``word``'s step, and
+    ``word % 4`` words drawn and discarded land on ``word`` itself.  Any
+    process can thus draw any share of a stream and read the same values.
+    """
+    bg = philox(seed, stream).advance(word // 4)
+    bg.random_raw(word % 4)
+    return bg
 
 
 def standard_normals(bg: np.random.Philox, n: int, out: np.ndarray) -> np.ndarray:

@@ -39,7 +39,13 @@ step-by-step loop, however they are cut into spans.  A draw fails with
 non-finite, whatever the cut.
 :func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
 path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
-one batch at a time and reduces each batch before drawing the next.  The
+one batch at a time and reduces each batch before drawing the next; on
+two or more CPUs each batch span is split by channel between the run
+process and one forked helper, with no byte moved: the streams are
+counter-based, so either process can draw any share of one
+(:func:`stochpend.rng.philox_at`), each mean is still one ``np.mean``
+over the batch array, and a blow-up names the smaller of the two
+channels' first non-finite nodes.  The
 ensemble experiments run through one function, :func:`_ensemble`: it cuts
 the seeds into blocks of at most :data:`SEED_CHUNK`, runs a job on each
 block's pair, ``_SPAN`` nodes at a time, so a job holds one tile of each
@@ -61,6 +67,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from importlib.machinery import PathFinder
@@ -71,7 +78,7 @@ import numpy as np
 import scipy
 
 from .errors import BlowUpError, ConfigError, SampleLengthError
-from .rng import BLOCK, philox, standard_normals
+from .rng import BLOCK, philox_at, standard_normals
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -249,7 +256,7 @@ class KSReport:
         self.passed = self.statistic < self.critical_value
 
 
-def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int):
+def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int, reduce):
     """The paths of ``seeds`` from node ``start`` on, ``span`` nodes at a time.
 
     Yields, per span of nodes ``lo`` .. ``hi - 1``, the (2, hi - lo,
@@ -258,34 +265,118 @@ def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int):
     nodes after it; the tile is refilled in place for the next span, so a
     consumer is done with it by then.  The spans before ``start`` (cut
     every ``span`` nodes from 0) are drawn only to carry the state and are
-    never yielded.  Each seed's bit generators and filter states are
-    carried from span to span: every span draws the next normals of each
-    stream into its seed's column (on a shared driver once, then copied),
-    and :func:`_filter_tile` turns each tile into the paths.  Raises
-    :class:`BlowUpError` at the first node where either channel of some
-    seed is non-finite, wherever the cut falls.
+    never yielded.  Raises :class:`BlowUpError` at the first node where
+    either channel of some seed is non-finite, wherever the cut falls.
+
+    ``reduce`` is None or a function of one channel's (hi - lo, seeds)
+    view; with one, each span is yielded as ``(tiles, (reduce(tiles[0]),
+    reduce(tiles[1])))``, and on two or more CPUs a helper forked here
+    runs channel 2 while this process runs channel 1, over one tile in a
+    shared anonymous mapping (:func:`_span_loop`).  The helper is reaped
+    before the generator ends, by any path.  An error the helper raises is
+    raised here; a helper that ends without a word (killed, say, by the
+    out-of-memory killer) raises ``MemoryError``.
+    """
+    edges = [*range(0, start, span), *range(start, grid.n + 1, span), grid.n + 1]
+    shape = (2, min(span, grid.n + 1), len(seeds))
+    if reduce is None or len(os.sched_getaffinity(0)) < 2:
+        yield from _span_loop(cfgs, grid, seeds, start, edges, np.empty(shape), (0, 1),
+                              reduce, None)
+        return
+    import mmap
+    from multiprocessing import Pipe
+
+    buf = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+    link, helper = Pipe()
+    pid = os.fork()
+    if pid == 0:  # the helper: it ends in os._exit, so it never returns to the caller
+        try:
+            link.close()
+            for _ in _span_loop(cfgs, grid, seeds, start, edges, buf, (1,), reduce, helper):
+                pass
+        except BaseException as err:
+            helper.send(err)
+        finally:
+            os._exit(0)
+    helper.close()
+    try:
+        yield from _span_loop(cfgs, grid, seeds, start, edges, buf, (0,), reduce, link)
+    finally:
+        link.close()
+        os.waitpid(pid, 0)
+
+
+def _span_loop(cfgs: PairConfig, grid: PathGrid, seeds, start: int, edges, buf: np.ndarray,
+               sides, reduce, link):
+    """The loop of :func:`_spans` over the spans between ``edges``, on ``sides`` of ``buf``.
+
+    ``sides`` is ``(0, 1)`` with ``link`` None, or one channel with
+    ``link`` the pipe to the process running the other.  Each span runs in
+    three steps, and the sides wait for each other (:func:`_swap`) before
+    each.  The tile being free, each side draws its share of the normals:
+    its channel's stream on an independent driver; on a shared one, half
+    of the span's normals (channel 1's side the first half) into both
+    rows.  Each side then filters its channels, each with its own state,
+    and reduces them.  Last, the sides swap first non-finite nodes and
+    reductions, and the smallest node is raised.  A seed's generator is
+    carried from share to share, and positioned anew (:func:`philox_at`)
+    where a share does not start where its last one ended.
     """
     streams = [SHARED_STREAM if cfg.driver == SHARED else c
                for c, cfg in enumerate(cfgs, start=1)]
-    drawn = streams[:1] if streams[1] == streams[0] else streams
-    gens = [[philox(int(seed), stream) for seed in seeds] for stream in drawn]
+    shared = streams[0] == streams[1]
+    gens = {}  # row -> (one bit generator per seed, the raw word they stand at)
     states = np.zeros((2, 1, len(seeds)))
-    buf = np.empty((2, min(span, grid.n + 1), len(seeds)))
-    edges = [*range(0, start, span), *range(start, grid.n + 1, span), grid.n + 1]
     for lo, hi in zip(edges, edges[1:]):
         tiles = buf[:, :hi - lo]
         z = tiles[:, max(lo, 1) - lo:]  # node 0 holds z0, not a normal
-        for zc, bgs in zip(z, gens):
-            for col, bg in zip(zc.T, bgs):
+        word, n = max(lo, 1) - 1, z.shape[1]  # normal k is raw word k of its stream
+        _swap(link, None)  # the other side is done with the last span
+        if shared:
+            part = slice(0 if 0 in sides else n // 2, n if 1 in sides else n // 2)
+            draws = [(0, streams[0], part)]
+        else:
+            draws = [(c, streams[c], slice(0, n)) for c in sides]
+        for row, stream, part in draws:
+            bgs, at = gens.get(row, (None, None))
+            if at != word + part.start:
+                bgs = [philox_at(int(seed), stream, word + part.start) for seed in seeds]
+            for col, bg in zip(z[row, part].T, bgs):
                 standard_normals(bg, len(col), out=col)
-        if len(gens) == 1:
-            z[1] = z[0]
-        bad = [node for cfg, tile, state in zip(cfgs, tiles, states)
-               if (node := _filter_tile(cfg, tile, grid, lo, state)) is not None]
+            gens[row] = bgs, word + part.stop
+        if shared:
+            z[1, part] = z[0, part]
+        _swap(link, None)  # both shares are drawn
+        bad = [node for c in sides
+               if (node := _filter_tile(cfgs[c], tiles[c], grid, lo, states[c])) is not None]
+        reduced = ({c: reduce(tiles[c]) for c in sides}
+                   if reduce is not None and lo >= start and not bad else {})
+        if (theirs := _swap(link, (bad, reduced))) is not None:
+            bad += theirs[0]
+            reduced.update(theirs[1])
         if bad:
             raise BlowUpError(min(bad), f"noise path non-finite at grid step {min(bad)}")
         if lo >= start:
-            yield tiles
+            yield tiles if reduce is None else (tiles, (reduced[0], reduced[1]))
+
+
+def _swap(link, mine):
+    """What the process across ``link`` sends for ``mine``, or None when ``link`` is None.
+
+    An error it sends is raised; a peer that ended without a word raises
+    ``MemoryError``.
+    """
+    if link is None:
+        return None
+    with suppress(OSError):  # a peer that has ended may have sent its error first
+        link.send(mine)
+    try:
+        theirs = link.recv()
+    except (EOFError, OSError):
+        raise MemoryError("the noise helper process ended early") from None
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return theirs
 
 
 def _filter_tile(cfg: NoiseChannelConfig, tile: np.ndarray, grid: PathGrid,
@@ -336,7 +427,7 @@ def simulate_pair_ensemble(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     :class:`BlowUpError` at the first grid node where either channel of
     any row is non-finite.
     """
-    x1, x2 = next(_spans((cfg1, cfg2), grid, seeds, 0, grid.n + 1))
+    x1, x2 = next(_spans((cfg1, cfg2), grid, seeds, 0, grid.n + 1, None))
     return x1.T, x2.T
 
 
@@ -392,7 +483,7 @@ def _run_block(job, pair_config: PairConfig, grid: PathGrid, start: int, seeds: 
     its grid node.  An orbit's steps count from ``start``; the noise's
     nodes from 0.
     """
-    tiles = _spans(pair_config, grid, seeds, start, _SPAN)
+    tiles = _spans(pair_config, grid, seeds, start, _SPAN, None)
     try:
         return job(tiles, *columns)
     except BlowUpError as err:
@@ -433,8 +524,14 @@ def _noise_at(pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, nodes)
 def simulate_pair(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
                   grid: PathGrid, seed: int) -> tuple[PathSample, PathSample]:
     """One-seed view of :func:`simulate_pair_ensemble`: row 0 of each channel."""
-    x1, x2 = next(_spans((cfg1, cfg2), grid, [seed], 0, grid.n + 1))
+    x1, x2 = next(_spans((cfg1, cfg2), grid, [seed], 0, grid.n + 1, None))
     return PathSample(grid=grid, values=x1[:, 0]), PathSample(grid=grid, values=x2[:, 0])
+
+
+def _moments(tile: np.ndarray) -> tuple[float, float]:
+    """The means of x and x^2 over a one-seed channel ``tile`` (a reduce of :func:`_spans`)."""
+    x = tile[:, 0]
+    return np.mean(x), np.mean(x * x)
 
 
 def _mean_and_se(means: np.ndarray) -> tuple[float, float]:
@@ -458,6 +555,18 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     ``burn_in_periods + batches`` whole periods (one period per batch).
     Raises :class:`BlowUpError` at the first node where either channel is
     non-finite.
+
+    On two or more CPUs each span is split by channel (:func:`_spans`):
+    this process draws half of a shared driver's normals (or channel 1's
+    independent stream), filters channel 1 and takes the means of xi_1
+    and xi_1^2, while a helper forked once per call does the same for the
+    other half and channel 2 over the same tile in a shared mapping; then
+    this process takes the mean of xi_1 xi_2 before the helper may draw
+    the next span.  The helper is reaped before this returns or raises.
+    No byte moves: the shares are read from the same counter-based
+    streams, each mean is still one ``np.mean`` over the same batch array,
+    and a blow-up names the smaller of the two channels' first non-finite
+    nodes.  On one CPU both channels run in this process, with no fork.
     """
     stride = period_stride(cfg1.drift.tau, grid.h)
     periods = grid.n // stride
@@ -467,14 +576,14 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
             f"need >= {burn_in_periods + batches} (burn-in + batches)")
     start = burn_in_periods * stride
     block = (grid.n + 1 - start) // batches
-    # rows: means of xi_1, xi_2, xi_1^2, xi_2^2, xi_1 xi_2 over each batch
+    # rows: means of xi_1, xi_1^2, xi_2, xi_2^2, xi_1 xi_2 over each batch
     means = np.empty((5, batches))
-    for k, tiles in enumerate(_spans((cfg1, cfg2), grid, [seed], start, block)):
-        if k < batches:  # the spans after the last batch hold the trailing nodes
-            x1, x2 = tiles[:, :, 0]
-            means[:, k] = (np.mean(x1), np.mean(x2), np.mean(x1 * x1),
-                           np.mean(x2 * x2), np.mean(x1 * x2))
-    (mean1, se_mean1), (mean2, se_mean2), (c1, se_c1), (c2, se_c2), (c12, se_c12) = \
+    with closing(_spans((cfg1, cfg2), grid, [seed], start, block, _moments)) as spans:
+        for k, (tiles, (moments1, moments2)) in enumerate(spans):
+            if k < batches:  # the spans after the last batch hold the trailing nodes
+                x1, x2 = tiles[:, :, 0]
+                means[:, k] = (*moments1, *moments2, np.mean(x1 * x2))
+    (mean1, se_mean1), (c1, se_c1), (mean2, se_mean2), (c2, se_c2), (c12, se_c12) = \
         map(_mean_and_se, means)
     return ErgodicStats(
         mean1=mean1, mean2=mean2, c1=c1, c2=c2, c12=c12,

@@ -40,12 +40,14 @@ def rng():
 
 
 def set_workers(monkeypatch, n):
-    """Run the ensemble blocks of ``rpsde._ensemble`` on ``n`` workers, as if on ``n`` CPUs."""
+    """Run the ensemble blocks of ``rpsde._ensemble`` on ``n`` workers, and the two
+    channels of ``rpsde.estimate_ergodic_stats`` in one process or two, as if on ``n`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture()
 def one_worker(monkeypatch):
-    """One worker: ``tracemalloc`` sees only its own process, so a memory
-    test must run every block in it."""
+    """One worker: ``tracemalloc`` sees only its own process and no shared
+    mapping, so a memory test must run every block and channel in it, on
+    ordinary arrays."""
     set_workers(monkeypatch, 1)

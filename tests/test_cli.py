@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import signal
 import tempfile
 from pathlib import Path
 
@@ -235,14 +236,62 @@ def test_seed_partition_changes_no_byte(tmp_path, capsys, monkeypatch, case):
     assert all(run == runs[0] for run in runs[1:])
 
 
-def test_no_worker_outlives_the_run(tmp_path, monkeypatch):
-    """The pool is joined before ``main`` returns, so no child process is
-    left that could compete with a timing taken after it."""
+def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
+    """The pool is joined, and the streamed estimate's helper reaped, before
+    ``main`` returns, so no child process is left that could compete with a
+    timing taken after it: when the run succeeds, when channel 2 (the
+    helper's) overflows, and when the helper raises or is killed."""
     set_workers(monkeypatch, 2)
-    code, _ = run_cli(tmp_path, *PARTITION_CASES["verify"])
-    assert code == EXIT_OK
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    run = os.getpid()
+    filter_tile = rpsde._filter_tile
+
+    def in_helper(fail):
+        def patched(*args):
+            if os.getpid() != run:
+                fail()
+            return filter_tile(*args)
+        return patched
+
+    def no_memory():
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    average = {"grid": {"h": 0.01},
+               "average": {"burn_in_periods": 2, "avg_periods": 20, "batches": 8}}
+    cases = [
+        (*PARTITION_CASES["verify"], None, None),
+        ("average", average, None, None),
+        ("average", dict(average, noise={"channel2": {"alpha": 300.0}}), None,
+         "numeric failure: noise path non-finite at grid step "),
+        ("average", average, no_memory, "numeric failure: Unable to allocate 7.11 PiB"),
+        ("average", average, killed, "numeric failure: the noise helper process ended early"),
+    ]
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not end within 60 s")
+
+    for k, (command, cfg, fail, line) in enumerate(cases):
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+                if fail is not None:
+                    mp.setattr(rpsde, "_filter_tile", in_helper(fail))
+                code, out = run_cli(tmp_path, command, cfg, out=f"run-{k}")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if line is None:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_NUMERIC and not out.exists()
+            assert err.splitlines()[-1].startswith(line)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -7,6 +9,7 @@ from stochpend.rng import (
     BLOCK,
     ensemble_seeds,
     philox,
+    philox_at,
     splitmix64,
     standard_normals,
     stream_key,
@@ -93,6 +96,22 @@ def test_normals_resume_at_any_start(m, n):
     head = standard_normals(bg, m, np.empty(m))
     tail = standard_normals(bg, n, np.empty(n))
     assert head.tobytes() + tail.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("residue", range(4))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(block=st.sampled_from([BLOCK, 5, 16]), edge=st.integers(0, 3),
+       steps=st.integers(-2, 2), n=st.integers(0, 40))
+def test_positioned_generator_reads_the_stream_from_its_word(residue, block, edge, steps, n):
+    """A generator positioned at raw word r draws values r, r + 1, ... of the
+    one-shot stream: at every residue of r mod 4, with r on, just before and
+    just past an edge of ``BLOCK`` (the real one or a small one, which the
+    draw then also crosses)."""
+    word = 4 * max(0, edge * block // 4 + steps) + residue
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("stochpend.rng.BLOCK", block)
+        got = standard_normals(philox_at(17, 2, word), n, np.empty(n))
+    assert got.tobytes() == one_shot_normals(17, 2, word + n)[word:].tobytes()
 
 
 def test_normals_out_must_match_n():

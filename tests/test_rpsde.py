@@ -372,10 +372,12 @@ def batch_means_of_paths(x1, x2, stride, burn_in_periods, batches):
        batches=st.integers(8, 20), block_periods=st.integers(1, 3),
        extra=st.integers(0, 5), trailing=st.integers(1, 19),
        # generator blocks shorter than a span, so that spans cross them
-       block=st.sampled_from([BLOCK, 5, 16]))
+       block=st.sampled_from([BLOCK, 5, 16]),
+       # both channels in this process, or channel 2 in a forked helper
+       workers=st.sampled_from([1, 2]))
 def test_streamed_stats_equal_batch_means_of_the_path(driver, amp, z0, h, stride, burn_in,
                                                        batches, block_periods, extra,
-                                                       trailing, block):
+                                                       trailing, block, workers):
     tau = stride * h
     cfg1 = NoiseChannelConfig(PeriodicDriftSpec(tau, 1.3, amp, 0.4), beta=0.5, z0=z0,
                               driver=driver)
@@ -393,6 +395,9 @@ def test_streamed_stats_equal_batch_means_of_the_path(driver, amp, z0, h, stride
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("stochpend.rng.BLOCK", block)
         mp.setattr("stochpend.rpsde.BLOCK", block)
+        set_workers(mp, workers)
+        if workers == 1:  # one CPU: both channels in this process, with no fork
+            mp.setattr(os, "fork", None)
         stats = estimate_ergodic_stats(cfg1, cfg2, grid, seed,
                                        burn_in_periods=burn_in, batches=batches)
     assert dataclasses.astuple(stats) == expected
@@ -410,7 +415,8 @@ def traced_peak(f, *args, **kwargs):
 
 
 @pytest.mark.parametrize("forcing_amp", [0.0, 1.5])
-def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing_amp):
+def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, one_worker,
+                                                             forcing_amp):
     cfg1, cfg2 = (dataclasses.replace(c, driver="shared", drift=dataclasses.replace(
         c.drift, forcing_amp=forcing_amp)) for c in pair_config)
     grid = grid_for_periods(1.0, 17, 8192)
@@ -431,8 +437,13 @@ def test_pair_and_stats_peak_within_output_and_a_few_blocks(pair_config, forcing
     assert peaks[1] <= peaks[0] + 4096  # the batch means and span edges grow
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("unstable", [1, 2])
-def test_generator_blowup_names_first_non_finite_node(pair_config, unstable):
+def test_generator_blowup_names_first_non_finite_node(pair_config, monkeypatch, unstable,
+                                                       workers):
+    """The ensemble names the first node non-finite in any row, and one
+    seed's streamed estimate its own first, whichever process filters the
+    channel that overflows."""
     # alpha h = 3, so |1 - alpha h| = 2 and the paths overflow near step 1025
     h = 0.01
     wild = NoiseChannelConfig(drift=PeriodicDriftSpec(tau=1.0, alpha=3.0 / h),
@@ -447,9 +458,13 @@ def test_generator_blowup_names_first_non_finite_node(pair_config, unstable):
     first = int(np.argmin(finite))
     assert not finite.all() and 1000 < first < 1100
     assert np.isfinite(rows[:, :first]).all()
+    set_workers(monkeypatch, workers)
     with pytest.raises(BlowUpError) as err:
         simulate_pair_ensemble(*cfgs, grid, seeds)
     assert err.value.step_index == first
+    with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+        estimate_ergodic_stats(*cfgs, grid, int(seeds[0]), burn_in_periods=0, batches=8)
+    assert err.value.step_index == int(np.argmin(np.isfinite(rows[0])))
 
 
 @pytest.mark.parametrize("where", ["batch", "trailing"])
@@ -687,7 +702,7 @@ def test_kernel_matches_lfilter_bit_for_bit(driver, forcing_amp, m):
     seeds = ensemble_seeds(3, m)
 
     def draw():
-        tiles = [t.copy() for t in _spans(pair, grid, seeds, 5, 17)]
+        tiles = [t.copy() for t in _spans(pair, grid, seeds, 5, 17, None)]
         z = np.random.default_rng(1).standard_normal((grid.n + 1, m))
         state, states = np.zeros((1, m)), []
         for lo in range(0, grid.n + 1, 17):

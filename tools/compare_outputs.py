@@ -6,26 +6,28 @@ A tree is a checkout with the package under ``src/stochpend``.  Every run
 is a fresh interpreter with ``PYTHONPATH`` set to that tree's ``src``, and
 it works in a temporary directory: nothing is written inside either tree.
 
-The cases cover all six commands: the four benchmark workloads of
-``perfbench/workloads.py`` at ``--seed`` (default 0), a small ``portrait``,
-small configs that switch on every ``verify`` run and every ``poincare``
-run, ``verify`` and ``poincare`` ensembles of three seed chunks (every
-run that draws its noise chunk by chunk crosses a chunk boundary),
-``verify`` and ``poincare`` ensembles whose horizon spans several time
-tiles of forced, independent noise channels, ``verify`` and ``poincare``
-ensembles whose burn-in and horizon end exactly on tile edges, an
-``average`` whose grid duration over tau is not a whole number in
-floating point, an ``average`` whose window leaves nodes after its last
-batch, a ``verify`` of the moments whose last grid node lies one ulp
-past tau, three ``verify`` runs whose noise overflows (channel 1 in
-the calibration path and in an ensemble, channel 2 in the calibration
-path), a ``verify`` whose exceedance orbits overflow at one of four
-sigma levels, an ``atlas`` scan whose step is too small for a finite number
-of corners, a ``simulate`` whose rod length overflows a Python float
-power, a ``poincare`` concentration run at g l = 1e-10, an ``atlas`` scan
-and a ``poincare`` concentration run at g l != 1, an ``average`` whose
-finite noise has long-run moments that overflow, and four configs one
-below a bound that only the config check enforces (``atlas.samples``,
+The 32 cases cover all six commands: the four benchmark workloads of
+``perfbench/workloads.py`` at ``--seed`` (default 0), a small
+``portrait``, small configs that switch on every ``verify`` run and
+every ``poincare`` run, ``verify`` and ``poincare`` ensembles of three
+seed chunks (every run that draws its noise chunk by chunk crosses a
+chunk boundary), ``verify`` and ``poincare`` ensembles whose horizon
+spans several time tiles of forced, independent noise channels,
+``verify`` and ``poincare`` ensembles whose burn-in and horizon end
+exactly on tile edges, an ``average`` whose grid duration over tau is
+not a whole number in floating point, an ``average`` whose window leaves
+nodes after its last batch, a ``verify`` of the moments whose last grid
+node lies one ulp past tau, three ``verify`` runs whose noise overflows
+(channel 1 in the calibration path and in an ensemble, channel 2 in the
+calibration path), two ``average`` runs whose noise overflows (channel 1
+of a shared driver, channel 2 of an independent one), a ``verify`` whose
+exceedance orbits overflow at one of four sigma levels, an ``atlas``
+scan whose step is too small for a finite number of corners, a
+``simulate`` whose rod length overflows a Python float power, a
+``poincare`` concentration run at g l = 1e-10, an ``atlas`` scan and a
+``poincare`` concentration run at g l != 1, an ``average`` whose finite
+noise has long-run moments that overflow, and four configs one below a
+bound that only the config check enforces (``atlas.samples``,
 ``portrait.grid``, ``average.batches``, ``verify.delta``).  ``--case``
 (repeatable) runs only the cases named.
 
@@ -142,6 +144,15 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
     # as verify-blowup, but channel 2 overflows in the calibration path
     out["verify-blowup-channel2"] = ("verify", {"noise": {"channel2": {"alpha": 3000.0}},
                                                 "seeds": {"master": seed, "ensemble": 12}})
+    # the streamed estimate overflows on channel 1 of a shared driver, then on
+    # channel 2 of an independent one: on two CPUs each channel is filtered by
+    # its own process, and either one's node ends the run with exit 3
+    blowup = {"seeds": {"master": seed},
+              "average": {"burn_in_periods": 1, "avg_periods": 20, "batches": 8}}
+    out["average-blowup"] = ("average", dict(blowup, noise={
+        "driver": "shared", "channel1": {"alpha": 3000.0}}))
+    out["average-blowup-channel2"] = ("average", dict(blowup, noise={
+        "driver": "independent", "channel2": {"alpha": 3000.0}}))
     # 0.4 / 5e-324 overflows: the scan is rejected with exit 2 before --out exists
     out["atlas-scan-overflow"] = ("atlas", {"atlas": {"box": [0.0, 0.4, 0.0, 0.4],
                                                       "step": 5e-324, "scan": True}})
