@@ -507,6 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         if rundir is not None:
             rundir.discard()
         numeric = isinstance(exc, (ArithmeticError, MemoryError))
+        if isinstance(exc, OverflowError) and len(exc.args) == 2:  # a float **: (errno, text)
+            exc = f"float overflow: {exc.args[1]}"
         print(f"{'numeric failure' if numeric else 'config error'}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if numeric else EXIT_CONFIG
     print(json.dumps(manifest, indent=2, sort_keys=True))

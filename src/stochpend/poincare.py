@@ -17,12 +17,8 @@ the driven flow:
   the amplitude (an exploratory probe; no quantitative splitting claim).
 
 Distances live on the phase cylinder: angular difference modulo 2 pi
-combined with the momentum difference in quadrature.
-
-The ensemble sections run through :func:`~stochpend.rpsde._ensemble`:
-its seed blocks run on forked workers, one per CPU, and the sections are
-joined in seed order, so the worker count changes no byte, and a blow-up
-raises the error one block of all the seeds would.
+combined with the momentum difference in quadrature.  The ensemble
+sections run through :func:`~stochpend.rpsde._ensemble`.
 """
 
 from __future__ import annotations

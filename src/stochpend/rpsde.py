@@ -37,24 +37,6 @@ in scipy.stats, optimize and more, about 1 s; with no such file,
 step-by-step loop, however they are cut into spans.  A draw fails with
 :class:`BlowUpError` at the first node where either channel is
 non-finite, whatever the cut.
-:func:`simulate_pair_ensemble` and :func:`simulate_pair` draw the whole
-path as one span.  :func:`estimate_ergodic_stats` draws one seed's pair
-one batch at a time and reduces each batch before drawing the next; on
-two or more CPUs each batch span is split by channel between the run
-process and one forked helper, with no byte moved: the streams are
-counter-based, so either process can draw any share of one
-(:func:`stochpend.rng.philox_at`), each mean is still one ``np.mean``
-over the batch array, and a blow-up names the smaller of the two
-channels' first non-finite nodes.  The
-ensemble experiments run through one function, :func:`_ensemble`: it cuts
-the seeds into blocks of at most :data:`SEED_CHUNK`, runs a job on each
-block's pair, ``_SPAN`` nodes at a time, so a job holds one tile of each
-channel whatever the horizon, and joins the jobs' results in seed order.
-The blocks run on a pool of forked workers, one per CPU, and the result
-and the error raised are those of one block of all the seeds: each
-seed's (seed, stream) Philox streams are its own, so no partition of the
-seeds changes a byte.  :func:`_noise_at` gathers the ensemble's values
-at a few nodes through it.
 
 The forcing term and its time grid are built only when A != 0.  At
 A = 0 the term is alpha h * (+-0), and x + (+-0) = x for every x != 0,
@@ -67,7 +49,8 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import closing, suppress
+import signal
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from importlib.machinery import PathFinder
@@ -270,12 +253,9 @@ def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int, reduc
 
     ``reduce`` is None or a function of one channel's (hi - lo, seeds)
     view; with one, each span is yielded as ``(tiles, (reduce(tiles[0]),
-    reduce(tiles[1])))``, and on two or more CPUs a helper forked here
-    runs channel 2 while this process runs channel 1, over one tile in a
-    shared anonymous mapping (:func:`_span_loop`).  The helper is reaped
-    before the generator ends, by any path.  An error the helper raises is
-    raised here; a helper that ends without a word (killed, say, by the
-    out-of-memory killer) raises ``MemoryError``.
+    reduce(tiles[1])))``, and on two or more CPUs channel 2 runs in a
+    :func:`_forked` helper, over one tile in a shared anonymous mapping
+    (:func:`_span_loop`).
     """
     edges = [*range(0, start, span), *range(start, grid.n + 1, span), grid.n + 1]
     shape = (2, min(span, grid.n + 1), len(seeds))
@@ -284,25 +264,51 @@ def _spans(cfgs: PairConfig, grid: PathGrid, seeds, start: int, span: int, reduc
                               reduce, None)
         return
     import mmap
-    from multiprocessing import Pipe
 
     buf = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-    link, helper = Pipe()
+
+    def channel2(pipe):
+        for _ in _span_loop(cfgs, grid, seeds, start, edges, buf, (1,), reduce, pipe):
+            pass
+
+    with _forked(channel2) as link:
+        yield from _span_loop(cfgs, grid, seeds, start, edges, buf, (0,), reduce, link)
+
+
+@contextmanager
+def _forked(work):
+    """The parent's end of a pipe to a forked child that runs ``work(pipe)``.
+
+    This is how a run uses a second core: the seed blocks of
+    :func:`_ensemble` and channel 2 of a split :func:`_spans` run in such
+    children, and the run process waits for their replies.  A fork starts
+    the child from this process's memory, numpy and scipy loaded, so
+    ``work`` is not pickled.  The child sends any error ``work`` raises
+    and ends in ``os._exit``, so it never returns to the caller.  Replies
+    are read through :func:`_swap`: an error the child sent is raised in
+    the run process, and a child that ended without a word (killed, say,
+    by the out-of-memory killer) raises ``MemoryError``, a numeric failure
+    to the CLI.  However the caller leaves the ``with`` block, the child
+    is ended if it is still running, then reaped, so none outlives it.
+    """
+    from multiprocessing import Pipe
+
+    link, pipe = Pipe()
     pid = os.fork()
-    if pid == 0:  # the helper: it ends in os._exit, so it never returns to the caller
+    if pid == 0:
         try:
             link.close()
-            for _ in _span_loop(cfgs, grid, seeds, start, edges, buf, (1,), reduce, helper):
-                pass
+            work(pipe)
         except BaseException as err:
-            helper.send(err)
+            pipe.send(err)
         finally:
             os._exit(0)
-    helper.close()
+    pipe.close()
     try:
-        yield from _span_loop(cfgs, grid, seeds, start, edges, buf, (0,), reduce, link)
+        yield link
     finally:
         link.close()
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
@@ -320,7 +326,8 @@ def _span_loop(cfgs: PairConfig, grid: PathGrid, seeds, start: int, edges, buf: 
     and reduces them.  Last, the sides swap first non-finite nodes and
     reductions, and the smallest node is raised.  A seed's generator is
     carried from share to share, and positioned anew (:func:`philox_at`)
-    where a share does not start where its last one ended.
+    where a share does not start where its last one ended, so a split
+    changes no byte: the streams are counter-based.
     """
     streams = [SHARED_STREAM if cfg.driver == SHARED else c
                for c, cfg in enumerate(cfgs, start=1)]
@@ -436,16 +443,14 @@ def _ensemble(job, pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, s
     """``job`` run on each block of the ensemble's noise; the results joined in seed order.
 
     The seeds are cut into blocks of ``min(SEED_CHUNK, ceil(seeds /
-    workers))``, one worker per CPU this process may run on.  ``job`` (a
-    module-level function or a ``functools.partial`` of one, so that it
-    pickles) is called as ``job(tiles, *block_columns)``: ``tiles`` are the
-    block's :func:`_spans` from ``start`` on, ``_SPAN`` nodes at a time,
-    and ``block_columns`` the block's slice of each of ``columns``,
-    per-seed arrays along the last axis.  It returns an array whose last
-    axis is the block's seeds, and these are concatenated along it.  With
-    more than one block and worker, the blocks run in a pool of forked
-    workers (a spawned one would import numpy and scipy again), which is
-    joined before this returns.
+    workers))``, one worker per CPU this process may run on.  ``job`` is
+    called as ``job(tiles, *block_columns)``: ``tiles`` are the block's
+    :func:`_spans` from ``start`` on, ``_SPAN`` nodes at a time, and
+    ``block_columns`` the block's slice of each of ``columns``, per-seed
+    arrays along the last axis.  It returns an array whose last axis is
+    the block's seeds, and these are concatenated along it.  With more
+    than one block and worker, block k runs in :func:`_forked` helper
+    k mod workers, one helper per worker, and this process runs none.
 
     Each block runs until its first :class:`BlowUpError`; then the one of
     the earliest time tile is raised, a noise failure before an orbit
@@ -459,13 +464,16 @@ def _ensemble(job, pair_config: PairConfig, grid: PathGrid, seeds: np.ndarray, s
     blocks = [(seeds[lo:lo + size], *(c[..., lo:lo + size] for c in columns))
               for lo in range(0, len(seeds), size)]
     run = partial(_run_block, job, pair_config, grid, start)
-    if min(workers, len(blocks)) > 1:
-        import multiprocessing
+    workers = min(workers, len(blocks))
+    if workers > 1:
+        def share(i, pipe):
+            pipe.send([run(*block) for block in blocks[i::workers]])
 
-        with multiprocessing.get_context("fork").Pool(min(workers, len(blocks))) as pool:
-            results = pool.starmap(run, blocks, chunksize=1)
-            pool.close()
-            pool.join()
+        results = [None] * len(blocks)
+        with ExitStack() as helpers:
+            links = [helpers.enter_context(_forked(partial(share, i))) for i in range(workers)]
+            for i, link in enumerate(links):
+                results[i::workers] = _swap(link, None)
     else:
         results = [run(*block) for block in blocks]
     failures = [r for r in results if isinstance(r, tuple)]
@@ -554,19 +562,8 @@ def estimate_ergodic_stats(cfg1: NoiseChannelConfig, cfg2: NoiseChannelConfig,
     for blow-up.  The path must span at least
     ``burn_in_periods + batches`` whole periods (one period per batch).
     Raises :class:`BlowUpError` at the first node where either channel is
-    non-finite.
-
-    On two or more CPUs each span is split by channel (:func:`_spans`):
-    this process draws half of a shared driver's normals (or channel 1's
-    independent stream), filters channel 1 and takes the means of xi_1
-    and xi_1^2, while a helper forked once per call does the same for the
-    other half and channel 2 over the same tile in a shared mapping; then
-    this process takes the mean of xi_1 xi_2 before the helper may draw
-    the next span.  The helper is reaped before this returns or raises.
-    No byte moves: the shares are read from the same counter-based
-    streams, each mean is still one ``np.mean`` over the same batch array,
-    and a blow-up names the smaller of the two channels' first non-finite
-    nodes.  On one CPU both channels run in this process, with no fork.
+    non-finite.  On two or more CPUs each span is split by channel
+    (:func:`_spans`).
     """
     stride = period_stride(cfg1.drift.tau, grid.h)
     periods = grid.n // stride

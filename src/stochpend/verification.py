@@ -18,12 +18,10 @@ The quantities verified here:
 
 All experiments reuse one seed set across coupling levels (common random
 numbers), so monotonicity comparisons are coupled.  The ensembles run
-through :func:`~stochpend.rpsde._ensemble`, whose seed blocks run on
-forked workers and whose results are joined in sorted-seed order, so
-neither the scheduling nor the worker count changes a result or the
-error raised.  The exceedance check decides a (level, seed) row early:
-once its running sup has passed delta it leaves the batch at the end of
-its time tile, since the report keeps only whether the sup passed.
+through :func:`~stochpend.rpsde._ensemble`.  The exceedance check
+decides a (level, seed) row early: once its running sup has passed delta
+it leaves the batch at the end of its time tile, since the report keeps
+only whether the sup passed.
 """
 
 from __future__ import annotations

@@ -40,8 +40,9 @@ def rng():
 
 
 def set_workers(monkeypatch, n):
-    """Run the ensemble blocks of ``rpsde._ensemble`` on ``n`` workers, and the two
-    channels of ``rpsde.estimate_ergodic_stats`` in one process or two, as if on ``n`` CPUs."""
+    """Run as if on ``n`` CPUs: the ensemble blocks of ``rpsde._ensemble`` in ``n``
+    forked helpers (in the test's own process when ``n`` is 1), and the two channels of
+    ``rpsde.estimate_ergodic_stats`` in one process or two."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

@@ -141,28 +141,31 @@ SMALL = {"grid": {"h": 0.01, "horizon_periods": 2}, "seeds": {"ensemble": 4},
 LAMBDA_OVERFLOW = {"channel1": {"beta": 1e200}, "channel2": {"forcing_amp": 1e200}}
 
 
-@pytest.mark.parametrize("command, cfg, code", [
+@pytest.mark.parametrize("command, cfg, line", [
     # Python float ** raises OverflowError where numpy would give inf
-    ("simulate", {"pendulum": {"l": 1e200}}, EXIT_NUMERIC),
-    ("portrait", {"pendulum": {"l": 1e200}}, EXIT_NUMERIC),
-    ("average", {"noise": {"sigma1": 1e200}}, EXIT_NUMERIC),
-    ("verify", {"noise": {"sigma1": 1e100}, "verify": {"run": ["moments"]}}, EXIT_NUMERIC),
-    ("verify", {"verify": {"sigma_levels": [[1e200, 0]]}}, EXIT_NUMERIC),
-    ("poincare", {"noise": {"sigma1": 1e200}, "poincare": {"run": ["fill"]}}, EXIT_NUMERIC),
+    ("simulate", {"pendulum": {"l": 1e200}},
+     "numeric failure: float overflow: Numerical result out of range"),
+    ("portrait", {"pendulum": {"l": 1e200}}, "numeric failure: "),
+    ("average", {"noise": {"sigma1": 1e200}}, "numeric failure: "),
+    ("verify", {"noise": {"sigma1": 1e100}, "verify": {"run": ["moments"]}}, "numeric failure: "),
+    ("verify", {"verify": {"sigma_levels": [[1e200, 0]]}}, "numeric failure: "),
+    ("poincare", {"noise": {"sigma1": 1e200}, "poincare": {"run": ["fill"]}},
+     "numeric failure: "),
     # finite noise whose long-run moments overflow, so Lambda is not finite
     ("average", {"noise": LAMBDA_OVERFLOW, "grid": {"h": 0.1, "horizon_periods": 1}},
-     EXIT_NUMERIC),
+     "numeric failure: "),
     ("verify", {"noise": LAMBDA_OVERFLOW, "grid": {"h": 0.1, "horizon_periods": 1}},
-     EXIT_NUMERIC),
+     "numeric failure: "),
 ], ids=["simulate-length", "portrait-length", "average-sigma", "moments-sigma",
         "exceedance-level", "fill-sigma", "average-lambda-overflow",
         "verify-lambda-overflow"])
-def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, code):
+def test_extreme_values_fail_cleanly(tmp_path, capsys, command, cfg, line):
+    """Each run exits 3 with no ``--out``; ``line`` starts its last stderr line."""
     with np.errstate(all="ignore"):
         got, out = run_cli(tmp_path, command, {**SMALL, **cfg}, out="nest/a/run")
-    assert got == code
+    assert got == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert ("numeric failure" if code == EXIT_NUMERIC else "config error") in err
+    assert err.splitlines()[-1].startswith(line)
     assert "Traceback" not in err
     assert not (tmp_path / "nest").exists()  # nor any directory the run created
 
@@ -220,13 +223,22 @@ PARTITION_CASES = {
 def test_seed_partition_changes_no_byte(tmp_path, capsys, monkeypatch, case):
     """One or two workers and seed blocks of ``SEED_CHUNK`` or 7 seeds give
     the same files, or the same error line, as one block of all the seeds.
-    The 32-node tiles let decided exceedance rows leave the batch."""
+    The 32-node tiles let decided exceedance rows leave the batch.  On two
+    workers the run process runs no block: its peak memory holds no tile."""
     command, cfg = PARTITION_CASES[case]
     monkeypatch.setattr(rpsde, "_SPAN", 32)
+    run, run_block = os.getpid(), rpsde._run_block
+
+    def helper_only(*args):
+        if os.getpid() == run:
+            raise AssertionError("an ensemble block ran in the run process")
+        return run_block(*args)
+
     runs = []
     for workers, chunk in [(1, rpsde.SEED_CHUNK), (2, rpsde.SEED_CHUNK), (2, 7), (1, 7)]:
         set_workers(monkeypatch, workers)
         monkeypatch.setattr(rpsde, "SEED_CHUNK", chunk)
+        monkeypatch.setattr(rpsde, "_run_block", helper_only if workers == 2 else run_block)
         with np.errstate(over="ignore", invalid="ignore"):
             code, out = run_cli(tmp_path, command, cfg, out=f"{workers}-{chunk}")
         err = capsys.readouterr().err
@@ -237,11 +249,16 @@ def test_seed_partition_changes_no_byte(tmp_path, capsys, monkeypatch, case):
 
 
 def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
-    """The pool is joined, and the streamed estimate's helper reaped, before
-    ``main`` returns, so no child process is left that could compete with a
-    timing taken after it: when the run succeeds, when channel 2 (the
-    helper's) overflows, and when the helper raises or is killed."""
+    """Every forked helper, the ensemble's and the streamed estimate's, is
+    reaped before ``main`` returns, so no child process is left that could
+    compete with a timing taken after it: when the run succeeds, when
+    channel 2 (the helper's) overflows, and when a helper raises or is
+    killed.  A killed helper ends the run at once, with exit 3: it does not
+    leave the run waiting for an answer that never comes.  In the ensemble
+    cases the calibration is given, so only the ensemble's helpers filter
+    noise."""
     set_workers(monkeypatch, 2)
+    stats = calibration_stats(default_noise_pair(), 3, steps_per_period=100)
     run = os.getpid()
     filter_tile = rpsde._filter_tile
 
@@ -267,6 +284,9 @@ def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
          "numeric failure: noise path non-finite at grid step "),
         ("average", average, no_memory, "numeric failure: Unable to allocate 7.11 PiB"),
         ("average", average, killed, "numeric failure: the noise helper process ended early"),
+        (*PARTITION_CASES["verify"], no_memory, "numeric failure: Unable to allocate 7.11 PiB"),
+        (*PARTITION_CASES["verify"], killed,
+         "numeric failure: the noise helper process ended early"),
     ]
 
     def hung(signum, frame):
@@ -279,6 +299,7 @@ def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
             with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
                 if fail is not None:
                     mp.setattr(rpsde, "_filter_tile", in_helper(fail))
+                    mp.setattr(cli, "calibration_stats", lambda *args, **kwargs: stats)
                 code, out = run_cli(tmp_path, command, cfg, out=f"run-{k}")
         finally:
             signal.alarm(0)
