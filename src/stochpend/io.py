@@ -7,6 +7,24 @@ separators, and lines with explicit newline endings, so identical inputs
 produce identical bytes.  Every CSV goes through one column writer: it
 turns each column into a Python list once and formats whole rows with one
 ``%`` template, which costs far less than formatting value by value.
+
+A CSV of at least ``SPLIT_VALUES`` values (rows times columns) is
+formatted by two processes when this one may run on two CPUs: a forked
+helper formats the second half of the rows while the run process writes
+the header and the first half, and the helper appends its text only
+once the run process has closed the file.  Each row is formatted from
+the same values with the same template whichever process formats it,
+and the halves land in row order, so a split changes no byte.  Each
+process turns only its own rows into Python values, after the fork:
+values made before it would be shared pages that every reference count
+update copies.  On a 2-vCPU Intel Xeon host (Python 3.11), with the
+second vCPU free, a file of 12 000 values took 1.19 times as long split
+as formatted in one process, 16 000 to 24 000 values 0.99 to 1.03
+times, 28 000 values 0.90, ``portrait``'s default 129 x 129 grid (49 923
+values) 0.78 and 150 000 values 0.64 (70 to 100 timings each); the
+fork, the reap and the helper's copy-on-write faults cost about 4 ms.
+With the second vCPU busy, a split is slower at every size.
+
 Every JSON file is shaped here: a report whose file lists its fields goes
 through :func:`report_dict`; every other file has a function of its own.
 """
@@ -14,7 +32,9 @@ through :func:`report_dict`; every other file has a function of its own.
 from __future__ import annotations
 
 import json
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -25,20 +45,42 @@ from . import __version__
 from .bifurcation import AtlasCurves, PhasePortrait, ScanResult
 from .dynamics import BobEmbedding, LambdaPoint, Trajectory
 from .poincare import FillReport, SplittingReport, StroboscopicSection
-from .rpsde import ErgodicStats, PathSample
+from .rpsde import ErgodicStats, PathSample, _forked, _swap
+
+#: Fewest values (rows times columns) of a CSV whose rows two processes format:
+#: just above the sizes at which a split measured no faster (module docstring).
+SPLIT_VALUES = 1 << 15
 
 
 def _write_columns(path, header: str, columns, row: str | None = None) -> None:
     """Equal-length columns as CSV lines under ``header``.
 
     ``row`` is the %-template of one line without its newline; it defaults
-    to ``%.17g`` for every column.  Columns are raveled in C order.
+    to ``%.17g`` for every column.  Columns are raveled in C order.  A
+    big file on two CPUs is split with a :func:`_forked` helper (module
+    docstring).
     """
-    lists = [np.asarray(c).ravel().tolist() for c in columns]
-    line = (row or ",".join(["%.17g"] * len(lists))) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % values for values in zip(*lists))
+    columns = [np.asarray(c).ravel() for c in columns]
+    line = (row or ",".join(["%.17g"] * len(columns))) + "\n"
+    rows = len(columns[0])
+    split = rows * len(columns) >= SPLIT_VALUES and len(os.sched_getaffinity(0)) > 1
+    half = rows // 2 if split else rows
+
+    def lines(lo, hi):  # each process makes its own Python values, after the fork
+        return (line % values for values in zip(*(c[lo:hi].tolist() for c in columns)))
+
+    def second_half(pipe):
+        text = "".join(lines(half, rows))
+        pipe.recv()  # the first half is written and the file closed
+        with open(path, "a", newline="") as fh:
+            fh.write(text)
+        pipe.send(None)
+
+    with _forked(second_half) if split else nullcontext() as link:
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            fh.writelines(lines(0, half))
+        _swap(link, None)
 
 
 def write_json(path, payload: dict) -> None:

@@ -280,21 +280,28 @@ def _forked(work):
     """The parent's end of a pipe to a forked child that runs ``work(pipe)``.
 
     This is how a run uses a second core: the seed blocks of
-    :func:`_ensemble` and channel 2 of a split :func:`_spans` run in such
-    children, and the run process waits for their replies.  A fork starts
-    the child from this process's memory, numpy and scipy loaded, so
-    ``work`` is not pickled.  The child sends any error ``work`` raises
-    and ends in ``os._exit``, so it never returns to the caller.  Replies
-    are read through :func:`_swap`: an error the child sent is raised in
-    the run process, and a child that ended without a word (killed, say,
-    by the out-of-memory killer) raises ``MemoryError``, a numeric failure
-    to the CLI.  However the caller leaves the ``with`` block, the child
+    :func:`_ensemble`, channel 2 of a split :func:`_spans` and the second
+    half of a big CSV (``io._write_columns``) run in such children, and
+    the run process waits for their replies.  A fork starts the child
+    from this process's memory, numpy and scipy loaded, so ``work`` is
+    not pickled.  A fork that fails (out of process ids or memory) raises
+    ``MemoryError``, a numeric failure to the CLI.  The child sends any
+    error ``work`` raises and ends in ``os._exit``, so it never returns to
+    the caller.  Replies are read through :func:`_swap`: an error the
+    child sent is raised in the run process, and a child that ended
+    without a word (killed, say, by the out-of-memory killer) raises
+    ``MemoryError`` too.  However the caller leaves the ``with`` block, the child
     is ended if it is still running, then reaped, so none outlives it.
     """
     from multiprocessing import Pipe
 
     link, pipe = Pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as err:  # out of process ids or memory
+        link.close()
+        pipe.close()
+        raise MemoryError(f"could not start a helper process: {err}") from None
     if pid == 0:
         try:
             link.close()
@@ -380,7 +387,7 @@ def _swap(link, mine):
     try:
         theirs = link.recv()
     except (EOFError, OSError):
-        raise MemoryError("the noise helper process ended early") from None
+        raise MemoryError("a helper process ended early") from None
     if isinstance(theirs, BaseException):
         raise theirs
     return theirs

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochpend import bifurcation, cli, dynamics, poincare, rng, rpsde, verification
+from stochpend import io as stochpend_io
 from stochpend.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from stochpend.rpsde import grid_for_periods
 from stochpend.verification import calibration_stats
@@ -249,25 +250,33 @@ def test_seed_partition_changes_no_byte(tmp_path, capsys, monkeypatch, case):
 
 
 def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
-    """Every forked helper, the ensemble's and the streamed estimate's, is
-    reaped before ``main`` returns, so no child process is left that could
-    compete with a timing taken after it: when the run succeeds, when
-    channel 2 (the helper's) overflows, and when a helper raises or is
-    killed.  A killed helper ends the run at once, with exit 3: it does not
-    leave the run waiting for an answer that never comes.  In the ensemble
-    cases the calibration is given, so only the ensemble's helpers filter
-    noise."""
+    """Every forked helper, the ensemble's, the streamed estimate's and the
+    CSV writer's, is reaped before ``main`` returns, so no child process is
+    left that could compete with a timing taken after it: when the run
+    succeeds, when channel 2 (the helper's) overflows, and when a helper
+    raises or is killed.  A killed helper ends the run at once, with exit
+    3: it does not leave the run waiting for an answer that never comes.
+    In the ensemble cases the calibration is given, so only the ensemble's
+    helpers filter noise; in the ``simulate`` cases every CSV is split, and
+    the helper fails in its append."""
     set_workers(monkeypatch, 2)
     stats = calibration_stats(default_noise_pair(), 3, steps_per_period=100)
     run = os.getpid()
-    filter_tile = rpsde._filter_tile
 
-    def in_helper(fail):
-        def patched(*args):
+    def in_helper(func, fail):
+        def patched(*args, **kwargs):
             if os.getpid() != run:
                 fail()
-            return filter_tile(*args)
+            return func(*args, **kwargs)
         return patched
+
+    def noise_helper(fail):
+        return {(rpsde, "_filter_tile"): in_helper(rpsde._filter_tile, fail),
+                (cli, "calibration_stats"): lambda *args, **kwargs: stats}
+
+    def csv_helper(fail=None):
+        split = {(stochpend_io, "SPLIT_VALUES"): 1}
+        return split if fail is None else {**split, (stochpend_io, "open"): in_helper(open, fail)}
 
     def no_memory():
         raise MemoryError("Unable to allocate 7.11 PiB for an array")
@@ -277,29 +286,37 @@ def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
 
     average = {"grid": {"h": 0.01},
                "average": {"burn_in_periods": 2, "avg_periods": 20, "batches": 8}}
+    simulate = dict(BASE, simulate={"section": True})
     cases = [
-        (*PARTITION_CASES["verify"], None, None),
-        ("average", average, None, None),
-        ("average", dict(average, noise={"channel2": {"alpha": 300.0}}), None,
+        (*PARTITION_CASES["verify"], {}, None),
+        ("average", average, {}, None),
+        ("average", dict(average, noise={"channel2": {"alpha": 300.0}}), {},
          "numeric failure: noise path non-finite at grid step "),
-        ("average", average, no_memory, "numeric failure: Unable to allocate 7.11 PiB"),
-        ("average", average, killed, "numeric failure: the noise helper process ended early"),
-        (*PARTITION_CASES["verify"], no_memory, "numeric failure: Unable to allocate 7.11 PiB"),
-        (*PARTITION_CASES["verify"], killed,
-         "numeric failure: the noise helper process ended early"),
+        ("average", average, noise_helper(no_memory),
+         "numeric failure: Unable to allocate 7.11 PiB"),
+        ("average", average, noise_helper(killed),
+         "numeric failure: a helper process ended early"),
+        (*PARTITION_CASES["verify"], noise_helper(no_memory),
+         "numeric failure: Unable to allocate 7.11 PiB"),
+        (*PARTITION_CASES["verify"], noise_helper(killed),
+         "numeric failure: a helper process ended early"),
+        ("simulate", simulate, csv_helper(), None),
+        ("simulate", simulate, csv_helper(no_memory),
+         "numeric failure: Unable to allocate 7.11 PiB"),
+        ("simulate", simulate, csv_helper(killed),
+         "numeric failure: a helper process ended early"),
     ]
 
     def hung(signum, frame):
         raise TimeoutError("the run did not end within 60 s")
 
-    for k, (command, cfg, fail, line) in enumerate(cases):
+    for k, (command, cfg, patches, line) in enumerate(cases):
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-                if fail is not None:
-                    mp.setattr(rpsde, "_filter_tile", in_helper(fail))
-                    mp.setattr(cli, "calibration_stats", lambda *args, **kwargs: stats)
+                for (module, name), value in patches.items():
+                    mp.setattr(module, name, value, raising=False)
                 code, out = run_cli(tmp_path, command, cfg, out=f"run-{k}")
         finally:
             signal.alarm(0)
@@ -313,6 +330,23 @@ def test_no_worker_outlives_the_run(tmp_path, capsys, monkeypatch):
             assert err.splitlines()[-1].startswith(line)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_exits_numeric(tmp_path, capsys, monkeypatch):
+    """A helper that cannot be started (out of process ids) is a resource
+    failure: exit 3, no ``--out`` and no child left."""
+    def no_pids():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(stochpend_io, "SPLIT_VALUES", 1)
+    monkeypatch.setattr(os, "fork", no_pids)
+    code, out = run_cli(tmp_path, "simulate", BASE)
+    assert code == EXIT_NUMERIC and not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numeric failure: could not start a helper process: "
+        "[Errno 11] Resource temporarily unavailable")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):

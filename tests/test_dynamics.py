@@ -26,7 +26,12 @@ from stochpend import (
     velocity_from_momentum,
     wrap_angle,
 )
-from stochpend.dynamics import _rk4_nodes, exact_flow_ensemble, instantaneous_lambda
+from stochpend.dynamics import (
+    _rk4_nodes,
+    _rk4_rhs,
+    exact_flow_ensemble,
+    instantaneous_lambda,
+)
 from stochpend.rng import ensemble_seeds
 from stochpend.rpsde import ErgodicStats, grid_for_periods, simulate_pair_ensemble
 
@@ -420,25 +425,21 @@ def test_stacked_levels_match_width_one_orbits(params, seed, n, levels, theta0, 
         assert np.isnan(theta[last[i] + 1:, i]).all()
 
 
-@pytest.mark.parametrize("seeds, levels", [(1, 0), (100, 4), (500, 4)],
+@pytest.mark.parametrize("seeds, levels", [(1, 1), (100, 4), (500, 4)],
                          ids=["width-1", "width-400", "width-2000"])
 def test_tiles_step_as_one_array(params, seeds, levels):
     """Nodes cut into disjoint tiles (a one-row first tile, a one-row and an
     empty later tile among them), each a view of one buffer that is
     overwritten when the next tile is asked for, give the bytes of the
-    whole array as one tile."""
+    whole array as one tile.  The (level, seed) rows form one flat batch,
+    as the ensemble runs step them; width 1 is a one-row batch."""
     grid = PathGrid(0.0, 0.01, 40)
     x1, x2 = (x.T for x in simulate_pair_ensemble(*default_noise_pair(), grid,
                                                   ensemble_seeds(4, seeds)))
-    if levels:  # the (level, seed) rows of one flat batch, as the ensemble runs step them
-        sig = np.repeat(np.linspace(0.1, 0.4, 2 * levels).reshape(levels, 2), seeds, axis=0)
-        rows = levels * seeds
-        start = (np.full(rows, 0.3), np.full(rows, -0.2), sig[:, 0], sig[:, 1],
-                 np.tile(np.arange(seeds), levels))
-    else:  # the float back-end
-        x1, x2 = x1[:, 0], x2[:, 0]
-        start = (0.3, -0.2, 0.25, 0.15, None)
-    theta0, p0, s1, s2, col = start
+    sig = np.repeat(np.linspace(0.1, 0.4, 2 * levels).reshape(levels, 2), seeds, axis=0)
+    rows = levels * seeds
+    theta0, p0, s1, s2, col = (np.full(rows, 0.3), np.full(rows, -0.2), sig[:, 0], sig[:, 1],
+                               np.tile(np.arange(seeds), levels))
     edges = [0, 1, 8, 9, 9, 30, grid.n + 1]
 
     def reused_tiles():
@@ -503,6 +504,58 @@ def test_float_backend_is_bit_identical_to_array_backend(params, seed, n, sigma,
     step = _flow_or_blowup(exact_flow_ensemble, *args)
     assert isinstance(step, int)
     assert step == _flow_or_blowup(_array_flow, *args)
+
+
+def _oracle_flow(theta0, p0, x1, x2, grid, params, amps):
+    """Classical RK4 written out step by step through ``_rk4_rhs``, the field
+    that ``hamiltonian_partials`` returns, on numpy float64 scalars."""
+    from stochpend import BlowUpError
+    h, coefs = grid.h, (params.l, params.g, amps.sigma1, amps.sigma2)
+    theta, p = [np.float64(theta0)], [np.float64(p0)]
+    for k in range(grid.n):
+        th, mom = theta[-1], p[-1]
+        xm1, xm2 = 0.5 * (x1[k] + x1[k + 1]), 0.5 * (x2[k] + x2[k + 1])
+        k1t, k1p, *_ = _rk4_rhs(th, mom, x1[k], x2[k], *coefs)
+        k2t, k2p, *_ = _rk4_rhs(th + 0.5 * h * k1t, mom + 0.5 * h * k1p, xm1, xm2, *coefs)
+        k3t, k3p, *_ = _rk4_rhs(th + 0.5 * h * k2t, mom + 0.5 * h * k2p, xm1, xm2, *coefs)
+        k4t, k4p, *_ = _rk4_rhs(th + h * k3t, mom + h * k3p, x1[k + 1], x2[k + 1], *coefs)
+        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        mom = mom + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not (np.isfinite(th) and np.isfinite(mom)):
+            raise BlowUpError(k + 1)
+        theta.append(th)
+        p.append(mom)
+    theta, p = np.array(theta), np.array(p)
+    return theta, p, exact_hamiltonian(theta, p, x1, x2, params, amps)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 200),
+       sigma=st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 0.8)),
+       theta0=st.floats(-3.0, 3.0), p0=st.floats(-1.5, 1.5),
+       spike=st.integers(0, 200), size=st.sampled_from([1e150, 1e200, 1e300]))
+def test_one_orbit_is_the_rk4_of_the_partials_field(params, seed, n, sigma, theta0, p0,
+                                                    spike, size):
+    """``exact_flow_ensemble`` is the RK4 of ``_rk4_rhs`` bit for bit, and
+    blows up at the same step under one huge noise node, so the partials
+    checked against finite differences of H are the field it integrates."""
+    grid = PathGrid(0.0, 0.01, n)
+    p1, p2 = simulate_pair(*default_noise_pair(), grid, seed)
+    amps = NoiseAmplitudes(*sigma)
+    args = (theta0, p0, p1.values, p2.values, grid, params, amps)
+    found = _flow_or_blowup(exact_flow_ensemble, *args)
+    assert not isinstance(found, int)
+    assert found == _flow_or_blowup(_oracle_flow, *args)
+    theta, p = (np.frombuffer(b) for b in found[:2])
+    dh_dtheta, dh_dp = hamiltonian_partials(theta, p, p1.values, p2.values, params, amps)
+    dtheta, dp, *_ = _rk4_rhs(theta, p, p1.values, p2.values, params.l, params.g, *sigma)
+    assert dh_dp.tobytes() == dtheta.tobytes() and dh_dtheta.tobytes() == (-dp).tobytes()
+    x1 = p1.values.copy()
+    x1[spike % (n + 1)] = size
+    args = (theta0, p0, x1, p2.values, grid, params, amps)
+    step = _flow_or_blowup(exact_flow_ensemble, *args)
+    assert isinstance(step, int)
+    assert step == _flow_or_blowup(_oracle_flow, *args)
 
 
 @pytest.mark.parametrize("theta0, p0, l", [

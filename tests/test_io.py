@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochpend import io
 from stochpend.bifurcation import AtlasCurves, Gamma2Ray, PhasePortrait, ScanResult
 from stochpend.dynamics import BobEmbedding, Trajectory
 from stochpend.io import (
@@ -20,6 +22,8 @@ from stochpend.io import (
 from stochpend.poincare import ConcentrationReport, FillReport, StroboscopicSection
 from stochpend.verification import MomentBoundReport
 from stochpend.rpsde import PathGrid, PathSample
+
+from conftest import set_workers
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
          1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
@@ -41,6 +45,28 @@ def test_column_writer_matches_value_formatting(tmp_path_factory, width, data):
     header = ",".join(f"c{c}" for c in range(width))
     _write_columns(path, header, columns)
     assert path.read_bytes() == value_rows(header, rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(0, 300), workers=st.sampled_from([1, 2]),
+       row=st.sampled_from(["%.17g,%.17g,%.17g", "%d,%.17g,%.17g", "%d,%d,%d",
+                            "%.17g,%.17g,%s"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_writer_gives_the_inline_bytes(tmp_path_factory, rows, workers, row, seed):
+    """With every file over the split threshold, the header and first half
+    written here and the second half appended by a forked helper (on two
+    workers) give the bytes of one process formatting every row."""
+    rng = np.random.default_rng(seed)
+    values = {"%.17g": rng.choice(EDGES + list(rng.normal(size=8)), rows),
+              "%d": rng.integers(-10**6, 10**6, rows), "%s": rng.choice(["empty", "pi1"], rows)}
+    columns = [values[t] for t in row.split(",")]
+    root = tmp_path_factory.mktemp("split")
+    _write_columns(root / "inline.csv", "a,b,c", columns, row)
+    with pytest.MonkeyPatch.context() as mp:
+        set_workers(mp, workers)
+        mp.setattr(io, "SPLIT_VALUES", 1)
+        _write_columns(root / "split.csv", "a,b,c", columns, row)
+    assert (root / "split.csv").read_bytes() == (root / "inline.csv").read_bytes()
 
 
 def test_edge_values_in_every_column(tmp_path):

@@ -6,13 +6,16 @@ A tree is a checkout with the package under ``src/stochpend``.  Every run
 is a fresh interpreter with ``PYTHONPATH`` set to that tree's ``src``, and
 it works in a temporary directory: nothing is written inside either tree.
 
-The 32 cases cover all six commands: the four benchmark workloads of
+The 34 cases cover all six commands: the four benchmark workloads of
 ``perfbench/workloads.py`` at ``--seed`` (default 0), a small
-``portrait``, small configs that switch on every ``verify`` run and
-every ``poincare`` run, ``verify`` and ``poincare`` ensembles of three
-seed chunks (every run that draws its noise chunk by chunk crosses a
-chunk boundary), ``verify`` and ``poincare`` ensembles whose horizon
-spans several time tiles of forced, independent noise channels,
+``portrait``, a ``portrait`` whose CSV is big enough to be formatted in
+two processes on two CPUs and a ``simulate`` whose largest CSV is just
+too small for that (``stochpend.io.SPLIT_VALUES``), small configs that
+switch on every ``verify`` run and every ``poincare`` run, ``verify``
+and ``poincare`` ensembles of three seed chunks (every run that draws
+its noise chunk by chunk crosses a chunk boundary), ``verify`` and
+``poincare`` ensembles whose horizon spans several time tiles of
+forced, independent noise channels,
 ``verify`` and ``poincare`` ensembles whose burn-in and horizon end
 exactly on tile edges, an ``average`` whose grid duration over tau is
 not a whole number in floating point, an ``average`` whose window leaves
@@ -81,6 +84,13 @@ def cases(seed: int) -> dict[str, tuple[str, dict]]:
              "seeds": {"master": seed, "ensemble": 12}}
     out["portrait"] = ("portrait", {"portrait": {"lambda1": 0.5, "lambda2": 0.1,
                                                  "grid": [40, 32]}})
+    # 257 * 257 rows of 3 values: over io.SPLIT_VALUES, so split on two CPUs
+    out["portrait-split"] = ("portrait", {"portrait": {"lambda1": 0.5, "lambda2": 0.1,
+                                                       "grid": [257, 257]}})
+    # trajectory.csv is 8 191 rows of 4 values, 32 764 < io.SPLIT_VALUES
+    out["simulate-unsplit"] = ("simulate", {"grid": {"h": 1 / 4095, "horizon_periods": 2},
+                                            "seeds": {"master": seed},
+                                            "simulate": {"section": True}})
     out["verify-all-runs"] = ("verify", dict(small, verify={
         "run": ["exceedance", "deviation", "chebyshev", "moments"],
         "burn_in_periods": 2}))
